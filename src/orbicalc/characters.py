@@ -208,13 +208,15 @@ class CharacterTable:
         V = self._mults  # (r, r, e) exact nonnegative integers
         Vc = V[:, :, (-np.arange(e)) % e]  # complex conjugate
         w = np.array(self.class_sizes, dtype=np.int64)
-        fold = (np.arange(e)[:, None] + np.arange(e)[None, :]) % e
+        # Coefficient vectors multiply mod x^e - 1: the products of zeta^a
+        # with every zeta^b land at zeta^(a+b), so each a adds its block
+        # rolled by a along the last axis.
 
         # Row orthogonality, exact: sum_i |C_i| chi_s(i) conj(chi_t(i)).
-        X = np.einsum("sia,tib->stab", V * w[None, :, None], Vc)
+        Vw = V * w[None, :, None]
         acc = np.zeros((r, r, e), dtype=np.int64)
-        for c in range(e):
-            acc[:, :, c] = X[:, :, fold == c].sum(axis=-1)
+        for a in range(e):
+            acc += np.roll(np.einsum("si,tib->stb", Vw[:, :, a], Vc), a, axis=2)
         for s in range(r):
             for t in range(r):
                 val = CycInt(e, tuple(int(x) for x in acc[s, t]))
@@ -222,10 +224,9 @@ class CharacterTable:
                     raise InternalCheckError("row orthogonality fails exactly")
 
         # Column orthogonality: sum_t chi_t(i) conj(chi_t(j)) = delta |G|/|C_i|.
-        Y = np.einsum("tia,tjb->ijab", V, Vc)
         accc = np.zeros((r, r, e), dtype=np.int64)
-        for c in range(e):
-            accc[:, :, c] = Y[:, :, fold == c].sum(axis=-1)
+        for a in range(e):
+            accc += np.roll(np.einsum("ti,tjb->ijb", V[:, :, a], Vc), a, axis=2)
         for i in range(r):
             for j in range(r):
                 expect = n // self.class_sizes[i] if i == j else 0

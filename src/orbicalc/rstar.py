@@ -26,6 +26,11 @@ from .homs import class_of_hom, conjugate_hom, rep_hom_classes
 from .snf import ChainComplex, HomologyDegree, homology
 
 MAX_ORDER_CAP = 12
+# Most cells, summed over all degrees, that a census may enumerate.  N=8
+# in dimension 2 with isos has 37,423 cells and N=12 in dimension 2 with
+# isos 41,030; N=8 in dimension 3 with isos would have over 6 million, and
+# its dense boundaries would not fit in memory.
+MAX_CELLS = 100_000
 
 
 @dataclass(frozen=True)
@@ -179,9 +184,37 @@ def _cell_of(names: list[str], chain: tuple[Arrow, ...]) -> Cell:
     return Cell(objs, tuple(a.rep for a in chain))
 
 
+def cell_counts(cat: QuotientCategory, max_dim: int, include_isos: bool) -> list[int]:
+    """Cells per degree 0..max_dim, counted without enumerating them: 1'A^p 1,
+    where A counts the non-identity arrows between each pair of objects.
+
+    Counting stops with a ValidationError, naming the counts so far, as
+    soon as their total exceeds MAX_CELLS.
+    """
+    n = len(cat.objects)
+    A = [[0] * n for _ in range(n)]
+    for a in cat.nonidentity_arrows(include_isos):
+        A[a.src][a.dst] += 1
+    ends = [1] * n  # chains of the current length ending at each object
+    counts = [n]
+    while len(counts) <= max_dim and any(ends):
+        ends = [sum(ends[i] * A[i][j] for i in range(n)) for j in range(n)]
+        counts.append(sum(ends))
+        if sum(counts) > MAX_CELLS:
+            raise ValidationError(
+                f"{sum(counts)} cells (per degree {counts}) exceed the budget of "
+                f"{MAX_CELLS}; lower the maximum order or dimension"
+            )
+    return counts + [0] * (max_dim + 1 - len(counts))
+
+
 def cell_census(max_order: int, max_dim: int, include_isos: bool = False,
                 category: Optional[QuotientCategory] = None) -> CellCensus:
+    # Every degree is a level of the census, so the budget bounds them too.
+    if not 0 <= max_dim < MAX_CELLS:
+        raise ValidationError(f"max dim must lie in 0..{MAX_CELLS - 1}")
     cat = category or build_quotient_category(max_order)
+    cell_counts(cat, max_dim, include_isos)  # refuses before any cell is built
     names = cat.object_names
     cells: list[list[Cell]] = [[Cell((nm,), ()) for nm in sorted(names)]]
     if max_dim >= 1:

@@ -1,14 +1,27 @@
 """Integer Smith normal form and chain-complex homology, exact.
 
-Pivoting always selects a minimal-absolute-value nonzero entry, which
-keeps coefficient growth tame at this scale; arithmetic is arbitrary
-precision throughout.
+A chain complex keeps its boundary matrices as given (dense rows) and
+derives each one's nonzero columns once, as row -> coefficient dicts.  The
+d∘d = 0 check and homology both work on those columns.
+
+Homology first eliminates unit pivots sparsely.  A pivot of +1 or -1
+splits off one invariant factor 1 by a unimodular step (the Schur
+complement of the pivot), so the factors stay exact; among a column's
+unit entries the pivot is taken in the row with the fewest entries, which
+limits fill-in.  Only the block left when no unit pivot remains goes to
+the dense `smith_normal_form`, which pivots on a minimal-absolute-value
+nonzero entry.  Nerve boundaries usually leave no such block at all.
+Arithmetic is arbitrary precision throughout.  References: Dumas,
+Heckenbach, Saunders and Welker, "Computing simplicial homology based on
+efficient Smith normal form algorithms" (2003); Kaczynski, Mischaikow and
+Mrozek, Computational Homology (2004), chapter 3.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, field
+from itertools import compress
+from typing import Mapping, Sequence
 
 from .errors import ValidationError
 
@@ -85,30 +98,100 @@ def smith_normal_form(A: Sequence[Sequence[int]]) -> list[int]:
     return diag
 
 
+def sparse_columns(A: Sequence[Sequence[int]], cols: int) -> list[dict[int, int]]:
+    """The nonzero entries of each of the `cols` columns of A, as row -> coefficient."""
+    out: list[dict[int, int]] = [{} for _ in range(cols)]
+    for i, row in enumerate(A):
+        for j in compress(range(cols), row):
+            out[j][i] = int(row[j])
+    return out
+
+
+def invariant_factors(columns: Sequence[Mapping[int, int]]) -> list[int]:
+    """The nonzero diagonal of the Smith normal form of the matrix with these
+    columns: the list `smith_normal_form` gives for its dense form."""
+    cols = {j: dict(col) for j, col in enumerate(columns) if col}
+    rows: dict[int, set[int]] = {}
+    for j, col in cols.items():
+        for i in col:
+            rows.setdefault(i, set()).add(j)
+    units = 0
+    found = True
+    while found:
+        found = False
+        for c in list(cols):
+            col = cols.get(c)
+            if col is None:
+                continue
+            r = None
+            for i, v in col.items():
+                if (v == 1 or v == -1) and (r is None or len(rows[i]) < len(rows[r])):
+                    r = i
+            if r is not None:
+                _eliminate_unit(cols, rows, r, c)
+                units += 1
+                found = True
+    if not cols:
+        return [1] * units
+    left = sorted({i for col in cols.values() for i in col})
+    at = {i: t for t, i in enumerate(left)}
+    residual = [[0] * len(cols) for _ in left]
+    for j, col in enumerate(cols.values()):
+        for i, v in col.items():
+            residual[at[i]][j] = v
+    return [1] * units + smith_normal_form(residual)
+
+
+def _eliminate_unit(cols: dict, rows: dict, r: int, c: int) -> None:
+    """Replace the matrix by the Schur complement of its unit entry (r, c)."""
+    pivot = cols.pop(c)
+    u = pivot.pop(r)
+    for i in pivot:
+        rows[i].discard(c)
+    targets = rows.pop(r)
+    targets.discard(c)
+    for j in targets:
+        col = cols[j]
+        q = col.pop(r) * u  # u is its own inverse
+        for i, v in pivot.items():
+            x = col.get(i, 0) - q * v
+            if x:
+                col[i] = x
+                rows[i].add(j)
+            else:
+                del col[i]
+                rows[i].discard(j)
+        if not col:
+            del cols[j]
+
+
 @dataclass
 class ChainComplex:
     """Boundary data: boundaries[p] maps degree p to degree p-1."""
 
     ranks: tuple[int, ...]
     boundaries: list  # boundaries[p]: (ranks[p-1] x ranks[p]) int matrix, p >= 1
+    columns: list = field(init=False, repr=False, compare=False)  # sparse_columns per p
 
     def __post_init__(self):
+        self.columns = [None]
         for p in range(1, len(self.ranks)):
             B = self.boundaries[p]
             if len(B) != self.ranks[p - 1] or any(len(r) != self.ranks[p] for r in B):
                 raise ValidationError(f"boundary {p} has the wrong shape")
+            self.columns.append(sparse_columns(B, self.ranks[p]))
         self.verify_square_zero()
 
     def verify_square_zero(self) -> None:
         for p in range(2, len(self.ranks)):
-            A, B = self.boundaries[p - 1], self.boundaries[p]
-            if not A or not A[0] or not B or not B[0]:
-                continue
-            for i in range(len(A)):
-                for j in range(len(B[0])):
-                    s = sum(A[i][t] * B[t][j] for t in range(len(B)))
-                    if s != 0:
-                        raise ValidationError("boundary squared is nonzero")
+            A = self.columns[p - 1]
+            for col in self.columns[p]:
+                image: dict[int, int] = {}
+                for t, b in col.items():
+                    for i, a in A[t].items():
+                        image[i] = image.get(i, 0) + a * b
+                if any(image.values()):
+                    raise ValidationError("boundary squared is nonzero")
 
     def degree_count(self) -> int:
         return len(self.ranks)
@@ -129,21 +212,11 @@ def homology(cc: ChainComplex, unreliable_from: int | None = None) -> list[Homol
     lacks the boundaries needed to pin them down.
     """
     k = cc.degree_count()
-    ranks_of = []
-    factors_of = []
-    for p in range(k):
-        if p == 0:
-            ranks_of.append(0)
-            factors_of.append([])
-        else:
-            d = smith_normal_form(cc.boundaries[p]) if cc.ranks[p] and cc.ranks[p - 1] else []
-            ranks_of.append(len(d))
-            factors_of.append(d)
+    factors_of = [[]] + [invariant_factors(cc.columns[p]) for p in range(1, k)]
     out = []
     for p in range(k):
-        rank_in = ranks_of[p + 1] if p + 1 < k else 0
         factors_in = factors_of[p + 1] if p + 1 < k else []
-        betti = cc.ranks[p] - ranks_of[p] - rank_in
+        betti = cc.ranks[p] - len(factors_of[p]) - len(factors_in)
         torsion = tuple(f for f in factors_in if f > 1)
         reliable = unreliable_from is None or p < unreliable_from
         out.append(HomologyDegree(degree=p, betti=betti, torsion=torsion, reliable=reliable))

@@ -1,0 +1,130 @@
+"""Sparse unit-pivot homology against the dense Smith normal form oracle."""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from orbicalc import snf
+from orbicalc.errors import ValidationError
+from orbicalc.rstar import build_quotient_category, nerve_chain_complex
+from orbicalc.snf import (
+    ChainComplex,
+    complex_from_simplices,
+    homology,
+    invariant_factors,
+    smith_normal_form,
+    sparse_columns,
+)
+
+from .test_snf import RP2_TRIANGLES
+
+# Units, zeros and non-units in about equal measure.
+ENTRIES = st.sampled_from([-3, -2, -1, 0, 0, 0, 1, 1, 2, 4, 6])
+
+
+@st.composite
+def matrices(draw):
+    rows = draw(st.integers(0, 6))
+    cols = draw(st.integers(0, 6))
+    return [[draw(ENTRIES) for _ in range(cols)] for _ in range(rows)], cols
+
+
+def dense_homology(cc: ChainComplex) -> list[tuple[int, tuple[int, ...]]]:
+    """(betti, torsion) per degree from dense SNF of each whole boundary."""
+    k = len(cc.ranks)
+    factors = [[]] + [
+        smith_normal_form(cc.boundaries[p]) if cc.ranks[p] and cc.ranks[p - 1] else []
+        for p in range(1, k)
+    ]
+    factors.append([])
+    return [
+        (
+            cc.ranks[p] - len(factors[p]) - len(factors[p + 1]),
+            tuple(f for f in factors[p + 1] if f > 1),
+        )
+        for p in range(k)
+    ]
+
+
+def sparse_homology(cc: ChainComplex) -> list[tuple[int, tuple[int, ...]]]:
+    return [(d.betti, d.torsion) for d in homology(cc)]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(matrices())
+def test_invariant_factors_match_dense_snf(case):
+    A, cols = case
+    assert invariant_factors(sparse_columns(A, cols)) == smith_normal_form(A)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(matrices(), st.integers(0, 5), st.integers(0, 5))
+def test_invariant_factors_of_unit_bordered_block(case, i, j):
+    # Border a random block with a unit row and column, so that at least
+    # one unit pivot is eliminated before the rest reaches the dense SNF.
+    A, cols = case
+    B = [[1] + [(i * c + j) % 3 for c in range(cols)]]
+    B += [[(r * i + j) % 2] + row for r, row in enumerate(A)]
+    assert invariant_factors(sparse_columns(B, cols + 1)) == smith_normal_form(B)
+
+
+def test_sparse_columns_skip_zeros():
+    assert sparse_columns([[0, 2], [-1, 0], [0, 0]], 2) == [{1: -1}, {0: 2}]
+    assert sparse_columns([], 3) == [{}, {}, {}]
+
+
+def test_columns_are_derived_once_and_boundaries_stay_dense():
+    cc = complex_from_simplices([(0, 1, 2)])
+    assert cc.boundaries[1] == [[-1, -1, 0], [1, 0, -1], [0, 1, 1]]
+    assert cc.columns[1] == [{0: -1, 1: 1}, {0: -1, 2: 1}, {1: -1, 2: 1}]
+    assert cc.columns[2] == [{0: 1, 1: -1, 2: 1}]
+
+
+def test_square_zero_check_is_complete():
+    # d1 d2 is zero on the first column and nonzero only on the last one.
+    d1 = [[1, 1, 0]]
+    d2 = [[1, 0, 1], [-1, 0, 0], [0, 0, 0]]
+    with pytest.raises(ValidationError):
+        ChainComplex(ranks=(1, 3, 3), boundaries=[None, d1, d2])
+    d2[0][2] = 0
+    ChainComplex(ranks=(1, 3, 3), boundaries=[None, d1, d2])
+
+
+simplices = st.lists(
+    st.sets(st.integers(0, 6), min_size=1, max_size=4), min_size=1, max_size=10
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(simplices)
+def test_homology_matches_dense_oracle_on_random_complexes(faces):
+    cc = complex_from_simplices([sorted(s) for s in faces])
+    assert sparse_homology(cc) == dense_homology(cc)
+
+
+def test_rp2_torsion_comes_from_the_residual_block(monkeypatch):
+    residuals = []
+
+    def recording(A):
+        residuals.append([list(r) for r in A])
+        return smith_normal_form(A)
+
+    monkeypatch.setattr(snf, "smith_normal_form", recording)
+    cc = complex_from_simplices(RP2_TRIANGLES)
+    h = sparse_homology(cc)
+    assert h == [(1, ()), (0, (2,)), (0, ())]
+    monkeypatch.undo()
+    assert h == dense_homology(cc)
+    # Only the boundary carrying the torsion leaves a block, and it is small.
+    assert len(residuals) == 1
+    assert smith_normal_form(residuals[0]) == [2]
+    assert len(residuals[0]) * len(residuals[0][0]) < 15 * 10
+
+
+@pytest.mark.parametrize("include_isos", [False, True])
+def test_nerve_homology_matches_dense_oracle(include_isos):
+    for n in (1, 2, 3, 4, 5, 6):
+        cat = build_quotient_category(n)
+        for k in (1, 2, 3):
+            cc, _ = nerve_chain_complex(cat, k, include_isos)
+            assert sparse_homology(cc) == dense_homology(cc), (n, k, include_isos)
