@@ -18,7 +18,7 @@ from . import __version__
 from .bundles import StableBundle, aut_group, framings
 from .characters import character_table, frobenius_schur
 from .corpus import corpus_dir, corpus_names, corpus_group, load_group
-from .errors import OrbicalcError, ValidationError
+from .errors import OrbicalcError, ValidationError, read_json
 from .groups import conjugacy_classes, group_to_json, subgroup_classes
 from .homs import hom_classes, rep_hom_classes
 from .localize import category_from_json, check_right_multiplicative, localize_hom
@@ -250,8 +250,7 @@ def cmd_localize(args) -> None:
 def cmd_detect(args) -> None:
     G = load_group(args.group)
     if args.matrix_file:
-        with open(args.matrix_file) as fh:
-            data = json.load(fh)
+        data = read_json(args.matrix_file)
         exact = data.get("mode", "exact") == "exact"
         if exact:
             mats = [

@@ -1,140 +1,51 @@
 """The bundled group corpus: every isomorphism type of order <= 12 and a
-spread of named groups up to order 24, each reproducible from permutation
-generators.
+spread of named groups up to order 24, one JSON file of permutation
+generators per group.
 
-Groups are available programmatically via `corpus_group(name)` and as JSON
-files (one per group) in the package's corpus directory, overridable with
-the ORBICALC_CORPUS environment variable.
+The corpus is the directory `corpus_dir()`: the package's corpus
+directory, or the ORBICALC_CORPUS environment variable when it is set.
+Every lookup (`corpus_names`, `corpus_group`, `groups_of_order_at_most`,
+`load_group`) reads that directory.
 """
 
 from __future__ import annotations
 
-import json
 import os
 from pathlib import Path
-from typing import Callable, Optional
 
 from .errors import ValidationError
-from .groups import FiniteGroup, group_from_generators, group_from_json
+from .groups import FiniteGroup, group_from_json
 
 ALIASES = {"trivial": "c1", "d6": "s3", "q12": "dic3"}
 
-
-def _cyclic_gens(n: int) -> tuple[int, list[list[int]]]:
-    if n == 1:
-        return 1, []
-    return n, [[(i + 1) % n for i in range(n)]]
-
-
-def _dihedral_gens(m: int) -> tuple[int, list[list[int]]]:
-    """Symmetries of a regular m-gon (order 2m), acting on the vertices."""
-    rot = [(i + 1) % m for i in range(m)]
-    ref = [(m - i) % m for i in range(m)]
-    return m, [rot, ref]
-
-
-def _product_gens(a: tuple[int, list[list[int]]], b: tuple[int, list[list[int]]]):
-    da, ga = a
-    db, gb = b
-    gens = [list(p) + list(range(da, da + db)) for p in ga]
-    gens += [list(range(da)) + [da + x for x in p] for p in gb]
-    return da + db, gens
-
-
-def _dicyclic_table(n: int) -> list[list[int]]:
-    """Dicyclic group of order 4n: a^(2n)=e, b^2=a^n, b a b^-1 = a^-1.
-
-    Element (i, j) = a^i b^j is indexed as i + 2n*j.
-    """
-    m = 2 * n
-
-    def idx(i, j):
-        return i % m + m * (j % 2)
-
-    table = [[0] * (4 * n) for _ in range(4 * n)]
-    for i in range(m):
-        for j in range(2):
-            for k in range(m):
-                for l in range(2):
-                    if j == 0:
-                        t = idx(i + k, l)
-                    else:
-                        t = idx(i - k, 1 + l) if l == 0 else idx(i - k + n, 0)
-                    table[idx(i, j)][idx(k, l)] = t
-    return table
-
-
-def _regular_gens(table: list[list[int]], gens: list[int]) -> tuple[int, list[list[int]]]:
-    """Left-regular permutation generators from a multiplication table."""
-    n = len(table)
-    return n, [[table[g][x] for x in range(n)] for g in gens]
-
-
-def _dicyclic_gens(n: int) -> tuple[int, list[list[int]]]:
-    t = _dicyclic_table(n)
-    return _regular_gens(t, [1, 2 * n])
-
-
-def _frobenius_gens(p: int, mult: int) -> tuple[int, list[list[int]]]:
-    """c_p : c_k acting on Z/p, the second generator multiplying by `mult`."""
-    rot = [(i + 1) % p for i in range(p)]
-    act = [(mult * i) % p for i in range(p)]
-    return p, [rot, act]
-
-
-def _builders() -> dict[str, Callable[[], tuple[int, list[list[int]]]]]:
-    out: dict[str, Callable[[], tuple[int, list[list[int]]]]] = {}
-    for n in range(1, 25):
-        out[f"c{n}"] = (lambda n=n: _cyclic_gens(n))
-    for m in (4, 5, 6, 7, 8, 9, 10, 11, 12):
-        out[f"d{2 * m}"] = (lambda m=m: _dihedral_gens(m))
-    out["v4"] = lambda: (4, [[1, 0, 2, 3], [0, 1, 3, 2]])
-    out["s3"] = lambda: (3, [[1, 2, 0], [1, 0, 2]])
-    out["a4"] = lambda: (4, [[1, 2, 0, 3], [1, 0, 3, 2]])
-    out["s4"] = lambda: (4, [[1, 2, 3, 0], [1, 0, 2, 3]])
-    out["q8"] = lambda: _dicyclic_gens(2)
-    out["dic3"] = lambda: _dicyclic_gens(3)
-    out["q16"] = lambda: _dicyclic_gens(4)
-    out["dic5"] = lambda: _dicyclic_gens(5)
-    out["dic6"] = lambda: _dicyclic_gens(6)
-    out["f20"] = lambda: _frobenius_gens(5, 2)
-    out["f21"] = lambda: _frobenius_gens(7, 2)
-    prods = {
-        "c2xc4": ("c2", "c4"),
-        "c2xc2xc2": ("c2", "v4"),
-        "c3xc3": ("c3", "c3"),
-        "c2xc6": ("c2", "c6"),
-        "c2xc8": ("c2", "c8"),
-        "c4xc4": ("c4", "c4"),
-        "c3xc6": ("c3", "c6"),
-        "c2xc10": ("c2", "c10"),
-        "c2xc12": ("c2", "c12"),
-        "c2xa4": ("c2", "a4"),
-    }
-    for name, (a, b) in prods.items():
-        out[name] = (
-            lambda a=a, b=b: _product_gens(out[a](), out[b]())
-        )
-    return out
-
-
-_BUILDERS = _builders()
+_BUNDLED_DIR = Path(__file__).parent / "corpus"
+# Loaded groups by absolute file path, so a changed ORBICALC_CORPUS is
+# never served a group read from another directory.
 _GROUP_CACHE: dict[str, FiniteGroup] = {}
 
 
+def corpus_dir() -> Path:
+    env = os.environ.get("ORBICALC_CORPUS")
+    if env:
+        return Path(env)
+    return _BUNDLED_DIR
+
+
 def corpus_names() -> list[str]:
-    return sorted(_BUILDERS)
+    return sorted(p.stem for p in corpus_dir().glob("*.json"))
 
 
 def corpus_group(name: str) -> FiniteGroup:
-    """Build (and cache) a bundled group by name or alias."""
+    """Load (and cache) a corpus group by name or alias."""
     name = ALIASES.get(name, name)
-    if name not in _BUILDERS:
-        raise ValidationError(f"unknown corpus group: {name}")
-    if name not in _GROUP_CACHE:
-        degree, gens = _BUILDERS[name]()
-        _GROUP_CACHE[name] = group_from_generators(degree, gens, name=name)
-    return _GROUP_CACHE[name]
+    file = os.path.abspath(os.path.join(corpus_dir(), f"{name}.json"))
+    if file not in _GROUP_CACHE:
+        if not os.path.isfile(file):
+            raise ValidationError(
+                f"cannot resolve group '{name}' (no file, not in corpus)"
+            )
+        _GROUP_CACHE[file] = group_from_json(file, name=name)
+    return _GROUP_CACHE[file]
 
 
 def groups_of_order_at_most(n: int, names_only: bool = False):
@@ -146,51 +57,9 @@ def groups_of_order_at_most(n: int, names_only: bool = False):
     return out
 
 
-def corpus_dir() -> Path:
-    env = os.environ.get("ORBICALC_CORPUS")
-    if env:
-        return Path(env)
-    return Path(__file__).parent / "corpus"
-
-
 def load_group(name_or_path: str) -> FiniteGroup:
     """Resolve a CLI group argument: a JSON file path or a corpus name."""
     path = Path(name_or_path)
     if path.suffix == ".json" and path.exists():
         return group_from_json(path)
-    name = ALIASES.get(name_or_path, name_or_path)
-    file = corpus_dir() / f"{name}.json"
-    if file.exists():
-        return group_from_json(file)
-    if name in _BUILDERS:
-        return corpus_group(name)
-    raise ValidationError(
-        f"cannot resolve group '{name_or_path}' (no file, not in corpus)"
-    )
-
-
-def write_corpus(target: Optional[Path] = None) -> list[Path]:
-    target = Path(target) if target else corpus_dir()
-    target.mkdir(parents=True, exist_ok=True)
-    written = []
-    for name in corpus_names():
-        degree, gens = _BUILDERS[name]()
-        G = corpus_group(name)
-        data = {
-            "name": name,
-            "order": G.order,
-            "degree": degree,
-            "generators": [list(g) for g in gens],
-        }
-        path = target / f"{name}.json"
-        path.write_text(json.dumps(data, sort_keys=True, indent=1) + "\n")
-        written.append(path)
-    return written
-
-
-if __name__ == "__main__":  # pragma: no cover
-    import sys
-
-    dest = Path(sys.argv[sys.argv.index("--write-dir") + 1]) if "--write-dir" in sys.argv else None
-    for p in write_corpus(dest):
-        print(p)
+    return corpus_group(name_or_path)

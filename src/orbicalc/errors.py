@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the JSON file reader
+that turns a malformed input file into one of them."""
+
+import json
 
 
 class OrbicalcError(Exception):
@@ -16,3 +19,12 @@ class InternalCheckError(OrbicalcError):
     partition identities, ...).  Seeing one of these means a bug, not bad
     user input.
     """
+
+
+def read_json(path) -> object:
+    """Parse a JSON file; a file that is not JSON is a ValidationError."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # malformed JSON or not UTF-8
+            raise ValidationError(f"{path} is not a JSON file: {exc}") from None

@@ -7,13 +7,12 @@ identity, so identical inputs always produce byte-identical tables.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from math import lcm
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
-from .errors import ValidationError
+from .errors import ValidationError, read_json
 
 DEFAULT_ASSOCIATIVITY_BOUND = 128
 DEFAULT_CLOSURE_CAP = 10_000
@@ -448,8 +447,12 @@ def quotient_group(G: FiniteGroup, N: Iterable[int]) -> tuple[FiniteGroup, tuple
 
     Returns (Q, projection) with projection[g] the coset index of g.
     Cosets are ordered with the identity coset first, then by least member.
+    The result is cached on G per subgroup, once N is known to be normal.
     """
     Ns = frozenset(N)
+    key = ("quotient", Ns)
+    if key in G._cache:
+        return G._cache[key]
     if frozenset(G.conj(g, x) for g in range(G.order) for x in Ns) != Ns:
         raise ValidationError("subgroup is not normal")
     coset_of = {}
@@ -473,7 +476,8 @@ def quotient_group(G: FiniteGroup, N: Iterable[int]) -> tuple[FiniteGroup, tuple
     ]
     labels = [f"[{G.label(r)}]" for r in reps]
     Q = FiniteGroup(table, labels=labels, validate=False)
-    return canonical_instance(Q), projection
+    G._cache[key] = (canonical_instance(Q), projection)
+    return G._cache[key]
 
 
 # -- isomorphism ---------------------------------------------------------------
@@ -581,8 +585,9 @@ def group_from_json(data: dict | str | Path, name: Optional[str] = None) -> Fini
     """Load a group from {"degree", "generators"} or {"table"} JSON."""
     if not isinstance(data, dict):
         path = Path(data)
-        with open(path) as fh:
-            data = json.load(fh)
+        data = read_json(path)
+        if not isinstance(data, dict):
+            raise ValidationError(f"{path} does not hold a JSON object")
         if name is None:
             name = data.get("name", path.stem)
     else:

@@ -119,12 +119,15 @@ def hom_classes(G: FiniteGroup, H: FiniteGroup) -> list[HomClass]:
         orbit = {conjugate_hom(H, phi, h) for h in range(H.order)}
         remaining -= orbit
         rep = min(orbit)
-        zh = centralizer(H, set(rep) | {H.identity})
+        image = set(rep)
         cls = HomClass(
             representative=rep,
-            injective=len(set(rep)) == G.order,
+            injective=len(image) == G.order,
             orbit_size=len(orbit),
-            centralizer_order=len(zh.representative),
+            # |Z_H(im rep)|, counted without building the subgroup class.
+            centralizer_order=sum(
+                all(cm[s] == s for s in image) for cm in H.conj_maps()
+            ),
         )
         if cls.orbit_size * cls.centralizer_order != H.order:
             raise InternalCheckError("orbit-stabilizer fails for a hom class")

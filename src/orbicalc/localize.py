@@ -14,13 +14,12 @@ filtered, making these classes the expected filtered colimit.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from itertools import product
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
-from .errors import ValidationError
+from .errors import ValidationError, read_json
 
 
 @dataclass(frozen=True)
@@ -131,8 +130,23 @@ class FiniteCategory:
 def category_from_json(data: dict | str | Path) -> tuple[FiniteCategory, set[str]]:
     """Load {objects, arrows, compose, W} JSON; returns (category, W)."""
     if not isinstance(data, dict):
-        with open(data) as fh:
-            data = json.load(fh)
+        data = read_json(data)
+    if not isinstance(data, dict):
+        raise ValidationError("category JSON must be an object")
+    for key in ("objects", "arrows"):
+        if not isinstance(data.get(key), list):
+            raise ValidationError(f"category JSON needs a list '{key}'")
+    for a in data["arrows"]:
+        if not isinstance(a, dict):
+            raise ValidationError(f"arrow {a!r} is not an object")
+        missing = [k for k in ("name", "src", "dst") if k not in a]
+        if missing:
+            raise ValidationError(
+                f"arrow {a.get('name', a)!r} lacks {', '.join(missing)}"
+            )
+    for entry in data.get("compose", []):
+        if not isinstance(entry, list) or len(entry) != 3:
+            raise ValidationError(f"compose entry {entry!r} is not [first, then, composite]")
     arrows = [ArrowData(a["name"], a["src"], a["dst"]) for a in data["arrows"]]
     compose = {(a, b): c for a, b, c in data.get("compose", [])}
     cat = FiniteCategory(data["objects"], arrows, compose, name=data.get("name"))
@@ -301,6 +315,9 @@ class LocalizedHom:
 
 def localize_hom(C: FiniteCategory, W: Iterable[str], x: str, y: str) -> LocalizedHom:
     """Morphisms x -> y in the localization, as glued span classes."""
+    for obj in (x, y):
+        if obj not in C.objects:
+            raise ValidationError(f"unknown object {obj!r}")
     W = set(W)
     verdict = check_right_multiplicative(C, W)
     if not verdict.ok:

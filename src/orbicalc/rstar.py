@@ -2,10 +2,16 @@
 between small groups, and the integer homology of its coarse space.
 
 Objects of the underlying category are isomorphism types of groups of
-order <= N; an arrow is a conjugacy class of injective homomorphisms, and
-composition of classes is verified to be representative-independent at
-build time.  A cell of dimension p is a chain of p composable arrows,
-carrying its source group as the isotropy label.
+order <= N; an arrow is a conjugacy class of injective homomorphisms.
+Each arrow's conjugation orbit is computed once, and each pair of objects
+gets one class table from every orbit member to its arrow (the orbit
+tables of Holt, Eick and O'Brien, Handbook of Computational Group Theory,
+2005, section 4.1), so composing classes is one lookup.  The build always
+checks that class_of_hom names each orbit member's own arrow, and that
+composition is representative-independent: for every composable pair of
+classes, the composite of every member of both orbits lies in one class.
+A cell of dimension p is a chain of p composable arrows, carrying its
+source group as the isotropy label.
 
 By default the cell census uses non-invertible arrows only (so chains
 strictly increase group order); passing include_isos=True also admits
@@ -68,50 +74,67 @@ class QuotientCategory:
                 self.homs[(i, j)] = [
                     Arrow(i, j, c.representative) for c in classes
                 ]
-        self._lookup = {
-            (i, j): {a.rep: a for a in arrows}
-            for (i, j), arrows in self.homs.items()
-        }
+        # Each arrow's conjugation orbit, and for each object pair one table
+        # from every orbit member to the index of the arrow that class_of_hom
+        # names for it, so compose and _verify classify a hom by one probe.
+        self._orbits: dict[tuple[int, int], list[frozenset[tuple[int, ...]]]] = {}
+        self._classes: dict[tuple[int, int], dict[tuple[int, ...], int]] = {}
+        for (i, j), arrows in self.homs.items():
+            A, B = objects[i], objects[j]
+            index = {a.rep: t for t, a in enumerate(arrows)}
+            orbits = self._orbits[(i, j)] = []
+            table = self._classes[(i, j)] = {}
+            for t, a in enumerate(arrows):
+                orbit = frozenset(conjugate_hom(B, a.rep, h) for h in range(B.order))
+                orbits.append(orbit)
+                for phi in orbit:
+                    if index.get(class_of_hom(A, B, phi)) != t:
+                        raise InternalCheckError(
+                            "class_of_hom does not name the class of a conjugate"
+                        )
+                    table[phi] = t
         if verify:
             self._verify()
 
+    def arrow(self, i: int, j: int, phi: tuple[int, ...]) -> Arrow:
+        """The arrow i -> j whose class holds the injective hom phi."""
+        t = self._classes[(i, j)].get(phi)
+        if t is None:
+            raise InternalCheckError("a hom lies in no class of the category")
+        return self.homs[(i, j)][t]
+
     def identity(self, i: int) -> Arrow:
-        return self._lookup[(i, i)][tuple(range(self.objects[i].order))]
+        return self.arrow(i, i, tuple(range(self.objects[i].order)))
 
     def compose(self, a: Arrow, b: Arrow) -> Arrow:
         """b after a, for a: X -> Y and b: Y -> Z."""
         if a.dst != b.src:
             raise ValidationError("arrows are not composable")
-        comp = tuple(b.rep[x] for x in a.rep)
-        rep = class_of_hom(self.objects[a.src], self.objects[b.dst], comp)
-        return self._lookup[(a.src, b.dst)][rep]
+        return self.arrow(a.src, b.dst, tuple(map(b.rep.__getitem__, a.rep)))
 
     def _verify(self) -> None:
         # Identities, class-composition well-definedness, associativity.
         n = len(self.objects)
         for i in range(n):
             self.identity(i)
-        for (i, j), arrows in self.homs.items():
-            B = self.objects[j]
-            for a in arrows:
-                orbit_a = {conjugate_hom(B, a.rep, h) for h in range(B.order)}
+        for (i, j), orbits_ij in self._orbits.items():
+            for orbit_a in orbits_ij:
                 for k in range(n):
-                    C = self.objects[k]
-                    for b in self.homs[(j, k)]:
-                        orbit_b = {
-                            conjugate_hom(C, b.rep, h) for h in range(C.order)
+                    table = self._classes[(i, k)]
+                    for orbit_b in self._orbits[(j, k)]:
+                        got = {
+                            table.get(tuple(map(fb.__getitem__, fa)))
+                            for fa in orbit_a
+                            for fb in orbit_b
                         }
-                        expected = None
-                        for fa in orbit_a:
-                            for fb in orbit_b:
-                                comp = tuple(fb[x] for x in fa)
-                                got = class_of_hom(self.objects[i], C, comp)
-                                if expected is None:
-                                    expected = got
-                                elif got != expected:
-                                    raise InternalCheckError(
-                                        "class composition depends on representatives"
-                                    )
+                        if None in got:
+                            raise InternalCheckError(
+                                "a composite lies in no class of the category"
+                            )
+                        if len(got) != 1:
+                            raise InternalCheckError(
+                                "class composition depends on representatives"
+                            )
         trivial = self.object_names.index("c1")
         for j in range(n):
             if len(self.homs[(trivial, j)]) != 1:
@@ -236,12 +259,11 @@ def nerve_chain_complex(
         {cell.key(): i for i, cell in enumerate(level)} for level in census.cells
     ]
     ranks = tuple(len(level) for level in census.cells)
-    arrow_of = cat._lookup
 
     def cell_arrows(cell: Cell) -> list[Arrow]:
         objs = [name_to_idx[nm] for nm in cell.object_names]
         return [
-            arrow_of[(objs[t], objs[t + 1])][rep]
+            cat.arrow(objs[t], objs[t + 1], rep)
             for t, rep in enumerate(cell.arrow_reps)
         ]
 

@@ -1,0 +1,107 @@
+"""The quotient category's orbit and class tables, and the hom-layer
+values they are built from."""
+
+import pytest
+
+from orbicalc import rstar
+from orbicalc.corpus import corpus_group, groups_of_order_at_most
+from orbicalc.errors import InternalCheckError, ValidationError
+from orbicalc.groups import centralizer, quotient_group
+from orbicalc.homs import class_of_hom, hom_classes
+
+
+def test_non_invariant_class_of_hom_fails_the_build(monkeypatch):
+    # The identity is constant on no orbit of size > 1 (S3 has them).
+    monkeypatch.setattr(rstar, "class_of_hom", lambda G, H, phi: tuple(phi))
+    with pytest.raises(InternalCheckError):
+        rstar.QuotientCategory(6)
+
+
+def test_class_of_hom_naming_no_arrow_fails_the_build(monkeypatch):
+    # Invariant, but the largest member is not the representative.
+    def largest(G, H, phi):
+        return max(tuple(cm[x] for x in phi) for cm in H.conj_maps())
+
+    monkeypatch.setattr(rstar, "class_of_hom", largest)
+    with pytest.raises(InternalCheckError):
+        rstar.QuotientCategory(6)
+
+
+def _pair_with_a_conjugate(cat):
+    """(i, j), an arrow index t and a member of its orbit other than its rep,
+    on a pair with at least two arrows."""
+    for (i, j), arrows in cat.homs.items():
+        if len(arrows) < 2:
+            continue
+        for t, orbit in enumerate(cat._orbits[(i, j)]):
+            for phi in sorted(orbit):
+                if phi != arrows[t].rep:
+                    return (i, j), t, phi
+    raise AssertionError("no orbit of size > 1")
+
+
+def test_verify_rejects_a_class_table_that_splits_an_orbit():
+    cat = rstar.QuotientCategory(8, verify=False)
+    pair, t, phi = _pair_with_a_conjugate(cat)
+    cat._classes[pair][phi] = 1 - min(t, 1)
+    with pytest.raises(InternalCheckError, match="depends on representatives"):
+        cat._verify()
+
+
+def test_verify_rejects_a_composite_missing_from_the_table():
+    cat = rstar.QuotientCategory(8, verify=False)
+    pair, _, phi = _pair_with_a_conjugate(cat)
+    del cat._classes[pair][phi]
+    with pytest.raises(InternalCheckError, match="no class"):
+        cat._verify()
+
+
+def test_compose_is_class_of_hom_of_the_composite():
+    cat = rstar.build_quotient_category(8)
+    n = len(cat.objects)
+    pairs = 0
+    for (i, j), arrows in cat.homs.items():
+        for a in arrows:
+            for k in range(n):
+                for b in cat.homs[(j, k)]:
+                    comp = tuple(b.rep[x] for x in a.rep)
+                    rep = class_of_hom(cat.objects[i], cat.objects[k], comp)
+                    [named] = [c for c in cat.homs[(i, k)] if c.rep == rep]
+                    assert cat.compose(a, b) == named
+                    pairs += 1
+    assert pairs > 1000
+
+
+def test_orbits_are_the_conjugation_orbits():
+    cat = rstar.build_quotient_category(6)
+    for (i, j), arrows in cat.homs.items():
+        B = cat.objects[j]
+        for a, orbit in zip(arrows, cat._orbits[(i, j)]):
+            assert a.rep in orbit
+            assert len(orbit) * len(centralizer(B, a.rep).representative) == B.order
+        assert len(cat._classes[(i, j)]) == sum(map(len, cat._orbits[(i, j)]))
+
+
+def test_centralizer_order_matches_the_centralizer_subgroup():
+    groups = groups_of_order_at_most(12)
+    for G in groups:
+        for H in groups:
+            for c in hom_classes(G, H):
+                image = set(c.representative)
+                assert c.centralizer_order == len(centralizer(H, image).representative)
+
+
+def test_quotient_group_is_cached_per_normal_subgroup():
+    G = corpus_group("d8")
+    center = tuple(G.center())
+    first = quotient_group(G, center)
+    assert quotient_group(G, list(reversed(center))) is first
+    assert first[0].order == 4
+
+
+def test_quotient_group_rejects_a_non_normal_subgroup_every_time():
+    G = corpus_group("s3")
+    reflection = next(g for g in range(G.order) if G.element_order(g) == 2)
+    for _ in range(2):
+        with pytest.raises(ValidationError, match="not normal"):
+            quotient_group(G, {G.identity, reflection})

@@ -189,3 +189,74 @@ def test_determinism_twice():
         a = run_cli(*cmd).stdout
         b = run_cli(*cmd).stdout
         assert a == b
+
+
+def _structured_error(proc):
+    assert "Traceback" not in proc.stderr
+    err = json.loads(proc.stderr)
+    assert err["error"] == "ValidationError" and err["message"]
+    return err
+
+
+def test_group_file_that_is_not_json_exits_1(tmp_path):
+    f = tmp_path / "broken.json"
+    f.write_text('{"name": "s3", "degree": 3, "gener')
+    _structured_error(run_cli("group", str(f), expect=1))
+    f.write_text("[1, 2, 3]")
+    _structured_error(run_cli("group", str(f), expect=1))
+
+
+def _two_object_category():
+    return {
+        "objects": ["a", "b"],
+        "arrows": [
+            {"name": "ia", "src": "a", "dst": "a"},
+            {"name": "ib", "src": "b", "dst": "b"},
+            {"name": "w", "src": "a", "dst": "b"},
+        ],
+        "compose": [
+            ["ia", "ia", "ia"], ["ib", "ib", "ib"],
+            ["ia", "w", "w"], ["w", "ib", "w"],
+        ],
+        "W": ["ia", "ib", "w"],
+    }
+
+
+def test_malformed_category_exits_1(tmp_path):
+    f = tmp_path / "cat.json"
+    for key in ("name", "src", "dst"):
+        data = _two_object_category()
+        del data["arrows"][2][key]
+        f.write_text(json.dumps(data))
+        err = _structured_error(run_cli("localize", str(f), "--from", "a",
+                                        "--to", "b", expect=1))
+        assert key in err["message"]
+    for key in ("objects", "arrows"):
+        data = _two_object_category()
+        del data[key]
+        f.write_text(json.dumps(data))
+        _structured_error(run_cli("localize", str(f), "--from", "a", "--to", "b",
+                                  expect=1))
+    data = _two_object_category()
+    data["compose"][0].pop()
+    f.write_text(json.dumps(data))
+    _structured_error(run_cli("localize", str(f), "--from", "a", "--to", "b",
+                              expect=1))
+    f.write_text("{not json")
+    _structured_error(run_cli("localize", str(f), "--from", "a", "--to", "b",
+                              expect=1))
+
+
+def test_localize_unknown_object_exits_1(tmp_path):
+    f = tmp_path / "cat.json"
+    f.write_text(json.dumps(_two_object_category()))
+    for ends in (("a", "zz"), ("zz", "a")):
+        err = _structured_error(run_cli("localize", str(f), "--from", ends[0],
+                                        "--to", ends[1], expect=1))
+        assert "zz" in err["message"]
+
+
+def test_detect_matrix_file_that_is_not_json_exits_1(tmp_path):
+    f = tmp_path / "rep.json"
+    f.write_text('{"mode": "exact", "matr')
+    _structured_error(run_cli("detect", "c2", "--matrix-file", str(f), expect=1))
