@@ -1,13 +1,19 @@
 """Exact complex character tables of finite groups.
 
-Method: class-sum matrices are simultaneously diagonalized over a prime
-field GF(p) with p = 1 mod exp(G) and p > |G|.  The joint eigenvectors
-are the central characters mod p; degrees are recovered from the second
-orthogonality relation, and the character values are lifted to exact
-cyclotomic integers through eigenvalue multiplicities obtained by a
+Method (Dixon, "High speed computation of group characters", Numer.
+Math. 10, 1967): class-sum matrices are simultaneously diagonalized over a
+prime field GF(p) with p = 1 mod exp(G) and p > |G|.  Each class matrix
+splits the current invariant subspaces along its eigenspaces; its
+eigenvalues there are the roots in GF(p) of the characteristic
+polynomial (Hessenberg reduction mod p, then Horner's rule at every
+element of GF(p)), so a nullspace is computed only at a root.  The joint
+eigenvectors are the central characters mod p; degrees are recovered from
+the second orthogonality relation, and the character values are lifted to
+exact cyclotomic integers through eigenvalue multiplicities obtained by a
 discrete Fourier inversion mod p.  Both orthogonality relations are then
-re-verified with exact integer arithmetic; nothing in the public output
-depends on the internal prime.
+re-verified for every pair with exact integer arithmetic, folding only
+the nonzero multiplicities; nothing in the public output depends on the
+internal prime.
 """
 
 from __future__ import annotations
@@ -16,8 +22,8 @@ from math import isqrt
 
 import numpy as np
 
-from ._modlinalg import nullspace_mod, solve_columns
-from .cyclotomic import CycInt
+from ._modlinalg import charpoly_mod, nullspace_mod, roots_mod, solve_columns
+from .cyclotomic import CycInt, reduce_rows
 from .errors import InternalCheckError
 from .groups import FiniteGroup, class_index_map, conjugacy_classes
 
@@ -85,24 +91,23 @@ class CharacterTable:
         p = _find_prime(e, n)
         self._prime = p
 
-        # Class-sum matrices: (M_i)[j][k] = #{(x, y) in C_i x C_j : xy = z_k}.
-        mats = np.zeros((r, r, r), dtype=np.int64)
-        for i in range(r):
-            for x in self.classes[i]:
-                row = G.table[x]
-                for j in range(r):
-                    for y in self.classes[j]:
-                        mats[i, j, class_of[row[y]]] += 1
-        for i in range(r):
-            for j in range(r):
-                for k in range(r):
-                    q, rem = divmod(int(mats[i, j, k]), self.class_sizes[k])
-                    if rem:
-                        raise InternalCheckError("class constants not integral")
-                    mats[i, j, k] = q
+        # Class-sum matrices: (M_i)[j][k] = #{(x, y) in C_i x C_j : xy = z_k},
+        # one bincount over the keys (class of y, class of xy) per class i.
+        T = G.array()
+        cls = np.array(class_of, dtype=np.int64)
+        mats = np.empty((r, r, r), dtype=np.int64)
+        for i, C in enumerate(self.classes):
+            keys = cls * r + cls[T[list(C)]]
+            mats[i] = np.bincount(keys.ravel(), minlength=r * r).reshape(r, r)
+        sizes = np.array(self.class_sizes, dtype=np.int64)
+        if np.any(mats % sizes):
+            raise InternalCheckError("class constants not integral")
+        mats //= sizes
         mats %= p
 
-        # Joint eigenvectors over GF(p): iteratively split invariant subspaces.
+        # Joint eigenvectors over GF(p): iteratively split invariant subspaces
+        # along the eigenspaces of each class matrix in turn.  The
+        # eigenvalues are the roots of the characteristic polynomial.
         subspaces = [np.eye(r, dtype=np.int64)]
         for i in range(r):
             if i == self.identity_class:
@@ -117,18 +122,16 @@ class CharacterTable:
                     continue
                 X = solve_columns(B, (mats[i] @ B) % p, p)
                 found = 0
-                for lam in range(p):
+                for lam in roots_mod(charpoly_mod(X, p), p):
                     K = nullspace_mod((X - lam * np.eye(k, dtype=np.int64)) % p, p)
-                    if K.shape[1]:
-                        nxt.append((B @ K) % p)
-                        found += K.shape[1]
-                        if found == k:
-                            break
+                    nxt.append((B @ K) % p)
+                    found += K.shape[1]
                 if found != k:
                     raise InternalCheckError("class matrix not diagonalizable")
             subspaces = nxt
         if any(B.shape[1] != 1 for B in subspaces):
             raise InternalCheckError("joint eigenspaces are not one-dimensional")
+        del mats, keys
 
         sizes_inv = [pow(s, p - 2, p) for s in self.class_sizes]
         omegas = []
@@ -167,7 +170,7 @@ class CharacterTable:
             [[pow(z, (-j * k) % (p - 1), p) for k in range(e)] for j in range(e)],
             dtype=np.int64,
         )
-        mults = np.zeros((len(omegas), r, e), dtype=np.int64)
+        mults = np.zeros((len(omegas), r, e), dtype=np.int32)  # each <= degree
         for t, cm in enumerate(chi_mod):
             cm = np.array(cm, dtype=np.int64)
             A = cm[power_class]  # r x e, value of chi_t at z_i^j
@@ -182,11 +185,8 @@ class CharacterTable:
 
         # Exact values and deterministic ordering.
         values = [
-            [
-                CycInt.from_root_multiplicities(e, (int(x) for x in mults[t, i]))
-                for i in range(r)
-            ]
-            for t in range(len(omegas))
+            [CycInt(e, tuple(c), _reduced=True) for c in reduce_rows(e, m).tolist()]
+            for m in mults
         ]
         order = sorted(
             range(len(values)),
@@ -205,33 +205,22 @@ class CharacterTable:
             raise InternalCheckError("character count differs from class count")
         if sum(d * d for d in self.degrees) != n:
             raise InternalCheckError("sum of squared degrees is not |G|")
-        V = self._mults  # (r, r, e) exact nonnegative integers
-        Vc = V[:, :, (-np.arange(e)) % e]  # complex conjugate
-        w = np.array(self.class_sizes, dtype=np.int64)
-        # Coefficient vectors multiply mod x^e - 1: the products of zeta^a
-        # with every zeta^b land at zeta^(a+b), so each a adds its block
-        # rolled by a along the last axis.
-
-        # Row orthogonality, exact: sum_i |C_i| chi_s(i) conj(chi_t(i)).
-        Vw = V * w[None, :, None]
-        acc = np.zeros((r, r, e), dtype=np.int64)
-        for a in range(e):
-            acc += np.roll(np.einsum("si,tib->stb", Vw[:, :, a], Vc), a, axis=2)
-        for s in range(r):
-            for t in range(r):
-                val = CycInt(e, tuple(int(x) for x in acc[s, t]))
-                if val != (n if s == t else 0):
-                    raise InternalCheckError("row orthogonality fails exactly")
-
-        # Column orthogonality: sum_t chi_t(i) conj(chi_t(j)) = delta |G|/|C_i|.
-        accc = np.zeros((r, r, e), dtype=np.int64)
-        for a in range(e):
-            accc += np.roll(np.einsum("ti,tjb->ijb", V[:, :, a], Vc), a, axis=2)
-        for i in range(r):
-            for j in range(r):
-                expect = n // self.class_sizes[i] if i == j else 0
-                if CycInt(e, tuple(int(x) for x in accc[i, j])) != expect:
-                    raise InternalCheckError("column orthogonality fails exactly")
+        sizes = np.array(self.class_sizes, dtype=np.int64)
+        diag = np.arange(r)
+        V = self._mults
+        # Each relation for every pair, reduced mod Phi_e in one batch:
+        # sum_i |C_i| chi_s(i) conj(chi_t(i)) = delta_st |G| and
+        # sum_t chi_t(i) conj(chi_t(j)) = delta_ij |G| / |C_i|.
+        relations = (
+            ("row", V.transpose(1, 0, 2), sizes, n),
+            ("column", V, np.ones(r, dtype=np.int64), n // sizes),
+        )
+        for word, W, weights, expect in relations:
+            reduced = reduce_rows(e, orthogonality_fold(W, weights))
+            reduced[diag, diag, 0] -= expect
+            if reduced.any():
+                raise InternalCheckError(f"{word} orthogonality fails exactly")
+            del reduced  # r x r x e: free it before the next fold
 
     # -- queries -----------------------------------------------------------
 
@@ -282,6 +271,28 @@ class CharacterTable:
             "  ".join(cell.rjust(w) for cell, w in zip(row, widths)) for row in rows
         ]
         return "\n".join(lines)
+
+
+def orthogonality_fold(W: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """acc[x, y] = sum_g weights[g] sum_{a, b} W[g, x, a] W[g, y, b] zeta^(a - b),
+    as r x r coefficient vectors mod x^e - 1 (int64, exact).
+
+    W holds eigenvalue multiplicities: W[t, i, a] is the multiplicity of
+    zeta^a in rho_t(z_i).  With W indexed (class, character) and class
+    sizes as weights this is the row orthogonality sum of every pair of
+    characters; indexed (character, class) with unit weights, the column
+    sum of every pair of classes.  Only the nonzero multiplicities enter.
+    """
+    r, _, e = W.shape
+    acc = np.zeros(r * r * e, dtype=np.int64)
+    g, x, a = np.nonzero(W)
+    v = W[g, x, a]
+    bounds = np.searchsorted(g, np.arange(r + 1))
+    for k in range(r):
+        xs, as_, vs = (u[bounds[k] : bounds[k + 1]] for u in (x, a, v))
+        keys = (xs[:, None] * r + xs) * e + (as_[:, None] - as_) % e
+        np.add.at(acc, keys.ravel(), (weights[k] * vs[:, None] * vs).ravel())
+    return acc.reshape(r, r, e)
 
 
 def character_table(G: FiniteGroup) -> CharacterTable:

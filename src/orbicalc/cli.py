@@ -17,7 +17,7 @@ from pathlib import Path
 from . import __version__
 from .bundles import StableBundle, aut_group, framings
 from .characters import character_table, frobenius_schur
-from .corpus import corpus_dir, corpus_names, corpus_group, load_group
+from .corpus import ALIASES, corpus_dir, corpus_names, corpus_group, load_group
 from .errors import OrbicalcError, ValidationError, read_json
 from .groups import conjugacy_classes, group_to_json, subgroup_classes
 from .homs import hom_classes, rep_hom_classes
@@ -64,7 +64,7 @@ def _resolve_path(name_or_path: str) -> Path | None:
     p = Path(name_or_path)
     if p.suffix == ".json" and p.exists():
         return p
-    f = corpus_dir() / f"{name_or_path}.json"
+    f = corpus_dir() / f"{ALIASES.get(name_or_path, name_or_path)}.json"
     return f if f.exists() else None
 
 
@@ -247,10 +247,28 @@ def cmd_localize(args) -> None:
     _emit(args, payload, {"category": Path(args.category)})
 
 
+def _is_matrix_list(mats) -> bool:
+    return isinstance(mats, list) and all(
+        isinstance(m, list)
+        and m
+        and all(
+            isinstance(row, list) and row and all(type(x) in (int, float) for x in row)
+            for row in m
+        )
+        for m in mats
+    )
+
+
 def cmd_detect(args) -> None:
     G = load_group(args.group)
     if args.matrix_file:
         data = read_json(args.matrix_file)
+        if not isinstance(data, dict) or not _is_matrix_list(data.get("matrices")):
+            raise ValidationError(
+                "matrix file needs 'matrices': a list of nonempty matrices of numbers"
+            )
+        if type(data.get("tolerance", 1e-9)) not in (int, float):
+            raise ValidationError("'tolerance' must be a number")
         exact = data.get("mode", "exact") == "exact"
         if exact:
             mats = [

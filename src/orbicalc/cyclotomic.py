@@ -3,13 +3,16 @@
 Values are stored as integer coordinate vectors over the power basis
 1, zeta, ..., zeta^(phi(n)-1), i.e. reduced modulo the n-th cyclotomic
 polynomial.  All operations are exact integer arithmetic; there is no
-floating point anywhere in this module.
+floating point anywhere in this module.  `reduce_rows` reduces many
+coefficient vectors at once, for the character table's bulk work.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from typing import Iterable
+
+import numpy as np
 
 
 def divisors(n: int) -> list[int]:
@@ -73,6 +76,38 @@ def _reduce_power_coords(order: int, raw: Iterable[int]) -> tuple[int, ...]:
     deg = len(phi) - 1
     rem = rem + [0] * (deg - len(rem))
     return tuple(rem)
+
+
+@lru_cache(maxsize=None)
+def _reduction_matrix(n: int) -> np.ndarray:
+    """Row k holds the reduced coordinates of zeta^k, k = 0..n-1."""
+    phi = cyclotomic_polynomial(n)
+    deg = len(phi) - 1
+    rows, cur = [], [1] + [0] * (deg - 1)
+    for _ in range(n):
+        rows.append(cur)
+        # zeta * cur, with zeta^deg = -(phi_0 + ... + phi_(deg-1) zeta^(deg-1)).
+        top = cur[-1]
+        cur = [c - top * f for c, f in zip([0] + cur[:-1], phi)]
+    R = np.array(rows, dtype=object)
+    R.flags.writeable = False
+    return R
+
+
+def reduce_rows(order: int, raw: np.ndarray) -> np.ndarray:
+    """Reduce every coefficient vector over 1, zeta, ..., zeta^(order-1)
+    (the last axis of an integer array) mod Phi_order, all at once, as one
+    product with the matrix of the reduced powers of zeta; returns the
+    reduced coordinates, as `CycInt` stores them.
+
+    Exact: the product runs in int64 when no sum can leave its range, and
+    on Python integers otherwise.
+    """
+    R = _reduction_matrix(order)
+    largest = max(int(raw.max()), -int(raw.min()), 1) if raw.size else 1
+    if largest * order * int(np.abs(R).max()) < 2**63:
+        return raw.astype(np.int64, copy=False) @ R.astype(np.int64)
+    return raw.astype(object) @ R
 
 
 class CycInt:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -260,3 +261,34 @@ def test_detect_matrix_file_that_is_not_json_exits_1(tmp_path):
     f = tmp_path / "rep.json"
     f.write_text('{"mode": "exact", "matr')
     _structured_error(run_cli("detect", "c2", "--matrix-file", str(f), expect=1))
+
+
+def test_group_files_with_wrong_field_types_exit_1(tmp_path):
+    f = tmp_path / "g.json"
+    bad = [
+        {"degree": "3", "generators": [[1, 2, 0]]},
+        {"degree": 3, "generators": [[1, 2, "0"]]},
+        {"table": [[0, 1], [1, True]]},
+        {"table": [[0, 1], [1, 0.0]]},
+        {"table": [[0, 1], [1, -1]]},
+        {"table": [[0, 1], [1, 2]]},
+        {"table": [[0, 1], [1, 0]], "labels": [0, 1]},
+    ]
+    for data in bad:
+        f.write_text(json.dumps(data))
+        _structured_error(run_cli("group", str(f), expect=1))
+
+
+def test_detect_matrix_file_without_matrices_exits_1(tmp_path):
+    f = tmp_path / "rep.json"
+    for data in ({"mode": "exact"}, {"matrices": [1, 2]}, {"matrices": [[["x"]], [[1]]]},
+                 {"mode": "fixed", "matrices": [[["x"]], [[1]]]}, [1]):
+        f.write_text(json.dumps(data))
+        _structured_error(run_cli("detect", "c2", "--matrix-file", str(f), expect=1))
+
+
+def test_manifest_records_the_file_an_alias_names(tmp_path):
+    m = tmp_path / "m.json"
+    run_cli("group", "d6", "--manifest", str(m))
+    digest = json.loads(m.read_text())["inputs"]["group"]
+    assert digest == hashlib.sha256((corpus_dir() / "s3.json").read_bytes()).hexdigest()
