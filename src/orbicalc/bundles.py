@@ -129,14 +129,16 @@ def framings(K: FiniteGroup) -> list[Framing]:
     return [Framing(K, bits) for bits in product((0, 1), repeat=r)]
 
 
+def flip_trivial_bit(K: FiniteGroup, bits: tuple[int, ...]) -> tuple[int, ...]:
+    """The canonical involution on the framing bits of K."""
+    R = real_irreps(K)
+    pos = R.r_type_indices().index(R.trivial_index)
+    return bits[:pos] + (bits[pos] ^ 1,) + bits[pos + 1 :]
+
+
 def involution(fr: Framing) -> Framing:
     """The canonical involution: flip the trivial-irrep bit."""
-    R = real_irreps(fr.base)
-    r_idx = R.r_type_indices()
-    pos = r_idx.index(R.trivial_index)
-    bits = list(fr.bits)
-    bits[pos] ^= 1
-    return Framing(fr.base, tuple(bits))
+    return Framing(fr.base, flip_trivial_bit(fr.base, fr.bits))
 
 
 def irrep_bijection_along(

@@ -267,9 +267,10 @@ def cmd_detect(args) -> None:
             raise ValidationError(
                 "matrix file needs 'matrices': a list of nonempty matrices of numbers"
             )
-        if type(data.get("tolerance", 1e-9)) not in (int, float):
-            raise ValidationError("'tolerance' must be a number")
-        exact = data.get("mode", "exact") == "exact"
+        mode = data.get("mode", "exact")
+        if mode not in ("exact", "fixed"):
+            raise ValidationError("'mode' must be \"exact\" or \"fixed\"")
+        exact = mode == "exact"
         if exact:
             mats = [
                 [[Fraction(str(x)) for x in row] for row in m]

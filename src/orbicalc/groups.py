@@ -593,29 +593,27 @@ def _invariant_fingerprint(G: FiniteGroup) -> tuple:
     return (G.order, tuple(orders), tuple(sizes))
 
 
-def _extend_hom(
-    G: FiniteGroup, H: FiniteGroup, gens: Sequence[int], images: Sequence[int]
-) -> Optional[tuple[int, ...]]:
-    """Extend generator images to a full homomorphism, or return None.
+def extend_hom(
+    G: FiniteGroup, H: FiniteGroup, partial: dict[int, int], g: int, h: int
+) -> Optional[dict[int, int]]:
+    """Grow a partial homomorphism after mapping g to h, or return None.
 
-    Grows the partial map over the closure of the assigned generators,
-    checking the multiplication tables at every step.
+    The new map is closed under products with everything already mapped,
+    checked against both multiplication tables; partial is not changed.
     """
-    phi = {G.identity: H.identity}
-    frontier = [G.identity]
-    for g, h in zip(gens, images):
-        if g in phi:
-            if phi[g] != h:
-                return None
-            continue
-        phi[g] = h
-        frontier.append(g)
+    phi = dict(partial)
+    if g in phi:
+        return phi if phi[g] == h else None
+    phi[g] = h
+    frontier = [g]
     while frontier:
         nxt = []
-        for a in list(phi.keys()):
+        for a in list(phi):
             for b in frontier:
-                for x, y in ((G.table[a][b], H.table[phi[a]][phi[b]]),
-                             (G.table[b][a], H.table[phi[b]][phi[a]])):
+                for x, y in (
+                    (G.table[a][b], H.table[phi[a]][phi[b]]),
+                    (G.table[b][a], H.table[phi[b]][phi[a]]),
+                ):
                     if x in phi:
                         if phi[x] != y:
                             return None
@@ -623,14 +621,15 @@ def _extend_hom(
                         phi[x] = y
                         nxt.append(x)
         frontier = nxt
-    if len(phi) != G.order:
-        # Generators did not generate G; cannot happen for a generating set.
-        return None
-    return tuple(phi[a] for a in range(G.order))
+    return phi
 
 
 def are_isomorphic(G: FiniteGroup, H: FiniteGroup) -> Optional[tuple[int, ...]]:
-    """An explicit isomorphism G -> H as an image array, or None."""
+    """An explicit isomorphism G -> H as an image array, or None.
+
+    Generator images are tried in lexicographic order and the first
+    assignment that extends to a bijective homomorphism is returned.
+    """
     if _invariant_fingerprint(G) != _invariant_fingerprint(H):
         return None
     gens = generating_set(G)
@@ -639,19 +638,19 @@ def are_isomorphic(G: FiniteGroup, H: FiniteGroup) -> Optional[tuple[int, ...]]:
         for g in gens
     ]
 
-    def backtrack(i: int, images: list[int]) -> Optional[tuple[int, ...]]:
+    def backtrack(i: int, phi: dict[int, int]) -> Optional[tuple[int, ...]]:
         if i == len(gens):
-            phi = _extend_hom(G, H, gens, images)
-            if phi is not None and len(set(phi)) == G.order:
-                return phi
-            return None
+            if len(set(phi.values())) < G.order:
+                return None
+            return tuple(phi[a] for a in range(G.order))
         for h in cand[i]:
-            res = backtrack(i + 1, images + [h])
+            nxt = extend_hom(G, H, phi, gens[i], h)
+            res = None if nxt is None else backtrack(i + 1, nxt)
             if res is not None:
                 return res
         return None
 
-    return backtrack(0, [])
+    return backtrack(0, {G.identity: H.identity})
 
 
 def is_homomorphism(G: FiniteGroup, H: FiniteGroup, phi: Sequence[int]) -> bool:

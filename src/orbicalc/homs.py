@@ -10,12 +10,13 @@ needs them and are a hard failure if they break.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .errors import InternalCheckError, ValidationError
 from .groups import (
     FiniteGroup,
     centralizer,
+    extend_hom,
     generating_set,
     is_homomorphism,
     normal_subgroups,
@@ -47,11 +48,6 @@ def enumerate_homs(G: FiniteGroup, H: FiniteGroup, cap: int = DEFAULT_ORDER_CAP)
     if key in G._cache:
         return G._cache[key]
     gens = generating_set(G)
-    if not gens:
-        out = [tuple([H.identity] * G.order)]
-        G._cache[key] = out
-        return out
-
     gen_orders = [G.element_order(g) for g in gens]
     candidates = [
         [h for h in range(H.order) if gen_orders[i] % H.element_order(h) == 0]
@@ -60,37 +56,13 @@ def enumerate_homs(G: FiniteGroup, H: FiniteGroup, cap: int = DEFAULT_ORDER_CAP)
 
     found = []
 
-    def extend(partial: dict[int, int], g: int, h: int) -> Optional[dict[int, int]]:
-        """Grow a partial homomorphism after mapping g to h."""
-        phi = dict(partial)
-        if g in phi:
-            return phi if phi[g] == h else None
-        phi[g] = h
-        frontier = [g]
-        while frontier:
-            nxt = []
-            for a in list(phi):
-                for b in frontier:
-                    for x, y in (
-                        (G.table[a][b], H.table[phi[a]][phi[b]]),
-                        (G.table[b][a], H.table[phi[b]][phi[a]]),
-                    ):
-                        if x in phi:
-                            if phi[x] != y:
-                                return None
-                        else:
-                            phi[x] = y
-                            nxt.append(x)
-            frontier = nxt
-        return phi
-
     def backtrack(i: int, partial: dict[int, int]) -> None:
         if i == len(gens):
             if len(partial) == G.order:
                 found.append(tuple(partial[a] for a in range(G.order)))
             return
         for h in candidates[i]:
-            nxt = extend(partial, gens[i], h)
+            nxt = extend_hom(G, H, partial, gens[i], h)
             if nxt is not None:
                 backtrack(i + 1, nxt)
 

@@ -14,9 +14,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
-import numpy as np
-
-from . import _fraclinalg as fl
+from ._linalg import EXACT, Fixed
 from .characters import character_table, frobenius_schur
 from .cyclotomic import CycInt
 from .errors import InternalCheckError, ValidationError
@@ -86,6 +84,14 @@ class RealIrrepTable:
             for i, (d, typ, cons, char) in enumerate(raw)
         )
         self._verify()
+        one = CycInt.from_int(ct.exponent, 1)
+        trivial = [
+            e.index for e in self.entries if e.real_dim == 1 and all(v == one for v in e.char)
+        ]
+        if not trivial:
+            raise InternalCheckError("trivial representation missing")
+        self.trivial_index = trivial[0]
+        self._r_type = tuple(e.index for e in self.entries if e.end_type == "R")
 
     def _verify(self) -> None:
         n = self.group.order
@@ -104,16 +110,8 @@ class RealIrrepTable:
     def __iter__(self):
         return iter(self.entries)
 
-    @property
-    def trivial_index(self) -> int:
-        one = CycInt.from_int(self.complex_table.exponent, 1)
-        for e in self.entries:
-            if e.real_dim == 1 and all(v == one for v in e.char):
-                return e.index
-        raise InternalCheckError("trivial representation missing")
-
     def r_type_indices(self) -> tuple[int, ...]:
-        return tuple(e.index for e in self.entries if e.end_type == "R")
+        return self._r_type
 
 
 def real_irreps(G: FiniteGroup) -> RealIrrepTable:
@@ -175,8 +173,9 @@ def restriction_matrix(K: FiniteGroup, G: FiniteGroup, phi: Sequence[int]) -> li
 class MatrixRep:
     """A representation by explicit matrices, exact or fixed precision.
 
-    Exact mode stores Fractions; fixed-precision mode stores float arrays
-    and carries a declared tolerance used by every comparison.
+    Exact mode stores Fractions; fixed-precision mode stores float arrays.
+    ``la`` is the backend (``_linalg``) that does all matrix arithmetic and
+    decides every comparison, under the declared tolerance in fixed mode.
     """
 
     def __init__(
@@ -187,66 +186,45 @@ class MatrixRep:
         tolerance: float = 1e-9,
         validate: bool = True,
     ):
+        if not isinstance(tolerance, float) or not 0 < tolerance < 1:
+            raise ValidationError("tolerance must be a float strictly between 0 and 1")
+        if len(matrices) != group.order:
+            raise ValidationError("need one matrix per group element")
+        d = len(matrices[0])
+        if d == 0 or any(len(m) != d or any(len(row) != d for row in m) for m in matrices):
+            raise ValidationError("matrices must be square of equal size")
         self.group = group
         self.exact = exact
         self.tolerance = tolerance
-        if len(matrices) != group.order:
-            raise ValidationError("need one matrix per group element")
-        if exact:
-            self.matrices = [fl.mat(m) for m in matrices]
-            self.dimension = len(self.matrices[0])
-        else:
-            self.matrices = [np.asarray(m, dtype=float) for m in matrices]
-            self.dimension = self.matrices[0].shape[0]
+        self.la = EXACT if exact else Fixed(tolerance)
+        self.matrices = [self.la.matrix(m) for m in matrices]
+        self.dimension = d
         if validate:
             self._validate()
 
     def _validate(self) -> None:
-        G, d = self.group, self.dimension
-        for m in self.matrices:
-            rows = len(m) if self.exact else m.shape[0]
-            cols = len(m[0]) if self.exact else m.shape[1]
-            if (rows, cols) != (d, d):
-                raise ValidationError("matrices must be square of equal size")
-        ident = fl.identity(d) if self.exact else np.eye(d)
-        if not self._close(self.matrices[G.identity], ident):
+        G, la, M = self.group, self.la, self.matrices
+        if not la.close(M[G.identity], la.identity(self.dimension)):
             raise ValidationError("identity element must map to the identity matrix")
         # Checking generators against everything suffices by induction.
         for g in generating_set(G):
             for h in range(G.order):
-                lhs = self._mul(self.matrices[g], self.matrices[h])
-                if not self._close(lhs, self.matrices[G.table[g][h]]):
+                if not la.close(la.mul(M[g], M[h]), M[G.table[g][h]]):
                     raise ValidationError("matrices do not respect the table")
-
-    def _mul(self, A, B):
-        return fl.mat_mul(A, B) if self.exact else A @ B
-
-    def _close(self, A, B) -> bool:
-        if self.exact:
-            return fl.mat_eq(A, B)
-        scale = max(1.0, float(np.abs(B).max()))
-        return bool(np.abs(A - B).max() <= self.tolerance * scale)
 
     def character(self) -> list:
         """Trace per conjugacy class (Fraction in exact mode, float else)."""
-        out = []
-        for cls in conjugacy_classes(self.group):
-            m = self.matrices[cls[0]]
-            out.append(fl.trace(m) if self.exact else float(np.trace(m)))
-        return out
+        return [self.la.trace(self.matrices[c[0]]) for c in conjugacy_classes(self.group)]
 
     def to_float(self) -> "MatrixRep":
-        if not self.exact:
-            return self
-        mats = [np.array([[float(x) for x in row] for row in m]) for m in self.matrices]
         return MatrixRep(
-            self.group, mats, exact=False, tolerance=self.tolerance, validate=False
+            self.group, self.matrices, exact=False, tolerance=self.tolerance, validate=False
         )
 
     def kernel_elements(self) -> tuple[int, ...]:
-        ident = fl.identity(self.dimension) if self.exact else np.eye(self.dimension)
+        ident = self.la.identity(self.dimension)
         return tuple(
-            g for g in range(self.group.order) if self._close(self.matrices[g], ident)
+            g for g in range(self.group.order) if self.la.close(self.matrices[g], ident)
         )
 
     def is_faithful(self) -> bool:
@@ -281,33 +259,13 @@ def one_dim_rep(G: FiniteGroup, values: Sequence) -> MatrixRep:
 
 
 def direct_sum(a: MatrixRep, b: MatrixRep) -> MatrixRep:
+    """Block sum; exact only when both summands are."""
     if a.group is not b.group:
         raise ValidationError("direct sum needs representations of one group")
-    if a.exact and b.exact:
-        mats = []
-        for g in range(a.group.order):
-            d1, d2 = a.dimension, b.dimension
-            m = fl.zeros(d1 + d2, d1 + d2)
-            for i in range(d1):
-                for j in range(d1):
-                    m[i][j] = a.matrices[g][i][j]
-            for i in range(d2):
-                for j in range(d2):
-                    m[d1 + i][d1 + j] = b.matrices[g][i][j]
-            mats.append(m)
-        return MatrixRep(a.group, mats, exact=True, validate=False)
-    af, bf = a.to_float(), b.to_float()
-    mats = []
-    for g in range(a.group.order):
-        d1, d2 = af.dimension, bf.dimension
-        m = np.zeros((d1 + d2, d1 + d2))
-        m[:d1, :d1] = af.matrices[g]
-        m[d1:, d1:] = bf.matrices[g]
-        mats.append(m)
-    return MatrixRep(
-        a.group, mats, exact=False,
-        tolerance=max(a.tolerance, b.tolerance), validate=False,
-    )
+    tolerance = max(a.tolerance, b.tolerance)
+    la = EXACT if a.exact and b.exact else Fixed(tolerance)
+    mats = [la.block_diag(la.matrix(x), la.matrix(y)) for x, y in zip(a.matrices, b.matrices)]
+    return MatrixRep(a.group, mats, exact=la is EXACT, tolerance=tolerance, validate=False)
 
 
 # -- isotypic decomposition ------------------------------------------------------
@@ -320,49 +278,52 @@ class IsotypicPiece:
     projector: object  # Fraction matrix or float ndarray
 
 
-def _projector_coefficients(R: RealIrrepTable, sigma: RealIrrep) -> tuple[list, bool]:
-    """Coefficients c(g) with P = (1/|G|) sum_g c(g) rho(g), per element.
+def projector_weights(G: FiniteGroup) -> tuple[list[list], bool]:
+    """Per real irrep, the weights w(g) with P = sum_g w(g) rho(g), and
+    whether they are all rational.
 
-    Returns (per-element list, rational flag).  c(g) is the sum over the
-    complex constituents chi of deg(chi) * chi(g^-1), a real cyclotomic
-    integer; it is rational exactly when every coefficient is an integer.
+    w(g) = c(g) / |G|, where c(g) is the sum over the complex constituents
+    chi of deg(chi) * chi(g^-1), a real cyclotomic integer; it is rational
+    exactly when it is an integer.  The weights are Fractions when all are
+    rational and floats otherwise.
     """
-    G = R.group
+    R = real_irreps(G)
     ct = R.complex_table
     cls = class_index_map(G)
+    n = G.order
     per_class = []
-    for i in range(ct.num_classes):
-        acc = CycInt.from_int(ct.exponent, 0)
-        for t in sigma.constituents:
-            acc = acc + ct.degrees[t] * ct.values[t][i].conjugate()
-        per_class.append(acc)
-    rational = all(v.is_integer() for v in per_class)
-    per_elem = [per_class[cls[g]] for g in range(G.order)]
-    return per_elem, rational
+    for sigma in R.entries:
+        row = []
+        for i in range(ct.num_classes):
+            acc = CycInt.from_int(ct.exponent, 0)
+            for t in sigma.constituents:
+                acc = acc + ct.degrees[t] * ct.values[t][i].conjugate()
+            row.append(acc)
+        per_class.append(row)
+    rational = all(v.is_integer() for row in per_class for v in row)
+    weights = [
+        [Fraction(v.as_int(), n) if rational else complex(v).real / n for v in row]
+        for row in per_class
+    ]
+    return [[row[cls[g]] for g in range(n)] for row in weights], rational
 
 
 def character_multiplicity(rep: MatrixRep, sigma: RealIrrep) -> int:
     """Multiplicity of sigma inside rep, from characters alone."""
     G = rep.group
-    R = real_irreps(G)
-    ct = R.complex_table
-    sizes = ct.class_sizes
-    chi = rep.character()
+    ct = real_irreps(G).complex_table
+    terms = zip(ct.class_sizes, rep.character(), sigma.char)
     if rep.exact:
-        e = ct.exponent
-        acc = CycInt.from_int(e, 0)
-        for i, tr in enumerate(chi):
-            if tr.denominator != 1:
+        acc = CycInt.from_int(ct.exponent, 0)
+        for size, tr, v in terms:
+            t = rep.la.integer(tr)
+            if t is None:
                 raise InternalCheckError("exact character trace is not integral")
-            acc = acc + (sizes[i] * int(tr)) * sigma.char[i].conjugate()
+            acc = acc + (size * t) * v.conjugate()
         m = acc.divide_exact(G.order).as_int()
     else:
-        acc = 0.0 + 0.0j
-        for i, tr in enumerate(chi):
-            acc += sizes[i] * tr * complex(sigma.char[i]).conjugate()
-        val = acc / G.order
-        m = round(val.real)
-        if abs(val - m) > max(1.0, abs(val)) * rep.tolerance * G.order:
+        m = rep.la.integer(sum(s * tr * complex(v).real for s, tr, v in terms) / G.order)
+        if m is None:
             raise InternalCheckError("multiplicity is not close to an integer")
     q, r = divmod(m, sigma.end_dim)
     if r != 0 or q < 0:
@@ -377,60 +338,32 @@ def isotypic_decomposition(rep: MatrixRep) -> list[IsotypicPiece]:
     coefficients are rational; otherwise they are computed in fixed
     precision under the rep's declared tolerance.
     """
-    G = rep.group
-    R = real_irreps(G)
-    coeffs = [_projector_coefficients(R, s) for s in R.entries]
-    all_rational = all(flag for _, flag in coeffs)
-    use_exact = rep.exact and all_rational
-    work = rep if use_exact else rep.to_float()
-    n, d = G.order, work.dimension
-
+    R = real_irreps(rep.group)
+    weights, rational = projector_weights(rep.group)
+    work = rep if rational else rep.to_float()
+    la, d = work.la, work.dimension
     pieces = []
-    total = fl.zeros(d, d) if use_exact else np.zeros((d, d))
-    for sigma, (per_elem, _) in zip(R.entries, coeffs):
-        if use_exact:
-            P = fl.zeros(d, d)
-            for g in range(n):
-                c = Fraction(per_elem[g].as_int(), n)
-                if c == 0:
-                    continue
-                P = fl.mat_add(P, fl.mat_scale(work.matrices[g], c))
-            if not fl.mat_eq(fl.mat_mul(P, P), P):
-                raise InternalCheckError("projector is not idempotent")
-            rank = fl.mat_rank(P)
-            total = fl.mat_add(total, P)
-        else:
-            P = np.zeros((d, d))
-            for g in range(n):
-                P += complex(per_elem[g]).real / n * work.matrices[g]
-            if np.abs(P @ P - P).max() > work.tolerance * max(1.0, np.abs(P).max()):
-                raise InternalCheckError("projector is not idempotent within tolerance")
-            rank = int(np.linalg.matrix_rank(P, tol=1e-6))
-            total = total + P
-        m = character_multiplicity(rep, sigma)
-        if rank != m * sigma.real_dim:
+    total = la.zeros(d, d)
+    for sigma, row in zip(R.entries, weights):
+        P = la.zeros(d, d)
+        for w, m in zip(row, work.matrices):
+            if w != 0:
+                P = la.add(P, la.scale(m, w))
+        if not la.close(la.mul(P, P), P):
+            raise InternalCheckError("projector is not idempotent")
+        mult = character_multiplicity(rep, sigma)
+        if la.rank(P) != mult * sigma.real_dim:
             raise InternalCheckError(
                 "projector rank disagrees with multiplicity x dimension"
             )
-        pieces.append(IsotypicPiece(sigma.index, m, P))
+        total = la.add(total, P)
+        pieces.append(IsotypicPiece(sigma.index, mult, P))
 
-    ident = fl.identity(d) if use_exact else np.eye(d)
-    ok = fl.mat_eq(total, ident) if use_exact else np.abs(total - ident).max() <= work.tolerance * d
-    if not ok:
+    if not la.close(total, la.identity(d)):
         raise InternalCheckError("isotypic projectors do not sum to the identity")
-    for i in range(len(pieces)):
-        for j in range(i + 1, len(pieces)):
-            prod = (
-                fl.mat_mul(pieces[i].projector, pieces[j].projector)
-                if use_exact
-                else pieces[i].projector @ pieces[j].projector
-            )
-            zero = (
-                fl.mat_eq(prod, fl.zeros(d, d))
-                if use_exact
-                else np.abs(prod).max() <= work.tolerance * d
-            )
-            if not zero:
+    for i, a in enumerate(pieces):
+        for b in pieces[i + 1 :]:
+            if not la.is_zero(la.mul(a.projector, b.projector), a.projector, b.projector):
                 raise InternalCheckError("isotypic projectors do not annihilate")
     return pieces
 
@@ -438,24 +371,37 @@ def isotypic_decomposition(rep: MatrixRep) -> list[IsotypicPiece]:
 # -- tensor-power faithfulness ----------------------------------------------------
 
 
-def _character_values(G: FiniteGroup, V) -> list[CycInt]:
+def genuine_character(G: FiniteGroup, V) -> list[CycInt]:
+    """V's character as CycInts at the exponent of G, checked to be genuine.
+
+    V is an exact MatrixRep or one value per conjugacy class (a CycInt or
+    an integer); every inner product with an irreducible character must be
+    a nonnegative integer.
+    """
     ct = character_table(G)
     e = ct.exponent
     if isinstance(V, MatrixRep):
         if not V.exact:
-            raise ValidationError("tensor-power search needs an exact character")
-        vals = []
-        for tr in V.character():
-            if tr.denominator != 1:
-                raise ValidationError("matrix traces are not integers")
-            vals.append(CycInt.from_int(e, int(tr)))
-        return vals
+            raise ValidationError("an exact character is needed")
+        V = V.character()
+    if len(V) != ct.num_classes:
+        raise ValidationError("need one character value per conjugacy class")
     vals = []
     for v in V:
-        if isinstance(v, CycInt):
-            vals.append(v.lift(e) if v.order != e else v)
-        else:
-            vals.append(CycInt.from_int(e, int(v)))
+        if not isinstance(v, CycInt):
+            if v != int(v):
+                raise ValidationError("character values must be integers")
+            v = CycInt.from_int(e, int(v))
+        if e % v.order:
+            raise ValidationError("character value outside the group's cyclotomic field")
+        vals.append(v.lift(e))
+    for t in range(ct.num_classes):
+        try:
+            m = ct.inner_with(vals, t)
+        except ValueError:  # not divisible by |G|
+            m = None
+        if m is None or not m.is_integer() or m.as_int() < 0:
+            raise ValidationError("V is not the character of a genuine representation")
     return vals
 
 
@@ -466,13 +412,7 @@ def min_faithful_tensor_power(G: FiniteGroup, V) -> int:
     be a genuine faithful character.  Terminates with N <= |G|.
     """
     ct = character_table(G)
-    chi = _character_values(G, V)
-    mults = []
-    for t in range(ct.num_classes):
-        m = ct.inner_with(chi, t)
-        if not m.is_integer() or m.as_int() < 0:
-            raise ValidationError("V is not the character of a genuine representation")
-        mults.append(m.as_int())
+    chi = genuine_character(G, V)
     if isinstance(V, MatrixRep):
         faithful = V.is_faithful()
     else:

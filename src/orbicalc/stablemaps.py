@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Literal, Sequence
 
-from .bundles import Framing, framings, involution, irrep_bijection_along
+from .bundles import flip_trivial_bit, framings, irrep_bijection_along
 from .errors import InternalCheckError, ValidationError
 from .groups import (
     FiniteGroup,
@@ -137,8 +137,7 @@ class _SubgroupContext:
 
     def involute(self, pair):
         g_rep, bits = pair
-        flipped = involution(Framing(self.K, bits)).bits
-        return self.canonical((g_rep, flipped))
+        return self.canonical((g_rep, flip_trivial_bit(self.K, bits)))
 
 
 def _contexts(G: FiniteGroup, H: FiniteGroup, variant: str) -> list[_SubgroupContext]:

@@ -15,53 +15,41 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
-import numpy as np
-
-from . import _fraclinalg as fl
-from .cyclotomic import CycInt
+from ._linalg import EXACT, Fixed
 from .characters import character_table
+from .cyclotomic import CycInt
 from .errors import InternalCheckError, ValidationError
 from .groups import FiniteGroup, generating_set
-from .realreps import MatrixRep, isotypic_decomposition, real_irreps
+from .realreps import (
+    MatrixRep,
+    genuine_character,
+    isotypic_decomposition,
+    projector_weights,
+    real_irreps,
+)
 
 
 def fixed_subspace(G: FiniteGroup, V: MatrixRep) -> tuple[int, list]:
     """(dimension, basis) of the invariant subspace, via averaging.
 
-    The projector rank must agree with the character inner product
-    <chi_V, 1>; disagreement is a hard failure, not a tolerance issue.
+    The basis is the pivot columns of the averaging projector.  Its rank
+    must agree with the character inner product <chi_V, 1>; disagreement
+    is a hard failure, not a tolerance issue.
     """
-    n, d = G.order, V.dimension
-    if V.exact:
-        P = fl.zeros(d, d)
-        for g in range(n):
-            P = fl.mat_add(P, V.matrices[g])
-        P = fl.mat_scale(P, Fraction(1, n))
-        rank = fl.mat_rank(P)
-        basis = fl.column_space_basis(P)
-    else:
-        P = sum(V.matrices) / n
-        rank = int(np.linalg.matrix_rank(P, tol=1e-6))
-        q, _ = np.linalg.qr(P)
-        basis = [q[:, i].tolist() for i in range(rank)]
-
+    la, n, d = V.la, G.order, V.dimension
+    P = la.zeros(d, d)
+    for m in V.matrices:
+        P = la.add(P, m)
+    basis = la.column_basis(la.scale(P, Fraction(1, n)))
     sizes = character_table(G).class_sizes
-    chi = V.character()
-    if V.exact:
-        total = sum(s * int(tr) for s, tr in zip(sizes, chi))
-        expected, rem = divmod(total, n)
-        if rem:
-            raise InternalCheckError("character inner product is not integral")
-    else:
-        val = sum(s * tr for s, tr in zip(sizes, chi)) / n
-        expected = round(val)
-        if abs(val - expected) > V.tolerance * n * max(1.0, abs(val)):
-            raise InternalCheckError("character inner product far from integral")
-    if rank != expected:
+    expected = la.integer(sum(s * tr for s, tr in zip(sizes, V.character())) / n)
+    if expected is None:
+        raise InternalCheckError("character inner product is not integral")
+    if len(basis) != expected:
         raise InternalCheckError(
-            f"fixed-space rank {rank} disagrees with <chi, 1> = {expected}"
+            f"fixed-space rank {len(basis)} disagrees with <chi, 1> = {expected}"
         )
-    return rank, basis
+    return len(basis), basis
 
 
 @dataclass
@@ -77,36 +65,21 @@ class LinearChart:
         G = self.group
         if self.V.group is not G or self.E.group is not G:
             raise ValidationError("chart pieces must share one group")
-        self.exact = self.V.exact and self.E.exact
-        if self.exact:
-            self.alpha = fl.mat(self.alpha)
-        else:
-            self.alpha = np.asarray(self.alpha, dtype=float)
         self.tolerance = max(self.V.tolerance, self.E.tolerance)
-        if self._rows() != self.E.dimension or self._cols() != self.V.dimension:
+        self.la = EXACT if self.V.exact and self.E.exact else Fixed(self.tolerance)
+        rows, cols = self.E.dimension, self.V.dimension
+        if len(self.alpha) != rows or any(len(r) != cols for r in self.alpha):
             raise ValidationError("alpha has the wrong shape")
+        self.alpha = self.la.matrix(self.alpha)
         self._check_equivariance()
 
-    def _rows(self):
-        return len(self.alpha) if self.exact else self.alpha.shape[0]
-
-    def _cols(self):
-        return len(self.alpha[0]) if self.exact else self.alpha.shape[1]
-
     def _check_equivariance(self):
-        G = self.group
-        for g in generating_set(G):
-            if self.exact:
-                lhs = fl.mat_mul(self.alpha, self.V.matrices[g])
-                rhs = fl.mat_mul(self.E.matrices[g], self.alpha)
-                if not fl.mat_eq(lhs, rhs):
-                    raise ValidationError("alpha is not equivariant")
-            else:
-                Vf, Ef = self.V.to_float(), self.E.to_float()
-                lhs = self.alpha @ Vf.matrices[g]
-                rhs = Ef.matrices[g] @ self.alpha
-                if np.abs(lhs - rhs).max() > self.tolerance * 10:
-                    raise ValidationError("alpha is not equivariant within tolerance")
+        la, alpha = self.la, self.alpha
+        for g in generating_set(self.group):
+            lhs = la.mul(alpha, la.matrix(self.V.matrices[g]))
+            rhs = la.mul(la.matrix(self.E.matrices[g]), alpha)
+            if not la.close(lhs, rhs):
+                raise ValidationError("alpha is not equivariant")
 
 
 @dataclass
@@ -125,12 +98,6 @@ class SurjectivityReport:
     trivial_index: int
 
 
-def _rank_of(M, exact: bool) -> int:
-    if exact:
-        return fl.mat_rank(M)
-    return int(np.linalg.matrix_rank(M, tol=1e-6))
-
-
 def isotypic_surjectivity(chart: LinearChart) -> SurjectivityReport:
     """Per-irrep surjectivity of alpha on isotypic pieces.
 
@@ -141,53 +108,31 @@ def isotypic_surjectivity(chart: LinearChart) -> SurjectivityReport:
     R = real_irreps(G)
     pieces_v = isotypic_decomposition(chart.V)
     pieces_e = isotypic_decomposition(chart.E)
-    exact = (
-        chart.exact
-        and not isinstance(pieces_v[0].projector, np.ndarray)
-        and not isinstance(pieces_e[0].projector, np.ndarray)
-    )
-    if exact:
-        alpha = chart.alpha
-        mul = fl.mat_mul
-    else:
-        alpha = chart.alpha if not chart.exact else np.array(
-            [[float(x) for x in row] for row in chart.alpha]
-        )
-        mul = lambda A, B: np.asarray(A, dtype=float) @ np.asarray(B, dtype=float)
-
+    # The projectors are exact only when the group's coefficients are rational.
+    la = chart.la if projector_weights(G)[1] else Fixed(chart.tolerance)
+    alpha = la.matrix(chart.alpha)
+    Pv = [la.matrix(p.projector) for p in pieces_v]
+    Pe = [la.matrix(p.projector) for p in pieces_e]
     blocks = []
-    consistent = True
-    for pv, pe, entry in zip(pieces_v, pieces_e, R.entries):
-        dim_v = pv.multiplicity * entry.real_dim
-        dim_e = pe.multiplicity * entry.real_dim
-        block = mul(pe.projector, mul(alpha, pv.projector))
-        rank = _rank_of(block, exact)
-        surj = rank == dim_e
-        if entry.index != R.trivial_index and not surj:
-            consistent = False
-        blocks.append(
-            IsotypicBlockReport(
-                irrep_index=entry.index,
-                dim_v=dim_v,
-                dim_e=dim_e,
-                rank=rank,
-                surjective=surj,
-            )
-        )
-    # Schur: cross-isotype blocks of an equivariant map vanish.
-    for pv, ev in zip(pieces_v, R.entries):
-        for pe, ee in zip(pieces_e, R.entries):
-            if ev.index == ee.index:
-                continue
-            cross = mul(pe.projector, mul(alpha, pv.projector))
-            if exact:
-                bad = any(x != 0 for row in cross for x in row)
-            else:
-                bad = np.abs(np.asarray(cross, dtype=float)).max() > chart.tolerance * 100
-            if bad:
+    for i, entry in enumerate(R.entries):
+        for j in range(len(R.entries)):
+            block = la.mul(Pe[j], la.mul(alpha, Pv[i]))
+            if i == j:
+                rank = la.rank(block, Pe[j], alpha, Pv[i])
+                dim_e = pieces_e[i].multiplicity * entry.real_dim
+                blocks.append(IsotypicBlockReport(
+                    irrep_index=entry.index,
+                    dim_v=pieces_v[i].multiplicity * entry.real_dim,
+                    dim_e=dim_e,
+                    rank=rank,
+                    surjective=rank == dim_e,
+                ))
+            # Schur: cross-isotype blocks of an equivariant map vanish.
+            elif not la.is_zero(block, Pe[j], alpha, Pv[i]):
                 raise InternalCheckError(
                     "equivariant map has a nonzero cross-isotype block"
                 )
+    consistent = all(b.surjective for b in blocks if b.irrep_index != R.trivial_index)
     return SurjectivityReport(
         consistent=consistent, blocks=blocks, trivial_index=R.trivial_index
     )
@@ -212,29 +157,15 @@ def derived_class_detector(G: FiniteGroup, V: Union[MatrixRep, Sequence]) -> Det
     When invariants remain, the detector reports inconclusive rather than
     asserting the class dies.
     """
-    ct = character_table(G)
     if isinstance(V, MatrixRep):
         dim = V.dimension
         fixed, _ = fixed_subspace(G, V)
     else:
-        e = ct.exponent
-        vals = []
-        for v in V:
-            if isinstance(v, CycInt):
-                vals.append(v.lift(e) if v.order != e else v)
-            else:
-                vals.append(CycInt.from_int(e, int(v)))
-        for t in range(ct.num_classes):
-            m = ct.inner_with(vals, t)
-            if not m.is_integer() or m.as_int() < 0:
-                raise ValidationError("V is not a genuine character")
-        dim_val = vals[ct.identity_class]
-        if not dim_val.is_integer():
-            raise ValidationError("character degree is not an integer")
-        dim = dim_val.as_int()
-        sizes = ct.class_sizes
-        acc = CycInt.from_int(e, 0)
-        for s, v in zip(sizes, vals):
+        ct = character_table(G)
+        vals = genuine_character(G, V)
+        dim = vals[ct.identity_class].as_int()
+        acc = CycInt.from_int(ct.exponent, 0)
+        for s, v in zip(ct.class_sizes, vals):
             acc = acc + s * v
         fixed = acc.divide_exact(G.order).as_int()
     status = "nonzero_certified" if fixed == 0 else "inconclusive"

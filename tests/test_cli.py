@@ -6,6 +6,8 @@ from pathlib import Path
 
 from orbicalc.corpus import corpus_dir
 
+from .test_linalg import C3_ROTATION
+
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "src" / "orbicalc" / "schemas"
 
 
@@ -292,3 +294,43 @@ def test_manifest_records_the_file_an_alias_names(tmp_path):
     run_cli("group", "d6", "--manifest", str(m))
     digest = json.loads(m.read_text())["inputs"]["group"]
     assert digest == hashlib.sha256((corpus_dir() / "s3.json").read_bytes()).hexdigest()
+
+
+def _detect_file(tmp_path, group, data, expect):
+    f = tmp_path / "rep.json"
+    f.write_text(json.dumps(data))
+    return run_cli("detect", group, "--matrix-file", str(f), expect=expect)
+
+
+def test_detect_fixed_mode_uses_the_declared_tolerance(tmp_path):
+    data = {"mode": "fixed", "tolerance": 1e-4, "matrices": C3_ROTATION}
+    out = json.loads(_detect_file(tmp_path, "c3", data, 0).stdout)
+    assert out == {"group": "c3", "fixed_dim": 0, "degree": -2, "verdict": "nonzero_certified"}
+
+
+def test_detect_refuses_an_unknown_mode(tmp_path):
+    data = {"mode": "exakt", "matrices": [[[1]], [[-1]]]}
+    err = _structured_error(_detect_file(tmp_path, "c2", data, 1))
+    assert "mode" in err["message"]
+
+
+def test_detect_refuses_a_negative_tolerance(tmp_path):
+    data = {"mode": "fixed", "tolerance": -1, "matrices": [[[1]], [[-1]]]}
+    err = _structured_error(_detect_file(tmp_path, "c2", data, 1))
+    assert "tolerance" in err["message"]
+
+
+def test_detect_refuses_a_tolerance_that_accepts_anything(tmp_path):
+    data = {"mode": "fixed", "tolerance": 1e300, "matrices": [[[1]], [[5]], [[-7]]]}
+    err = _structured_error(_detect_file(tmp_path, "c3", data, 1))
+    assert "tolerance" in err["message"]
+
+
+def test_import_loads_neither_scipy_nor_sympy():
+    code = (
+        "import sys, orbicalc, orbicalc.cli; "
+        "print(sorted(m for m in ('scipy', 'sympy') if m in sys.modules))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -226,3 +226,71 @@ def test_isomorphism_is_equivalence_relation():
             for C in pool:
                 if rel[(A.name, B.name)] and rel[(B.name, C.name)]:
                     assert rel[(A.name, C.name)]
+
+
+def _reference_are_isomorphic(G, H):
+    """The earlier search: enumerate whole tuples of generator images in
+    lexicographic order and close each one from scratch."""
+    from orbicalc.groups import _invariant_fingerprint
+
+    if _invariant_fingerprint(G) != _invariant_fingerprint(H):
+        return None
+    gens = generating_set(G)
+    cand = [
+        [h for h in range(H.order) if H.element_order(h) == G.element_order(g)]
+        for g in gens
+    ]
+
+    def close(images):
+        phi = {G.identity: H.identity}
+        frontier = [G.identity]
+        for g, h in zip(gens, images):
+            phi[g] = h
+            frontier.append(g)
+        while frontier:
+            nxt = []
+            for a in list(phi):
+                for b in frontier:
+                    for x, y in ((G.table[a][b], H.table[phi[a]][phi[b]]),
+                                 (G.table[b][a], H.table[phi[b]][phi[a]])):
+                        if x in phi:
+                            if phi[x] != y:
+                                return None
+                        else:
+                            phi[x] = y
+                            nxt.append(x)
+            frontier = nxt
+        return tuple(phi[a] for a in range(G.order))
+
+    def backtrack(i, images):
+        if i == len(gens):
+            phi = close(images)
+            return phi if phi is not None and len(set(phi)) == G.order else None
+        for h in cand[i]:
+            res = backtrack(i + 1, images + [h])
+            if res is not None:
+                return res
+        return None
+
+    return backtrack(0, [])
+
+
+def test_are_isomorphic_returns_the_reference_search_result():
+    # Every ordered pair of corpus groups, and every subgroup of a corpus
+    # group of order <= 12 against each corpus group of its order both
+    # ways, so that many pairs are isomorphic through a nontrivial map.
+    from orbicalc.corpus import corpus_group, corpus_names
+
+    corpus = [corpus_group(n) for n in corpus_names()]
+    pairs = [(A, B) for A in corpus for B in corpus]
+    for G in corpus:
+        if G.order <= 12:
+            for sc in subgroup_classes(G):
+                K = subgroup_as_group(G, sc.representative)[0]
+                pairs += [p for B in corpus if B.order == K.order for p in ((K, B), (B, K))]
+    found = 0
+    for A, B in pairs:
+        phi = are_isomorphic(A, B)
+        assert phi == _reference_are_isomorphic(A, B)
+        found += phi is not None
+    assert found == 300  # 54 diagonal pairs and 246 through subgroups

@@ -225,3 +225,14 @@ def test_direct_sum_multiplicities():
     rep = direct_sum(one_dim_rep(G, [1, 1]), one_dim_rep(G, [1, -1]))
     pieces = isotypic_decomposition(rep)
     assert sorted(p.multiplicity for p in pieces) == [1, 1]
+
+
+def test_stored_irrep_indices_equal_a_rescan():
+    from orbicalc.corpus import corpus_names
+
+    for name in corpus_names():
+        R = real_irreps(corpus_group(name))
+        one = CycInt.from_int(R.complex_table.exponent, 1)
+        trivial = [e.index for e in R if e.real_dim == 1 and all(v == one for v in e.char)]
+        assert trivial == [R.trivial_index], name
+        assert R.r_type_indices() == tuple(e.index for e in R if e.end_type == "R"), name

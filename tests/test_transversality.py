@@ -171,5 +171,6 @@ def test_detector_character_input():
 
 def test_detector_rejects_non_character():
     G = corpus_group("c2")
-    with pytest.raises(ValidationError):
-        derived_class_detector(G, [1, 7])
+    for values in ([1, 7], [1, 2], [1.5, 0.5], [1]):
+        with pytest.raises(ValidationError):
+            derived_class_detector(G, values)
