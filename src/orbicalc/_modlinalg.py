@@ -47,10 +47,6 @@ def nullspace_mod(A: np.ndarray, p: int) -> np.ndarray:
     return basis
 
 
-def rank_mod(A: np.ndarray, p: int) -> int:
-    return len(rref_mod(A, p)[1])
-
-
 def solve_columns(B: np.ndarray, C: np.ndarray, p: int) -> np.ndarray:
     """Solve B @ X = C mod p where B has full column rank and a solution exists."""
     n, k = B.shape

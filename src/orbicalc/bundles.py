@@ -131,8 +131,7 @@ def framings(K: FiniteGroup) -> list[Framing]:
 
 def flip_trivial_bit(K: FiniteGroup, bits: tuple[int, ...]) -> tuple[int, ...]:
     """The canonical involution on the framing bits of K."""
-    R = real_irreps(K)
-    pos = R.r_type_indices().index(R.trivial_index)
+    pos = real_irreps(K).trivial_bit
     return bits[:pos] + (bits[pos] ^ 1,) + bits[pos + 1 :]
 
 
@@ -174,17 +173,27 @@ def irrep_bijection_along(
     return tuple(out)
 
 
+def framing_bit_permutation(
+    K: FiniteGroup, K2: FiniteGroup, alpha: Sequence[int]
+) -> tuple[int, ...]:
+    """Where an isomorphism alpha: K -> K2 moves each framing bit: entry pos
+    is the bit position, among the R-type irreps of K2, of the image of the
+    R-type irrep at bit position pos of K."""
+    bij = irrep_bijection_along(K, K2, alpha)
+    dst = {tau: pos for pos, tau in enumerate(real_irreps(K2).r_type_indices())}
+    perm = []
+    for sigma in real_irreps(K).r_type_indices():
+        if bij[sigma] not in dst:
+            raise InternalCheckError("R-type irrep mapped to a non-R-type one")
+        perm.append(dst[bij[sigma]])
+    return tuple(perm)
+
+
+def push_bits(perm: Sequence[int], bits: Sequence[int]) -> tuple[int, ...]:
+    """Framing bits moved along a framing_bit_permutation: bit pos goes to perm[pos]."""
+    return tuple(b for _, b in sorted(zip(perm, bits)))
+
+
 def transport_framing(fr: Framing, K2: FiniteGroup, alpha: Sequence[int]) -> Framing:
     """Carry a framing along an isomorphism alpha: base -> K2."""
-    K = fr.base
-    bij = irrep_bijection_along(K, K2, alpha)
-    RK, R2 = real_irreps(K), real_irreps(K2)
-    src_r = RK.r_type_indices()
-    dst_r = R2.r_type_indices()
-    bits = [0] * len(dst_r)
-    for pos, sigma in enumerate(src_r):
-        tau = bij[sigma]
-        if tau not in dst_r:
-            raise InternalCheckError("R-type irrep mapped to a non-R-type one")
-        bits[dst_r.index(tau)] = fr.bits[pos]
-    return Framing(K2, tuple(bits))
+    return Framing(K2, push_bits(framing_bit_permutation(fr.base, K2, alpha), fr.bits))

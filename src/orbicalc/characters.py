@@ -76,6 +76,7 @@ class CharacterTable:
         self.class_sizes = tuple(len(c) for c in self.classes)
         self.num_classes = len(self.classes)
         self.exponent = group.exponent()
+        self._indicators = None  # filled by frobenius_schur
         self._compute()
         self._verify()
 
@@ -229,13 +230,7 @@ class CharacterTable:
 
     def inner(self, s: int, t: int) -> int:
         """Exact inner product of rows s and t."""
-        e = self.exponent
-        acc = CycInt.from_int(e, 0)
-        for i in range(self.num_classes):
-            acc = acc + self.class_sizes[i] * (
-                self.values[s][i] * self.values[t][i].conjugate()
-            )
-        return acc.divide_exact(self.group.order).as_int()
+        return self.inner_with(self.values[s], t).as_int()
 
     def inner_with(self, chi: list[CycInt], t: int) -> CycInt:
         """<chi, chi_t> for an arbitrary class function with CycInt values."""
@@ -253,12 +248,6 @@ class CharacterTable:
             if self.values[s] == target:
                 return s
         raise InternalCheckError("conjugate character missing from the table")
-
-    def kernel_classes(self, t: int) -> list[int]:
-        d = CycInt.from_int(self.exponent, self.degrees[t])
-        return [
-            i for i in range(self.num_classes) if self.values[t][i] == d
-        ]
 
     def text_table(self) -> str:
         reps = [c[0] for c in self.classes]
@@ -302,16 +291,22 @@ def character_table(G: FiniteGroup) -> CharacterTable:
 
 
 def frobenius_schur(table: CharacterTable, t: int) -> int:
-    """The indicator (1/|G|) sum_g chi(g^2); must be exactly -1, 0 or 1."""
-    G = table.group
-    class_of = class_index_map(G)
-    e = table.exponent
-    acc = CycInt.from_int(e, 0)
-    for i, cls in enumerate(table.classes):
-        z = cls[0]
-        sq = class_of[G.table[z][z]]
-        acc = acc + table.class_sizes[i] * table.values[t][sq]
-    nu = acc.divide_exact(G.order).as_int()
-    if nu not in (-1, 0, 1):
-        raise InternalCheckError(f"Frobenius-Schur indicator out of range: {nu}")
-    return nu
+    """The indicator (1/|G|) sum_g chi_t(g^2); must be exactly -1, 0 or 1.
+
+    The first call computes every character's indicator and stores them
+    on the table."""
+    if table._indicators is None:
+        G = table.group
+        class_of = class_index_map(G)
+        squares = [class_of[G.table[c[0]][c[0]]] for c in table.classes]
+        indicators = []
+        for chi in table.values:
+            acc = CycInt.from_int(table.exponent, 0)
+            for size, sq in zip(table.class_sizes, squares):
+                acc = acc + size * chi[sq]
+            nu = acc.divide_exact(G.order).as_int()
+            if nu not in (-1, 0, 1):
+                raise InternalCheckError(f"Frobenius-Schur indicator out of range: {nu}")
+            indicators.append(nu)
+        table._indicators = tuple(indicators)
+    return table._indicators[t]

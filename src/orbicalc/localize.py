@@ -309,9 +309,6 @@ class LocalizedHom:
     target: str
     classes: list[list[Span]]  # each class sorted, classes sorted by min
 
-    def canonical_representatives(self) -> list[Span]:
-        return [cls[0] for cls in self.classes]
-
 
 def localize_hom(C: FiniteCategory, W: Iterable[str], x: str, y: str) -> LocalizedHom:
     """Morphisms x -> y in the localization, as glued span classes."""

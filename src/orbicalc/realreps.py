@@ -92,6 +92,8 @@ class RealIrrepTable:
             raise InternalCheckError("trivial representation missing")
         self.trivial_index = trivial[0]
         self._r_type = tuple(e.index for e in self.entries if e.end_type == "R")
+        # Position of the trivial irrep's bit in a framing (its indicator is 1).
+        self.trivial_bit = self._r_type.index(self.trivial_index)
 
     def _verify(self) -> None:
         n = self.group.order

@@ -11,7 +11,10 @@ checks that class_of_hom names each orbit member's own arrow, and that
 composition is representative-independent: for every composable pair of
 classes, the composite of every member of both orbits lies in one class.
 A cell of dimension p is a chain of p composable arrows, carrying its
-source group as the isotropy label.
+source group as the isotropy label.  The census stores each cell once, as
+integers (object indices, arrow indices); the nerve's boundaries are
+written straight from these as sparse columns, each face found by its
+integer chain.
 
 By default the cell census uses non-invertible arrows only (so chains
 strictly increase group order); passing include_isos=True also admits
@@ -22,7 +25,7 @@ nerve, since the trivial group is initial either way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .corpus import groups_of_order_at_most
@@ -34,8 +37,8 @@ from .snf import ChainComplex, HomologyDegree, homology
 MAX_ORDER_CAP = 12
 # Most cells, summed over all degrees, that a census may enumerate.  N=8
 # in dimension 2 with isos has 37,423 cells and N=12 in dimension 2 with
-# isos 41,030; N=8 in dimension 3 with isos would have over 6 million, and
-# its dense boundaries would not fit in memory.
+# isos 41,030; N=8 in dimension 3 with isos would have over 6 million,
+# whose chains and boundary columns would not fit in memory.
 MAX_CELLS = 100_000
 
 
@@ -96,27 +99,25 @@ class QuotientCategory:
         if verify:
             self._verify()
 
-    def arrow(self, i: int, j: int, phi: tuple[int, ...]) -> Arrow:
-        """The arrow i -> j whose class holds the injective hom phi."""
+    def arrow_index(self, i: int, j: int, phi: tuple[int, ...]) -> int:
+        """The index in homs[(i, j)] of the class that holds the injective hom phi."""
         t = self._classes[(i, j)].get(phi)
         if t is None:
             raise InternalCheckError("a hom lies in no class of the category")
-        return self.homs[(i, j)][t]
-
-    def identity(self, i: int) -> Arrow:
-        return self.arrow(i, i, tuple(range(self.objects[i].order)))
+        return t
 
     def compose(self, a: Arrow, b: Arrow) -> Arrow:
         """b after a, for a: X -> Y and b: Y -> Z."""
         if a.dst != b.src:
             raise ValidationError("arrows are not composable")
-        return self.arrow(a.src, b.dst, tuple(map(b.rep.__getitem__, a.rep)))
+        phi = tuple(map(b.rep.__getitem__, a.rep))
+        return self.homs[(a.src, b.dst)][self.arrow_index(a.src, b.dst, phi)]
 
     def _verify(self) -> None:
         # Identities, class-composition well-definedness, associativity.
         n = len(self.objects)
-        for i in range(n):
-            self.identity(i)
+        for i, G in enumerate(self.objects):
+            self.arrow_index(i, i, tuple(range(G.order)))
         for (i, j), orbits_ij in self._orbits.items():
             for orbit_a in orbits_ij:
                 for k in range(n):
@@ -141,15 +142,10 @@ class QuotientCategory:
                 raise InternalCheckError("trivial group is not initial")
 
     def nonidentity_arrows(self, include_isos: bool) -> list[Arrow]:
-        out = []
-        for (i, j), arrows in self.homs.items():
-            for a in arrows:
-                if a.is_identity():
-                    continue
-                if i == j and not include_isos:
-                    continue
-                out.append(a)
-        return out
+        return [
+            a for (i, j), arrows in self.homs.items() for a in arrows
+            if not a.is_identity() and (i != j or include_isos)
+        ]
 
 
 def build_quotient_category(max_order: int) -> QuotientCategory:
@@ -158,14 +154,10 @@ def build_quotient_category(max_order: int) -> QuotientCategory:
 
 @dataclass(frozen=True)
 class Cell:
-    """A chain of composable non-identity arrow classes."""
+    """A chain of composable non-identity arrow classes, by name and rep."""
 
     object_names: tuple[str, ...]
     arrow_reps: tuple[tuple[int, ...], ...]
-
-    @property
-    def dimension(self) -> int:
-        return len(self.arrow_reps)
 
     @property
     def isotropy(self) -> str:
@@ -175,36 +167,51 @@ class Cell:
         return (self.object_names, self.arrow_reps)
 
 
+# A cell as integers: its objects (indices into cat.objects) and, for each
+# step, the index of its arrow in cat.homs[(src, dst)].
+Chain = tuple[tuple[int, ...], tuple[int, ...]]
+
+
 @dataclass
 class CellCensus:
     max_order: int
     max_dim: int
     include_isos: bool
-    cells: list[list[Cell]]  # by dimension
+    category: QuotientCategory = field(repr=False)
+    chains: list[list[Chain]]  # by dimension, each level in Cell.key order
 
     def counts(self) -> list[int]:
-        return [len(c) for c in self.cells]
+        return [len(c) for c in self.chains]
+
+    @property
+    def cells(self) -> list[list[Cell]]:
+        """The chains as Cell views by dimension, built anew on each access."""
+        names, homs = self.category.object_names, self.category.homs
+        return [
+            [
+                Cell(
+                    tuple(names[o] for o in objs),
+                    tuple(homs[(i, j)][t].rep for i, j, t in zip(objs, objs[1:], arrows)),
+                )
+                for objs, arrows in level
+            ]
+            for level in self.chains
+        ]
 
 
-def _chains(cat: QuotientCategory, k: int, include_isos: bool) -> list[list[tuple[Arrow, ...]]]:
-    """Composable chains of non-identity arrows, by length 1..k."""
-    arrows = cat.nonidentity_arrows(include_isos)
-    by_src: dict[int, list[Arrow]] = {}
-    for a in arrows:
-        by_src.setdefault(a.src, []).append(a)
-    out: list[list[tuple[Arrow, ...]]] = [[(a,) for a in arrows]]
-    for _ in range(2, k + 1):
-        nxt = []
-        for chain in out[-1]:
-            for a in by_src.get(chain[-1].dst, ()):
-                nxt.append(chain + (a,))
-        out.append(nxt)
-    return out
-
-
-def _cell_of(names: list[str], chain: tuple[Arrow, ...]) -> Cell:
-    objs = (names[chain[0].src],) + tuple(names[a.dst] for a in chain)
-    return Cell(objs, tuple(a.rep for a in chain))
+def _chains(cat: QuotientCategory, k: int, include_isos: bool) -> list[list[Chain]]:
+    """Composable chains of non-identity arrows, by length 0..k."""
+    steps: dict[int, list[tuple[int, int]]] = {}  # src -> (dst, arrow index)
+    for a in cat.nonidentity_arrows(include_isos):
+        steps.setdefault(a.src, []).append((a.dst, cat.arrow_index(a.src, a.dst, a.rep)))
+    levels = [[((i,), ()) for i in range(len(cat.objects))]]
+    for _ in range(k):
+        levels.append([
+            (objs + (j,), arrows + (t,))
+            for objs, arrows in levels[-1]
+            for j, t in steps.get(objs[-1], ())
+        ])
+    return levels
 
 
 def cell_counts(cat: QuotientCategory, max_dim: int, include_isos: bool) -> list[int]:
@@ -238,61 +245,46 @@ def cell_census(max_order: int, max_dim: int, include_isos: bool = False,
         raise ValidationError(f"max dim must lie in 0..{MAX_CELLS - 1}")
     cat = category or build_quotient_category(max_order)
     cell_counts(cat, max_dim, include_isos)  # refuses before any cell is built
+    # Sorting by name rank, then by arrow index, is Cell.key order, because
+    # each cat.homs[(i, j)] is sorted by representative.
     names = cat.object_names
-    cells: list[list[Cell]] = [[Cell((nm,), ()) for nm in sorted(names)]]
-    if max_dim >= 1:
-        for level in _chains(cat, max_dim, include_isos):
-            dim_cells = [_cell_of(names, chain) for chain in level]
-            dim_cells.sort(key=Cell.key)
-            cells.append(dim_cells)
-    return CellCensus(max_order, max_dim, include_isos, cells)
+    rank = [sorted(names).index(nm) for nm in names]
+
+    def key(chain: Chain) -> tuple:
+        return [rank[o] for o in chain[0]], chain[1]
+
+    chains = [sorted(level, key=key) for level in _chains(cat, max_dim, include_isos)]
+    return CellCensus(max_order, max_dim, include_isos, cat, chains)
 
 
 def nerve_chain_complex(
     cat: QuotientCategory, max_dim: int, include_isos: bool = False
 ) -> tuple[ChainComplex, CellCensus]:
-    """Normalized chains of the nerve, truncated at max_dim."""
+    """Normalized chains of the nerve, truncated at max_dim: face i of a
+    chain has sign (-1)^i, and an inner face whose composite is an identity
+    is degenerate and left out."""
     census = cell_census(cat.max_order, max_dim, include_isos, category=cat)
-    names = cat.object_names
-    name_to_idx = {nm: i for i, nm in enumerate(names)}
-    index = [
-        {cell.key(): i for i, cell in enumerate(level)} for level in census.cells
-    ]
-    ranks = tuple(len(level) for level in census.cells)
-
-    def cell_arrows(cell: Cell) -> list[Arrow]:
-        objs = [name_to_idx[nm] for nm in cell.object_names]
-        return [
-            cat.arrow(objs[t], objs[t + 1], rep)
-            for t, rep in enumerate(cell.arrow_reps)
-        ]
-
-    boundaries: list = [None]
-    for p in range(1, len(ranks)):
-        B = [[0] * ranks[p] for _ in range(ranks[p - 1])]
-        for j, cell in enumerate(census.cells[p]):
-            chain = cell_arrows(cell)
-            for i in range(p + 1):
-                if i == 0:
-                    sub = chain[1:]
-                elif i == p:
-                    sub = chain[:-1]
-                else:
-                    sub = chain[: i - 1] + [cat.compose(chain[i - 1], chain[i])] + chain[i + 1 :]
-                if any(a.is_identity() for a in sub):
-                    continue  # degenerate face, killed in normalized chains
-                if sub:
-                    face = Cell(
-                        (names[sub[0].src],) + tuple(names[a.dst] for a in sub),
-                        tuple(a.rep for a in sub),
-                    )
-                else:
-                    face_obj = chain[0].dst if i == 0 else chain[0].src
-                    face = Cell((names[face_obj],), ())
-                B[index[p - 1][face.key()]][j] += (-1) ** i
-        boundaries.append(B)
-    cc = ChainComplex(ranks=ranks, boundaries=boundaries)
-    return cc, census
+    homs = cat.homs
+    columns: list = [None]
+    for p in range(1, len(census.chains)):
+        index = {chain: r for r, chain in enumerate(census.chains[p - 1])}
+        level = []
+        for objs, arrows in census.chains[p]:
+            faces = [(1, (objs[1:], arrows[1:])), ((-1) ** p, (objs[:-1], arrows[:-1]))]
+            for i in range(1, p):
+                x, y, z = objs[i - 1 : i + 2]
+                a, b = homs[(x, y)][arrows[i - 1]], homs[(y, z)][arrows[i]]
+                t = cat.arrow_index(x, z, tuple(map(b.rep.__getitem__, a.rep)))
+                if not homs[(x, z)][t].is_identity():
+                    face = (objs[:i] + objs[i + 1 :], arrows[: i - 1] + (t,) + arrows[i + 1 :])
+                    faces.append(((-1) ** i, face))
+            col: dict[int, int] = {}
+            for sign, face in faces:
+                r = index[face]
+                col[r] = col.get(r, 0) + sign
+            level.append({r: v for r, v in col.items() if v})
+        columns.append(level)
+    return ChainComplex(ranks=tuple(census.counts()), columns=columns), census
 
 
 def rstar_homology(

@@ -1,8 +1,9 @@
 """Integer Smith normal form and chain-complex homology, exact.
 
-A chain complex keeps its boundary matrices as given (dense rows) and
-derives each one's nonzero columns once, as row -> coefficient dicts.  The
-d∘d = 0 check and homology both work on those columns.
+A chain complex holds each boundary as sparse columns only: one
+row -> nonzero coefficient dict per cell, as its producer writes them.
+The d∘d = 0 check and homology both work on those columns; the dense
+matrices exist only as a view built on request.
 
 Homology first eliminates unit pivots sparsely.  A pivot of +1 or -1
 splits off one invariant factor 1 by a unimodular step (the Schur
@@ -19,7 +20,7 @@ Mrozek, Computational Homology (2004), chapter 3.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import compress
 from typing import Mapping, Sequence
 
@@ -167,20 +168,38 @@ def _eliminate_unit(cols: dict, rows: dict, r: int, c: int) -> None:
 
 @dataclass
 class ChainComplex:
-    """Boundary data: boundaries[p] maps degree p to degree p-1."""
+    """Boundary data: columns[p] maps degree p to degree p-1, p >= 1.
+
+    columns[p][j] is the boundary of the j-th cell of degree p, as a dict
+    from row (a cell of degree p-1) to its nonzero coefficient; columns[0]
+    is None.  Construction checks the shapes and that d∘d = 0.
+    """
 
     ranks: tuple[int, ...]
-    boundaries: list  # boundaries[p]: (ranks[p-1] x ranks[p]) int matrix, p >= 1
-    columns: list = field(init=False, repr=False, compare=False)  # sparse_columns per p
+    columns: list
 
     def __post_init__(self):
-        self.columns = [None]
+        if len(self.columns) != len(self.ranks):
+            raise ValidationError(f"{len(self.columns)} boundaries for {len(self.ranks)} degrees")
         for p in range(1, len(self.ranks)):
-            B = self.boundaries[p]
-            if len(B) != self.ranks[p - 1] or any(len(r) != self.ranks[p] for r in B):
-                raise ValidationError(f"boundary {p} has the wrong shape")
-            self.columns.append(sparse_columns(B, self.ranks[p]))
+            cols, rows = self.columns[p], self.ranks[p - 1]
+            if len(cols) != self.ranks[p]:
+                raise ValidationError(f"boundary {p} has {len(cols)} columns, not {self.ranks[p]}")
+            for col in filter(None, cols):
+                if min(col) < 0 or max(col) >= rows:
+                    raise ValidationError(f"boundary {p} has a row outside 0..{rows - 1}")
+                if not all(col.values()):
+                    raise ValidationError(f"boundary {p} stores a zero coefficient")
         self.verify_square_zero()
+
+    @property
+    def boundaries(self) -> list:
+        """The dense view: boundaries[p] is the ranks[p-1] x ranks[p] matrix
+        of columns[p], built anew on each access."""
+        return [None] + [
+            [[col.get(i, 0) for col in self.columns[p]] for i in range(self.ranks[p - 1])]
+            for p in range(1, len(self.ranks))
+        ]
 
     def verify_square_zero(self) -> None:
         for p in range(2, len(self.ranks)):
@@ -192,9 +211,6 @@ class ChainComplex:
                         image[i] = image.get(i, 0) + a * b
                 if any(image.values()):
                     raise ValidationError("boundary squared is nonzero")
-
-    def degree_count(self) -> int:
-        return len(self.ranks)
 
 
 @dataclass
@@ -211,7 +227,7 @@ def homology(cc: ChainComplex, unreliable_from: int | None = None) -> list[Homol
     Degrees at or above `unreliable_from` are flagged: a truncated complex
     lacks the boundaries needed to pin them down.
     """
-    k = cc.degree_count()
+    k = len(cc.ranks)
     factors_of = [[]] + [invariant_factors(cc.columns[p]) for p in range(1, k)]
     out = []
     for p in range(k):
@@ -243,12 +259,12 @@ def complex_from_simplices(simplices: Sequence[Sequence[int]]) -> ChainComplex:
     ordered = [sorted(by_dim.get(d, ())) for d in range(top + 1)]
     index = [{s: i for i, s in enumerate(level)} for level in ordered]
     ranks = tuple(len(level) for level in ordered)
-    boundaries: list = [None]
+    columns: list = [None]
     for p in range(1, top + 1):
-        B = [[0] * ranks[p] for _ in range(ranks[p - 1])]
-        for j, s in enumerate(ordered[p]):
-            for i in range(len(s)):
-                face = s[:i] + s[i + 1 :]
-                B[index[p - 1][face]][j] += (-1) ** i
-        boundaries.append(B)
-    return ChainComplex(ranks=ranks, boundaries=boundaries)
+        at = index[p - 1]
+        # The faces of a simplex are distinct, so no coefficient cancels.
+        columns.append([
+            {at[s[:i] + s[i + 1 :]]: (-1) ** i for i in range(len(s))}
+            for s in ordered[p]
+        ])
+    return ChainComplex(ranks=ranks, columns=columns)

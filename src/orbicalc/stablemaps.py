@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Literal, Sequence
 
-from .bundles import flip_trivial_bit, framings, irrep_bijection_along
+from .bundles import flip_trivial_bit, framing_bit_permutation, framings, push_bits
 from .errors import InternalCheckError, ValidationError
 from .groups import (
     FiniteGroup,
@@ -26,7 +26,6 @@ from .groups import (
     subgroup_classes,
 )
 from .homs import class_of_hom, enumerate_homs, hom_classes, rep_hom_classes
-from .realreps import real_irreps
 
 Variant = Literal["rep", "orb"]
 
@@ -62,6 +61,10 @@ class MapGroupPresentation:
         return 2 * self.rank
 
 
+def _inverse(a: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(sorted(range(len(a)), key=a.__getitem__))
+
+
 class _SubgroupContext:
     """Per-subgroup data: the subgroup as a group, its induced
     automorphisms from the ambient normalizer, and framing transport."""
@@ -76,28 +79,14 @@ class _SubgroupContext:
         for n in normalizer(G, sc.representative):
             autos.add(tuple(pos[G.conj(n, emb[k])] for k in range(K.order)))
         self.autos = sorted(autos)
-        self.auto_inv = {
-            a: tuple(sorted(range(K.order), key=lambda i: a[i])) for a in self.autos
-        }
-        # R-type bit permutation of each automorphism (pushforward).
-        r_idx = real_irreps(K).r_type_indices()
-        self.bit_perm = {}
-        for a in self.autos:
-            bij = irrep_bijection_along(K, K, a)
-            self.bit_perm[a] = tuple(r_idx.index(bij[s]) for s in r_idx)
+        self.auto_inv = {a: _inverse(a) for a in self.autos}
+        self.bit_perm = {a: framing_bit_permutation(K, K, a) for a in self.autos}
         if variant == "rep":
             self.g_classes = [c.representative for c in rep_hom_classes(K, H)]
         else:
             self.g_classes = [c.representative for c in hom_classes(K, H)]
         self.H = H
         self._canon_cache: dict = {}
-
-    def push_bits(self, a, bits: tuple[int, ...]) -> tuple[int, ...]:
-        perm = self.bit_perm[a]
-        out = [0] * len(bits)
-        for src, dst in enumerate(perm):
-            out[dst] = bits[src]
-        return tuple(out)
 
     def act(self, a, pair: tuple[tuple[int, ...], tuple[int, ...]]):
         """Apply one automorphism coherently: precompose the map leg by
@@ -106,7 +95,7 @@ class _SubgroupContext:
         a_inv = self.auto_inv[a]
         moved = tuple(g_rep[a_inv[k]] for k in range(self.K.order))
         new_g = class_of_hom(self.K, self.H, moved)
-        return (new_g, self.push_bits(a, bits))
+        return (new_g, push_bits(self.bit_perm[a], bits))
 
     def canonical(self, pair) -> tuple[tuple[int, ...], tuple[int, ...]]:
         # Inputs always carry a class-canonical map leg, so a trivial
@@ -266,13 +255,12 @@ def cross_check_abstract_enumeration(
             g_classes = [c.representative for c in rep_hom_classes(K, H)]
         else:
             g_classes = [c.representative for c in hom_classes(K, H)]
-        r_idx = real_irreps(K).r_type_indices()
         autos = _automorphisms(K)
         n = K.order
 
         fixed_sum = 0
         for a in autos:
-            a_inv = tuple(sorted(range(n), key=lambda i: a[i]))
+            a_inv = _inverse(a)
             fix_f = sum(
                 1
                 for f in f_classes
@@ -287,8 +275,7 @@ def cross_check_abstract_enumeration(
             )
             if fix_g == 0:
                 continue
-            bij = irrep_bijection_along(K, K, a)
-            bit_perm = tuple(r_idx.index(bij[s]) for s in r_idx)
+            bit_perm = framing_bit_permutation(K, K, a)
             fixed_sum += fix_f * fix_g * 2 ** _perm_cycle_count(bit_perm)
         count, rem = divmod(fixed_sum, len(autos))
         if rem:

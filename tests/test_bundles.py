@@ -1,12 +1,17 @@
 import random
 
+import pytest
+
 from orbicalc.bundles import (
     CoarseStableBundle,
     Framing,
     StableBundle,
     aut_group,
+    framing_bit_permutation,
     framings,
     involution,
+    irrep_bijection_along,
+    push_bits,
     restrict_bundle,
     transport_framing,
 )
@@ -142,3 +147,28 @@ def test_transport_commutes_with_involution():
             a = transport_framing(involution(fr), G, phi)
             b = involution(transport_framing(fr, G, phi))
             assert a == b
+
+
+def test_framing_bit_permutation_follows_the_irrep_matching():
+    for G in groups_of_order_at_most(12):
+        autos = [phi for phi in enumerate_homs(G, G) if len(set(phi)) == G.order]
+        r_idx = real_irreps(G).r_type_indices()
+        for a in autos[:12]:
+            bij = irrep_bijection_along(G, G, a)
+            perm = framing_bit_permutation(G, G, a)
+            assert perm == tuple(r_idx.index(bij[s]) for s in r_idx), G.name
+            bits = tuple(random.Random(len(a)).choices((0, 1), k=len(perm)))
+            moved = push_bits(perm, bits)
+            assert all(moved[perm[pos]] == b for pos, b in enumerate(bits))
+            assert transport_framing(Framing(G, bits), G, a).bits == moved
+
+
+def test_framing_bit_permutation_refuses_an_r_type_irrep_sent_to_another_type(monkeypatch):
+    from orbicalc import bundles
+    from orbicalc.errors import InternalCheckError
+
+    G = corpus_group("c3")  # the trivial irrep (type R) and one of type C
+    assert [e.end_type for e in real_irreps(G)] == ["R", "C"]
+    monkeypatch.setattr(bundles, "irrep_bijection_along", lambda K, K2, alpha: (1, 0))
+    with pytest.raises(InternalCheckError, match="non-R-type"):
+        framing_bit_permutation(G, G, tuple(range(G.order)))

@@ -236,3 +236,32 @@ def test_stored_irrep_indices_equal_a_rescan():
         trivial = [e.index for e in R if e.real_dim == 1 and all(v == one for v in e.char)]
         assert trivial == [R.trivial_index], name
         assert R.r_type_indices() == tuple(e.index for e in R if e.end_type == "R"), name
+        assert R.r_type_indices()[R.trivial_bit] == R.trivial_index, name
+
+
+def test_indicators_are_computed_once_per_table(monkeypatch):
+    from orbicalc import characters
+    from orbicalc.groups import class_index_map
+
+    for name in ("c4", "s3", "q8", "d8", "a4", "dic3", "f21"):
+        G = corpus_group(name)
+        ct = characters.CharacterTable(G)  # a fresh table, not the cached one
+        calls = []
+
+        def counting(H):
+            calls.append(H)
+            return class_index_map(H)
+
+        monkeypatch.setattr(characters, "class_index_map", counting)
+        got = [frobenius_schur(ct, t) for t in range(ct.num_classes)] * 2
+        got += [frobenius_schur(ct, t) for t in range(ct.num_classes)]
+        monkeypatch.undo()
+        assert len(calls) == 1, name
+        # (1/|G|) sum over elements, not classes, of chi(g^2).
+        cls = class_index_map(G)
+        for t, chi in enumerate(ct.values):
+            acc = CycInt.from_int(ct.exponent, 0)
+            for g in range(G.order):
+                acc = acc + chi[cls[G.mul(g, g)]]
+            assert got[t] == acc.divide_exact(G.order).as_int(), (name, t)
+

@@ -1,7 +1,13 @@
 import pytest
 
 from orbicalc.errors import ValidationError
-from orbicalc.snf import ChainComplex, complex_from_simplices, homology, smith_normal_form
+from orbicalc.snf import (
+    ChainComplex,
+    complex_from_simplices,
+    homology,
+    smith_normal_form,
+    sparse_columns,
+)
 
 # Minimal 6-vertex triangulation of the real projective plane (faces of
 # an icosahedron with antipodes identified): every edge lies in exactly
@@ -41,11 +47,14 @@ def test_snf_divisibility_and_rank():
 
 def test_chain_complex_rejects_nonzero_square():
     with pytest.raises(ValidationError):
-        ChainComplex(ranks=(1, 1, 1), boundaries=[None, [[1]], [[1]]])
+        ChainComplex(
+            ranks=(1, 1, 1),
+            columns=[None, sparse_columns([[1]], 1), sparse_columns([[1]], 1)],
+        )
 
 
 def test_torsion_synthetic():
-    cc = ChainComplex(ranks=(1, 1), boundaries=[None, [[2]]])
+    cc = ChainComplex(ranks=(1, 1), columns=[None, sparse_columns([[2]], 1)])
     h = homology(cc)
     assert h[0].betti == 0
     assert h[0].torsion == (2,)

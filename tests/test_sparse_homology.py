@@ -85,9 +85,9 @@ def test_square_zero_check_is_complete():
     d1 = [[1, 1, 0]]
     d2 = [[1, 0, 1], [-1, 0, 0], [0, 0, 0]]
     with pytest.raises(ValidationError):
-        ChainComplex(ranks=(1, 3, 3), boundaries=[None, d1, d2])
+        ChainComplex(ranks=(1, 3, 3), columns=[None, sparse_columns(d1, 3), sparse_columns(d2, 3)])
     d2[0][2] = 0
-    ChainComplex(ranks=(1, 3, 3), boundaries=[None, d1, d2])
+    ChainComplex(ranks=(1, 3, 3), columns=[None, sparse_columns(d1, 3), sparse_columns(d2, 3)])
 
 
 simplices = st.lists(
