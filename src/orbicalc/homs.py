@@ -3,8 +3,9 @@
 A class of maps between the two classifying objects is an H-conjugacy
 class of homomorphisms; the injective classes are exactly the
 representable ones.  The two recovery identities tying all classes to the
-injective classes of the quotients G/N are verified on every call that
-needs them and are a hard failure if they break.
+injective classes of the quotients G/N are verified before the injective
+classes are first returned for a pair of groups, and are a hard failure
+if they break.
 """
 
 from __future__ import annotations
@@ -141,7 +142,13 @@ def rep_hom_classes(
         proper quotient G/N, over nontrivial normal N;
     (b) the classes of G are partitioned by kernel: summing injective class
         counts of every quotient G/N gives the total class count.
+
+    The verified list is cached on G, so the identities are checked once
+    per target; report=True checks them again and returns the report.
     """
+    key = ("rep_hom_classes", H.table_key())
+    if not report and key in G._cache:
+        return G._cache[key]
     classes = hom_classes(G, H)
     injective = [c for c in classes if c.injective]
 
@@ -167,6 +174,7 @@ def rep_hom_classes(
             "representability recovery identities fail for "
             f"({G.name or G.order}, {H.name or H.order})"
         )
+    G._cache[key] = injective
     if report:
         rep = RepRecoveryReport(
             total_classes=len(classes),

@@ -21,7 +21,6 @@ Mrozek, Computational Homology (2004), chapter 3.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
 from typing import Mapping, Sequence
 
 from .errors import ValidationError
@@ -97,15 +96,6 @@ def smith_normal_form(A: Sequence[Sequence[int]]) -> list[int]:
         diag.append(abs(pivot))
         t += 1
     return diag
-
-
-def sparse_columns(A: Sequence[Sequence[int]], cols: int) -> list[dict[int, int]]:
-    """The nonzero entries of each of the `cols` columns of A, as row -> coefficient."""
-    out: list[dict[int, int]] = [{} for _ in range(cols)]
-    for i, row in enumerate(A):
-        for j in compress(range(cols), row):
-            out[j][i] = int(row[j])
-    return out
 
 
 def invariant_factors(columns: Sequence[Mapping[int, int]]) -> list[int]:

@@ -9,12 +9,22 @@ automorphism of K carries one triple to the other.  Cylinders are the
 only bordisms in dimension zero, and the boundary convention pairs each
 generator with its image under the canonical framing involution as its
 inverse, so the group is free abelian of rank (#classes)/2.
+
+What does not depend on the target is built once per source group and
+cached on it: each subgroup class's K, the inverses of its
+normalizer-induced automorphisms and their moves on framing bits, every
+framing bit tuple and its image under the involution.  Per target and
+variant only the hom-class representatives, their moves under those
+automorphisms and the canonical pair of each (class, bits) pair are
+built, one subgroup class at a time.  A generator's partner has the same
+subgroup class, so the per-class lists, each sorted, concatenate to the
+global order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal, Sequence
+from typing import Literal, NamedTuple, Sequence
 
 from .bundles import flip_trivial_bit, framing_bit_permutation, framings, push_bits
 from .errors import InternalCheckError, ValidationError
@@ -28,6 +38,7 @@ from .groups import (
 from .homs import class_of_hom, enumerate_homs, hom_classes, rep_hom_classes
 
 Variant = Literal["rep", "orb"]
+Pair = tuple[tuple[int, ...], tuple[int, ...]]  # (hom class representative, framing bits)
 
 
 def _check_variant(variant: str) -> str:
@@ -36,9 +47,12 @@ def _check_variant(variant: str) -> str:
     return variant
 
 
-@dataclass(frozen=True)
-class MapGenerator:
-    """A framed point over the product of the two classifying objects."""
+class MapGenerator(NamedTuple):
+    """A framed point over the product of the two classifying objects.
+
+    Within one source group k_order is fixed by subgroup_index, so tuple
+    order is sort_key order.
+    """
 
     subgroup_index: int  # index into subgroup_classes(G)
     k_order: int
@@ -65,123 +79,107 @@ def _inverse(a: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(sorted(range(len(a)), key=a.__getitem__))
 
 
-class _SubgroupContext:
-    """Per-subgroup data: the subgroup as a group, its induced
-    automorphisms from the ambient normalizer, and framing transport."""
+class _Subgroup(NamedTuple):
+    """A subgroup class's target-independent data."""
 
-    def __init__(self, G: FiniteGroup, H: FiniteGroup, subgroup_index: int, variant: str):
-        sc = subgroup_classes(G)[subgroup_index]
-        self.subgroup_index = subgroup_index
-        K, emb = subgroup_as_group(G, sc.representative)
-        self.K = K
-        pos = {g: i for i, g in enumerate(emb)}
-        autos = set()
-        for n in normalizer(G, sc.representative):
-            autos.add(tuple(pos[G.conj(n, emb[k])] for k in range(K.order)))
-        self.autos = sorted(autos)
-        self.auto_inv = {a: _inverse(a) for a in self.autos}
-        self.bit_perm = {a: framing_bit_permutation(K, K, a) for a in self.autos}
-        if variant == "rep":
-            self.g_classes = [c.representative for c in rep_hom_classes(K, H)]
-        else:
-            self.g_classes = [c.representative for c in hom_classes(K, H)]
-        self.H = H
-        self._canon_cache: dict = {}
+    K: FiniteGroup
+    auto_invs: tuple[tuple[int, ...], ...]  # inverses of the induced automorphisms
+    bit_moves: tuple[dict, ...]  # per automorphism: bits -> bits pushed along it
+    all_bits: tuple[tuple[int, ...], ...]  # every framing, in lexicographic order
+    flipped: dict  # bits -> bits under the canonical involution
 
-    def act(self, a, pair: tuple[tuple[int, ...], tuple[int, ...]]):
-        """Apply one automorphism coherently: precompose the map leg by
-        a^-1 while pushing the framing forward along a."""
-        g_rep, bits = pair
-        a_inv = self.auto_inv[a]
-        moved = tuple(g_rep[a_inv[k]] for k in range(self.K.order))
-        new_g = class_of_hom(self.K, self.H, moved)
-        return (new_g, push_bits(self.bit_perm[a], bits))
 
-    def canonical(self, pair) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        # Inputs always carry a class-canonical map leg, so a trivial
-        # automorphism set means the pair is already canonical.
-        if len(self.autos) == 1:
-            return pair
-        if pair not in self._canon_cache:
-            orbit = {self.act(a, pair) for a in self.autos}
-            rep = min(orbit)
-            for p in orbit:
-                self._canon_cache[p] = rep
-        return self._canon_cache[pair]
-
-    def generator_classes(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-        all_bits = [fr.bits for fr in framings(self.K)]
-        if len(self.autos) == 1:
-            return sorted((g, b) for g in self.g_classes for b in all_bits)
-        seen = set()
+def _subgroups(G: FiniteGroup) -> list[_Subgroup]:
+    if "stablemaps_subgroups" not in G._cache:
         out = []
-        for g_rep in self.g_classes:
-            for bits in all_bits:
-                rep = self.canonical((g_rep, bits))
-                if rep not in seen:
-                    seen.add(rep)
-                    out.append(rep)
-        out.sort()
-        return out
+        for sc in subgroup_classes(G):
+            K, emb = subgroup_as_group(G, sc.representative)
+            pos = {g: i for i, g in enumerate(emb)}
+            autos = sorted(
+                {tuple(pos[G.conj(n, g)] for g in emb) for n in normalizer(G, sc.representative)}
+            )
+            all_bits = tuple(fr.bits for fr in framings(K))
+            bit_moves = []
+            for a in autos:
+                perm = framing_bit_permutation(K, K, a)
+                bit_moves.append({b: push_bits(perm, b) for b in all_bits})
+            out.append(_Subgroup(
+                K=K,
+                auto_invs=tuple(_inverse(a) for a in autos),
+                bit_moves=tuple(bit_moves),
+                all_bits=all_bits,
+                flipped={b: flip_trivial_bit(K, b) for b in all_bits},
+            ))
+        G._cache["stablemaps_subgroups"] = out
+    return G._cache["stablemaps_subgroups"]
 
-    def involute(self, pair):
-        g_rep, bits = pair
-        return self.canonical((g_rep, flip_trivial_bit(self.K, bits)))
 
+def _generator_classes(sub: _Subgroup, H: FiniteGroup, variant: str) -> tuple[list[Pair], dict]:
+    """One subgroup class's canonical pairs, sorted, and the canonical pair
+    of every pair.
 
-def _contexts(G: FiniteGroup, H: FiniteGroup, variant: str) -> list[_SubgroupContext]:
-    variant = _check_variant(variant)
-    key = ("stablemaps_ctx", H.table_key(), variant)
-    if key not in G._cache:
-        G._cache[key] = [
-            _SubgroupContext(G, H, i, variant)
-            for i in range(len(subgroup_classes(G)))
-        ]
-    return G._cache[key]
+    An automorphism a acts coherently: it precomposes the map leg by a^-1
+    while pushing the framing forward along a.  The induced automorphisms
+    form a group, so the pairs are visited in ascending order and the first
+    one of each orbit is its least element, the canonical one.
+    """
+    K = sub.K
+    classes = rep_hom_classes(K, H) if variant == "rep" else hom_classes(K, H)
+    g_reps = [c.representative for c in classes]
+    g_moves = [
+        {g: class_of_hom(K, H, tuple(g[k] for k in a_inv)) for g in g_reps}
+        for a_inv in sub.auto_invs
+    ]
+    canon: dict[Pair, Pair] = {}
+    out = []
+    for g in g_reps:
+        moves = [(gm[g], bm) for gm, bm in zip(g_moves, sub.bit_moves)]
+        for bits in sub.all_bits:
+            pair = (g, bits)
+            if pair in canon:
+                continue
+            out.append(pair)
+            for g2, bm in moves:
+                canon[(g2, bm[bits])] = pair
+    return out, canon
 
 
 def enumerate_generators(G: FiniteGroup, H: FiniteGroup, variant: Variant) -> list[MapGenerator]:
     """All generator classes, canonical and sorted."""
-    out = []
-    for ctx in _contexts(G, H, variant):
-        for g_rep, bits in ctx.generator_classes():
-            out.append(
-                MapGenerator(
-                    subgroup_index=ctx.subgroup_index,
-                    k_order=ctx.K.order,
-                    g_class=g_rep,
-                    framing_bits=bits,
-                )
-            )
-    out.sort(key=MapGenerator.sort_key)
-    return out
+    variant = _check_variant(variant)
+    return [
+        MapGenerator(i, sub.K.order, g, bits)
+        for i, sub in enumerate(_subgroups(G))
+        for g, bits in _generator_classes(sub, H, variant)[0]
+    ]
 
 
 def map_group(G: FiniteGroup, H: FiniteGroup, variant: Variant) -> MapGroupPresentation:
     """Free abelian presentation: generators modulo q + involution(q) = 0."""
-    contexts = {c.subgroup_index: c for c in _contexts(G, H, variant)}
-    classes = enumerate_generators(G, H, variant)
-    index = {(c.subgroup_index, c.g_class, c.framing_bits): c for c in classes}
-    paired = set()
+    variant = _check_variant(variant)
     basis = []
     orbit_table = []
-    for c in classes:
-        key = (c.subgroup_index, c.g_class, c.framing_bits)
-        if key in paired:
-            continue
-        ctx = contexts[c.subgroup_index]
-        pg, pb = ctx.involute((c.g_class, c.framing_bits))
-        pkey = (c.subgroup_index, pg, pb)
-        if pkey == key:
-            raise InternalCheckError("involution fixed a generator class")
-        if pkey not in index:
-            raise InternalCheckError("involution left the generator set")
-        partner = index[pkey]
-        paired.add(key)
-        paired.add(pkey)
-        basis.append(min(c, partner, key=MapGenerator.sort_key))
-        orbit_table.append((c, partner))
-    basis.sort(key=MapGenerator.sort_key)
+    for i, sub in enumerate(_subgroups(G)):
+        n = sub.K.order
+        classes, canon = _generator_classes(sub, H, variant)
+        paired = set()
+        for pair in classes:
+            if pair in paired:
+                continue
+            g, bits = pair
+            partner = canon.get((g, sub.flipped[bits]))
+            if partner == pair:
+                raise InternalCheckError("involution fixed a generator class")
+            if partner is None:
+                raise InternalCheckError("involution left the generator set")
+            # Visited in ascending order, an involution's unpaired class
+            # comes before its partner, so the basis is built sorted.
+            if partner < pair or partner in paired:
+                raise InternalCheckError("involution does not pair the generator classes")
+            paired.add(partner)
+            c = MapGenerator(i, n, g, bits)
+            basis.append(c)
+            orbit_table.append((c, MapGenerator(i, n, *partner)))
     return MapGroupPresentation(
         variant=variant,
         rank=len(basis),

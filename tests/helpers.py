@@ -7,7 +7,7 @@ different routes to the same answer.
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import compress, product
 
 
 def perm_compose(p, q):
@@ -109,3 +109,12 @@ def extend_by_words(G, H, gens, images):
             if arr[G.table[a][b]] != H.table[arr[a]][arr[b]]:
                 return None
     return arr
+
+
+def sparse_columns(A, cols):
+    """The nonzero entries of each of the `cols` columns of A, as row -> coefficient."""
+    out = [{} for _ in range(cols)]
+    for i, row in enumerate(A):
+        for j in compress(range(cols), row):
+            out[j][i] = int(row[j])
+    return out

@@ -1,5 +1,6 @@
+from orbicalc import homs
 from orbicalc.corpus import corpus_group, groups_of_order_at_most
-from orbicalc.groups import is_homomorphism
+from orbicalc.groups import FiniteGroup, is_homomorphism
 from orbicalc.homs import (
     class_of_hom,
     compose_hom_classes,
@@ -92,6 +93,26 @@ def test_rep_recovery_report():
     inj, rep = rep_hom_classes(corpus_group("c4"), corpus_group("c2"), report=True)
     assert rep.identity_a and rep.identity_b
     assert rep.total_classes == sum(rep.classes_by_normal.values())
+
+
+def test_recovery_identities_run_once_per_pair_unless_reported(monkeypatch):
+    checks = []
+
+    def counting(G, *args):
+        checks.append(G)
+        return normal_subgroups(G, *args)
+
+    normal_subgroups = homs.normal_subgroups
+    monkeypatch.setattr(homs, "normal_subgroups", counting)
+    G = FiniteGroup(corpus_group("v4").table)  # a fresh instance: nothing cached on it yet
+    H = corpus_group("d8")
+    first = rep_hom_classes(G, H)
+    assert first
+    assert rep_hom_classes(G, H) is first
+    assert len(checks) == 1
+    inj, report = rep_hom_classes(G, H, report=True)
+    assert len(checks) == 2
+    assert inj == first and report.identity_a and report.identity_b
 
 
 def test_recovery_identities_small_grid():

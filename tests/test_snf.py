@@ -6,8 +6,9 @@ from orbicalc.snf import (
     complex_from_simplices,
     homology,
     smith_normal_form,
-    sparse_columns,
 )
+
+from .helpers import sparse_columns
 
 # Minimal 6-vertex triangulation of the real projective plane (faces of
 # an icosahedron with antipodes identified): every edge lies in exactly

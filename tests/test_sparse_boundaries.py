@@ -10,7 +10,9 @@ import pytest
 
 from orbicalc.errors import ValidationError
 from orbicalc.rstar import Arrow, Cell, build_quotient_category, cell_census, nerve_chain_complex
-from orbicalc.snf import ChainComplex, sparse_columns
+from orbicalc.snf import ChainComplex
+
+from .helpers import sparse_columns
 
 
 def dense_nerve_boundaries(cat, census) -> list:

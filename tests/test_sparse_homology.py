@@ -13,9 +13,9 @@ from orbicalc.snf import (
     homology,
     invariant_factors,
     smith_normal_form,
-    sparse_columns,
 )
 
+from .helpers import sparse_columns
 from .test_snf import RP2_TRIANGLES
 
 # Units, zeros and non-units in about equal measure.

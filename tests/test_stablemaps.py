@@ -1,7 +1,13 @@
-import pytest
+from collections import Counter
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from orbicalc import bundles, stablemaps
 from orbicalc.corpus import corpus_group, groups_of_order_at_most
 from orbicalc.errors import ValidationError
+from orbicalc.groups import FiniteGroup, normalizer, subgroup_as_group, subgroup_classes
 from orbicalc.stablemaps import (
     cross_check_abstract_enumeration,
     enumerate_generators,
@@ -169,3 +175,47 @@ def test_deterministic_output():
     b = map_group(corpus_group("s3"), corpus_group("c2"), "orb")
     assert a.basis == b.basis
     assert a.orbit_table == b.orbit_table
+
+
+def _relabelled(G: FiniteGroup, perm) -> FiniteGroup:
+    """A fresh copy of G in which element x is called perm[x]."""
+    inv = sorted(range(G.order), key=perm.__getitem__)
+    return FiniteGroup(
+        [[perm[G.table[inv[a]][inv[b]]] for b in range(G.order)] for a in range(G.order)]
+    )
+
+
+def _shape(p):
+    gens = {g for pair in p.orbit_table for g in pair}
+    return p.rank, len(gens), sorted(Counter(g.k_order for g in gens).items())
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+def test_map_group_is_invariant_under_relabelling(data):
+    names = groups_of_order_at_most(8, names_only=True)
+    G, H = (corpus_group(data.draw(st.sampled_from(names))) for _ in range(2))
+    G2, H2 = (_relabelled(X, data.draw(st.permutations(range(X.order)))) for X in (G, H))
+    for variant in ("rep", "orb"):
+        assert _shape(map_group(G2, H2, variant)) == _shape(map_group(G, H, variant))
+
+
+def test_target_independent_data_is_built_once(monkeypatch):
+    calls = []
+
+    def counting(K, K2, alpha):
+        calls.append(alpha)
+        return bundles.framing_bit_permutation(K, K2, alpha)
+
+    monkeypatch.setattr(stablemaps, "framing_bit_permutation", counting)
+    d8 = corpus_group("d8")
+    G = FiniteGroup(d8.table)  # a fresh instance: nothing cached on it yet
+    autos = 0
+    for sc in subgroup_classes(G):
+        K, emb = subgroup_as_group(G, sc.representative)
+        autos += len({tuple(G.conj(n, g) for g in emb) for n in normalizer(G, sc.representative)})
+    for name in ("c2", "s3", "q8"):
+        for variant in ("rep", "orb"):
+            map_group(G, corpus_group(name), variant)
+    assert autos > len(subgroup_classes(G))  # some automorphism is not the identity
+    assert len(calls) == autos
