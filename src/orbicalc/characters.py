@@ -14,11 +14,17 @@ discrete Fourier inversion mod p.  Both orthogonality relations are then
 re-verified for every pair with exact integer arithmetic, folding only
 the nonzero multiplicities; nothing in the public output depends on the
 internal prime.
+
+The table owns the arithmetic on its characters: `inner_with` is the one
+inner product of class functions, indicators fold the multiplicities at
+the square classes in one batch reduction mod Phi_e, and a conjugate
+character is found as a row read at the inverse classes.
 """
 
 from __future__ import annotations
 
 from math import isqrt
+from typing import Sequence
 
 import numpy as np
 
@@ -230,20 +236,21 @@ class CharacterTable:
 
     def inner(self, s: int, t: int) -> int:
         """Exact inner product of rows s and t."""
-        return self.inner_with(self.values[s], t).as_int()
+        return self.inner_with(self.values[s], self.values[t]).as_int()
 
-    def inner_with(self, chi: list[CycInt], t: int) -> CycInt:
-        """<chi, chi_t> for an arbitrary class function with CycInt values."""
-        e = self.exponent
-        acc = CycInt.from_int(e, 0)
-        for i in range(self.num_classes):
-            acc = acc + self.class_sizes[i] * (
-                chi[i] * self.values[t][i].conjugate()
-            )
+    def inner_with(self, chi: Sequence[CycInt], psi: Sequence[CycInt]) -> CycInt:
+        """<chi, psi> = (1/|G|) sum_i |C_i| chi(i) conj(psi(i)) for class
+        functions with CycInt values of one order; ValueError when the sum
+        is not divisible by |G|."""
+        acc = CycInt.from_int(chi[0].order, 0)
+        for size, a, b in zip(self.class_sizes, chi, psi):
+            acc = acc + size * (a * b.conjugate())
         return acc.divide_exact(self.group.order)
 
     def conjugate_partner(self, t: int) -> int:
-        target = [v.conjugate() for v in self.values[t]]
+        """The row of conj(chi_t) = chi_t o inv, found by reading chi_t at
+        the inverse classes."""
+        target = [self.values[t][j] for j in self._inv_class]
         for s in range(self.num_classes):
             if self.values[s] == target:
                 return s
@@ -294,19 +301,19 @@ def frobenius_schur(table: CharacterTable, t: int) -> int:
     """The indicator (1/|G|) sum_g chi_t(g^2); must be exactly -1, 0 or 1.
 
     The first call computes every character's indicator and stores them
-    on the table."""
+    on the table: the eigenvalue multiplicities at the square classes,
+    weighted by class size, are summed and reduced mod Phi_e in one batch."""
     if table._indicators is None:
         G = table.group
         class_of = class_index_map(G)
         squares = [class_of[G.table[c[0]][c[0]]] for c in table.classes]
-        indicators = []
-        for chi in table.values:
-            acc = CycInt.from_int(table.exponent, 0)
-            for size, sq in zip(table.class_sizes, squares):
-                acc = acc + size * chi[sq]
-            nu = acc.divide_exact(G.order).as_int()
+        sizes = np.array(table.class_sizes, dtype=np.int64)
+        sums = reduce_rows(table.exponent, sizes @ table._mults[:, squares])
+        if sums[:, 1:].any() or (sums[:, 0] % G.order).any():
+            raise InternalCheckError("Frobenius-Schur indicator is not an integer")
+        indicators = tuple(int(nu) for nu in sums[:, 0] // G.order)
+        for nu in indicators:
             if nu not in (-1, 0, 1):
                 raise InternalCheckError(f"Frobenius-Schur indicator out of range: {nu}")
-            indicators.append(nu)
-        table._indicators = tuple(indicators)
+        table._indicators = indicators
     return table._indicators[t]

@@ -17,7 +17,7 @@ from pathlib import Path
 from . import __version__
 from .bundles import StableBundle, aut_group, framings
 from .characters import character_table, frobenius_schur
-from .corpus import ALIASES, corpus_dir, corpus_names, corpus_group, load_group
+from .corpus import corpus_dir, corpus_names, corpus_group, resolve_group
 from .errors import OrbicalcError, ValidationError, read_json
 from .groups import conjugacy_classes, group_to_json, subgroup_classes
 from .homs import hom_classes, rep_hom_classes
@@ -60,19 +60,11 @@ def _emit(args, payload: dict, inputs: dict[str, Path | None]) -> None:
         Path(args.manifest).write_text(_dump(manifest))
 
 
-def _resolve_path(name_or_path: str) -> Path | None:
-    p = Path(name_or_path)
-    if p.suffix == ".json" and p.exists():
-        return p
-    f = corpus_dir() / f"{ALIASES.get(name_or_path, name_or_path)}.json"
-    return f if f.exists() else None
-
-
 # -- subcommands --------------------------------------------------------------
 
 
 def cmd_group(args) -> None:
-    G = load_group(args.group)
+    G, group_file = resolve_group(args.group)
     classes = conjugacy_classes(G)
     payload = {
         "name": G.name,
@@ -91,11 +83,11 @@ def cmd_group(args) -> None:
             for sc in subgroup_classes(G)
         ],
     }
-    _emit(args, payload, {"group": _resolve_path(args.group)})
+    _emit(args, payload, {"group": group_file})
 
 
 def cmd_irreps(args) -> None:
-    G = load_group(args.group)
+    G, group_file = resolve_group(args.group)
     ct = character_table(G)
     R = real_irreps(G)
     payload = {
@@ -113,12 +105,12 @@ def cmd_irreps(args) -> None:
         "complex_degrees": list(ct.degrees),
         "character_table_text": ct.text_table(),
     }
-    _emit(args, payload, {"group": _resolve_path(args.group)})
+    _emit(args, payload, {"group": group_file})
 
 
 def cmd_homs(args) -> None:
-    G = load_group(args.source)
-    H = load_group(args.target)
+    G, source_file = resolve_group(args.source)
+    H, target_file = resolve_group(args.target)
     classes = rep_hom_classes(G, H) if args.injective else hom_classes(G, H)
     payload = {
         "source": G.name,
@@ -134,15 +126,11 @@ def cmd_homs(args) -> None:
             for c in classes
         ],
     }
-    _emit(
-        args,
-        payload,
-        {"source": _resolve_path(args.source), "target": _resolve_path(args.target)},
-    )
+    _emit(args, payload, {"source": source_file, "target": target_file})
 
 
 def cmd_bundles(args) -> None:
-    G = load_group(args.group)
+    G, group_file = resolve_group(args.group)
     R = real_irreps(G)
     zero = StableBundle(G, tuple([0] * len(R)))
     payload = {
@@ -154,12 +142,12 @@ def cmd_bundles(args) -> None:
         "stable_aut_contributors": list(aut_group(zero).contributors),
         "framing_count": len(framings(G)),
     }
-    _emit(args, payload, {"group": _resolve_path(args.group)})
+    _emit(args, payload, {"group": group_file})
 
 
 def cmd_stable_maps(args) -> None:
-    G = load_group(args.source)
-    H = load_group(args.target)
+    G, source_file = resolve_group(args.source)
+    H, target_file = resolve_group(args.target)
     pres = map_group(G, H, args.variant)
     payload = {
         "source": G.name,
@@ -177,11 +165,7 @@ def cmd_stable_maps(args) -> None:
             for b in pres.basis
         ],
     }
-    _emit(
-        args,
-        payload,
-        {"source": _resolve_path(args.source), "target": _resolve_path(args.target)},
-    )
+    _emit(args, payload, {"source": source_file, "target": target_file})
 
 
 def cmd_rstar(args) -> None:
@@ -260,7 +244,7 @@ def _is_matrix_list(mats) -> bool:
 
 
 def cmd_detect(args) -> None:
-    G = load_group(args.group)
+    G, group_file = resolve_group(args.group)
     if args.matrix_file:
         data = read_json(args.matrix_file)
         if not isinstance(data, dict) or not _is_matrix_list(data.get("matrices")):
@@ -297,7 +281,7 @@ def cmd_detect(args) -> None:
         args,
         payload,
         {
-            "group": _resolve_path(args.group),
+            "group": group_file,
             "matrix": Path(args.matrix_file) if args.matrix_file else None,
         },
     )

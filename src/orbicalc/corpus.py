@@ -5,7 +5,8 @@ generators per group.
 The corpus is the directory `corpus_dir()`: the package's corpus
 directory, or the ORBICALC_CORPUS environment variable when it is set.
 Every lookup (`corpus_names`, `corpus_group`, `groups_of_order_at_most`,
-`load_group`) reads that directory.
+`resolve_group`, `load_group`) reads that directory, and `resolve_group`
+alone decides whether a command-line argument is a file or a corpus name.
 """
 
 from __future__ import annotations
@@ -48,18 +49,20 @@ def corpus_group(name: str) -> FiniteGroup:
     return _GROUP_CACHE[file]
 
 
-def groups_of_order_at_most(n: int, names_only: bool = False):
-    out = []
-    for name in corpus_names():
-        G = corpus_group(name)
-        if G.order <= n:
-            out.append(name if names_only else G)
-    return out
+def groups_of_order_at_most(n: int) -> list[FiniteGroup]:
+    return [G for G in map(corpus_group, corpus_names()) if G.order <= n]
+
+
+def resolve_group(name_or_path: str) -> tuple[FiniteGroup, Path]:
+    """Resolve a CLI group argument: a JSON file path that exists, else a
+    corpus name or alias.  Returns the group and the file it was read from."""
+    path = Path(name_or_path)
+    if path.suffix == ".json" and path.exists():
+        return group_from_json(path), path
+    G = corpus_group(name_or_path)
+    return G, corpus_dir() / f"{G.name}.json"
 
 
 def load_group(name_or_path: str) -> FiniteGroup:
-    """Resolve a CLI group argument: a JSON file path or a corpus name."""
-    path = Path(name_or_path)
-    if path.suffix == ".json" and path.exists():
-        return group_from_json(path)
-    return corpus_group(name_or_path)
+    """The group a CLI argument names (see `resolve_group`)."""
+    return resolve_group(name_or_path)[0]

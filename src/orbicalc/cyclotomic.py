@@ -3,8 +3,12 @@
 Values are stored as integer coordinate vectors over the power basis
 1, zeta, ..., zeta^(phi(n)-1), i.e. reduced modulo the n-th cyclotomic
 polynomial.  All operations are exact integer arithmetic; there is no
-floating point anywhere in this module.  `reduce_rows` reduces many
-coefficient vectors at once, for the character table's bulk work.
+floating point anywhere in this module.
+
+The one reduction mod Phi_n multiplies a coefficient vector by the rows
+of reduced powers zeta^k, k = 0..n-1 (exponents fold mod n): `CycInt`
+for one vector, `reduce_rows` for the character table's batches.
+Polynomial division only finds the cyclotomic polynomials themselves.
 """
 
 from __future__ import annotations
@@ -16,82 +20,59 @@ import numpy as np
 
 
 def divisors(n: int) -> list[int]:
-    out = [d for d in range(1, n + 1) if n % d == 0]
-    return out
-
-
-def _poly_divmod_monic(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
-    """Divide integer polynomials, denominator monic.  Exact."""
-    num = list(num)
-    dd = len(den) - 1
-    if dd == 0:
-        return num, []
-    quot = [0] * max(0, len(num) - dd)
-    for i in range(len(num) - 1, dd - 1, -1):
-        c = num[i]
-        if c == 0:
-            continue
-        quot[i - dd] = c
-        for j, dj in enumerate(den):
-            num[i - dd + j] -= c * dj
-    while num and num[-1] == 0:
-        num.pop()
-    return quot, num
+    return [d for d in range(1, n + 1) if n % d == 0]
 
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
-    """Coefficients (low degree first) of the n-th cyclotomic polynomial."""
-    if n == 1:
-        return (-1, 1)
-    # x^n - 1 divided by the product of Phi_d over proper divisors d of n.
-    num = [0] * (n + 1)
-    num[0] = -1
-    num[n] = 1
-    for d in divisors(n):
-        if d == n:
-            continue
-        quot, rem = _poly_divmod_monic(num, list(cyclotomic_polynomial(d)))
-        assert not rem, "cyclotomic division must be exact"
-        num = quot
+    """Coefficients (low degree first) of the n-th cyclotomic polynomial:
+    x^n - 1 divided by Phi_d for every proper divisor d of n."""
+    num = [-1] + [0] * (n - 1) + [1]
+    for d in divisors(n)[:-1]:
+        den = cyclotomic_polynomial(d)
+        k = len(den) - 1
+        # Synthetic division by the monic den, top down: the quotient
+        # overwrites num[k:] and the remainder is left in num[:k].
+        for i in range(len(num) - 1, k - 1, -1):
+            for j in range(k):
+                num[i - k + j] -= num[i] * den[j]
+        assert not any(num[:k]), "cyclotomic division must be exact"
+        num = num[k:]
     return tuple(num)
 
 
 @lru_cache(maxsize=None)
-def _phi_degree(n: int) -> int:
-    return len(cyclotomic_polynomial(n)) - 1
-
-
-def _reduce_power_coords(order: int, raw: Iterable[int]) -> tuple[int, ...]:
-    """Reduce a coefficient vector over 1..zeta^k (any k) mod Phi_order."""
-    coeffs = list(raw)
-    # Fold exponents >= order using zeta^order = 1 first, then reduce mod Phi.
-    if len(coeffs) > order:
-        folded = [0] * order
-        for k, c in enumerate(coeffs):
-            folded[k % order] += c
-        coeffs = folded
-    phi = list(cyclotomic_polynomial(order))
-    _, rem = _poly_divmod_monic(coeffs, phi)
-    deg = len(phi) - 1
-    rem = rem + [0] * (deg - len(rem))
-    return tuple(rem)
-
-
-@lru_cache(maxsize=None)
-def _reduction_matrix(n: int) -> np.ndarray:
+def _reduced_powers(n: int) -> tuple[tuple[int, ...], ...]:
     """Row k holds the reduced coordinates of zeta^k, k = 0..n-1."""
     phi = cyclotomic_polynomial(n)
     deg = len(phi) - 1
     rows, cur = [], [1] + [0] * (deg - 1)
     for _ in range(n):
-        rows.append(cur)
+        rows.append(tuple(cur))
         # zeta * cur, with zeta^deg = -(phi_0 + ... + phi_(deg-1) zeta^(deg-1)).
         top = cur[-1]
         cur = [c - top * f for c, f in zip([0] + cur[:-1], phi)]
-    R = np.array(rows, dtype=object)
+    return tuple(rows)
+
+
+@lru_cache(maxsize=None)
+def _reduction_matrix(n: int) -> np.ndarray:
+    """`_reduced_powers(n)` as a read-only object array, for `reduce_rows`."""
+    R = np.array(_reduced_powers(n), dtype=object)
     R.flags.writeable = False
     return R
+
+
+def _reduce(order: int, raw: Iterable[int]) -> tuple[int, ...]:
+    """Reduce a coefficient vector over 1, zeta, zeta^2, ... (any length)
+    mod Phi_order: the sum of each coefficient times the reduced power of
+    zeta at its exponent mod order."""
+    rows = _reduced_powers(order)
+    out = [0] * len(rows[0])
+    for k, c in enumerate(raw):
+        if c:
+            out = [a + c * b for a, b in zip(out, rows[k % order])]
+    return tuple(out)
 
 
 def reduce_rows(order: int, raw: np.ndarray) -> np.ndarray:
@@ -120,24 +101,13 @@ class CycInt:
         if _reduced:
             self.coeffs = coeffs
         else:
-            self.coeffs = _reduce_power_coords(order, coeffs)
+            self.coeffs = _reduce(order, coeffs)
 
     @staticmethod
     def from_int(order: int, value: int) -> "CycInt":
-        deg = _phi_degree(order)
+        deg = len(cyclotomic_polynomial(order)) - 1
         coeffs = (value,) + (0,) * (deg - 1)
         return CycInt(order, coeffs, _reduced=True)
-
-    @staticmethod
-    def root_of_unity(order: int, exponent: int) -> "CycInt":
-        raw = [0] * order
-        raw[exponent % order] = 1
-        return CycInt(order, tuple(raw))
-
-    @staticmethod
-    def from_root_multiplicities(order: int, mults: Iterable[int]) -> "CycInt":
-        """Sum of mults[k] copies of zeta^k for k = 0..order-1."""
-        return CycInt(order, tuple(mults))
 
     def _check(self, other: "CycInt") -> None:
         if self.order != other.order:
@@ -215,9 +185,6 @@ class CycInt:
         if not self.is_integer():
             raise ValueError(f"not a rational integer: {self}")
         return self.coeffs[0]
-
-    def is_real(self) -> bool:
-        return self == self.conjugate()
 
     def divide_exact(self, d: int) -> "CycInt":
         out = []

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import chain
 from math import lcm
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -209,15 +209,6 @@ class FiniteGroup:
             for z in range(self.order)
             if all(t[z][g] == t[g][z] for g in range(self.order))
         )
-
-    def power(self, a: int, k: int) -> int:
-        if k < 0:
-            a = self.inv(a)
-            k = -k
-        x = self.identity
-        for _ in range(k):
-            x = self.table[x][a]
-        return x
 
     def table_key(self) -> tuple:
         return self.table
@@ -434,10 +425,13 @@ def centralizer(G: FiniteGroup, S: Iterable[int]) -> SubgroupClass:
     )
 
 
-def all_subgroups(G: FiniteGroup, cap: int = DEFAULT_SUBGROUP_CAP) -> list[frozenset[int]]:
-    """Every subgroup of G, by closing cyclic seeds under one-element extensions."""
-    if G.order > cap:
-        raise ValidationError(f"group order {G.order} exceeds subgroup cap {cap}")
+def all_subgroups(G: FiniteGroup) -> list[frozenset[int]]:
+    """Every subgroup of G, by closing cyclic seeds under one-element
+    extensions; refused above DEFAULT_SUBGROUP_CAP elements."""
+    if G.order > DEFAULT_SUBGROUP_CAP:
+        raise ValidationError(
+            f"group order {G.order} exceeds subgroup cap {DEFAULT_SUBGROUP_CAP}"
+        )
     if "all_subgroups" in G._cache:
         return G._cache["all_subgroups"]
     found = {frozenset({G.identity})}
@@ -458,11 +452,11 @@ def all_subgroups(G: FiniteGroup, cap: int = DEFAULT_SUBGROUP_CAP) -> list[froze
     return out
 
 
-def subgroup_classes(G: FiniteGroup, cap: int = DEFAULT_SUBGROUP_CAP) -> list[SubgroupClass]:
+def subgroup_classes(G: FiniteGroup) -> list[SubgroupClass]:
     """Conjugacy classes of subgroups; representative is the least member."""
     if "subgroup_classes" in G._cache:
         return G._cache["subgroup_classes"]
-    subs = all_subgroups(G, cap=cap)
+    subs = all_subgroups(G)
     remaining = set(subs)
     classes = []
     for H in subs:
@@ -485,12 +479,8 @@ def subgroup_classes(G: FiniteGroup, cap: int = DEFAULT_SUBGROUP_CAP) -> list[Su
     return classes
 
 
-def normal_subgroups(G: FiniteGroup, cap: int = DEFAULT_SUBGROUP_CAP) -> list[tuple[int, ...]]:
-    return [
-        sc.representative
-        for sc in subgroup_classes(G, cap=cap)
-        if sc.conjugates_count == 1
-    ]
+def normal_subgroups(G: FiniteGroup) -> list[tuple[int, ...]]:
+    return [sc.representative for sc in subgroup_classes(G) if sc.conjugates_count == 1]
 
 
 _CANONICAL_INSTANCES: dict[tuple, "FiniteGroup"] = {}
@@ -624,6 +614,27 @@ def extend_hom(
     return phi
 
 
+def hom_search(
+    G: FiniteGroup, H: FiniteGroup, candidates: Sequence[Sequence[int]]
+) -> Iterator[dict[int, int]]:
+    """Every homomorphism G -> H sending generating_set(G)[i] into
+    candidates[i], as a complete map, by backtracking over the generator
+    images with `extend_hom`; images are tried in the order given."""
+    gens = generating_set(G)
+
+    def backtrack(i: int, partial: dict[int, int]) -> Iterator[dict[int, int]]:
+        if i == len(gens):
+            if len(partial) == G.order:
+                yield partial
+            return
+        for h in candidates[i]:
+            nxt = extend_hom(G, H, partial, gens[i], h)
+            if nxt is not None:
+                yield from backtrack(i + 1, nxt)
+
+    return backtrack(0, {G.identity: H.identity})
+
+
 def are_isomorphic(G: FiniteGroup, H: FiniteGroup) -> Optional[tuple[int, ...]]:
     """An explicit isomorphism G -> H as an image array, or None.
 
@@ -632,25 +643,14 @@ def are_isomorphic(G: FiniteGroup, H: FiniteGroup) -> Optional[tuple[int, ...]]:
     """
     if _invariant_fingerprint(G) != _invariant_fingerprint(H):
         return None
-    gens = generating_set(G)
     cand = [
         [h for h in range(H.order) if H.element_order(h) == G.element_order(g)]
-        for g in gens
+        for g in generating_set(G)
     ]
-
-    def backtrack(i: int, phi: dict[int, int]) -> Optional[tuple[int, ...]]:
-        if i == len(gens):
-            if len(set(phi.values())) < G.order:
-                return None
+    for phi in hom_search(G, H, cand):
+        if len(set(phi.values())) == G.order:
             return tuple(phi[a] for a in range(G.order))
-        for h in cand[i]:
-            nxt = extend_hom(G, H, phi, gens[i], h)
-            res = None if nxt is None else backtrack(i + 1, nxt)
-            if res is not None:
-                return res
-        return None
-
-    return backtrack(0, {G.identity: H.identity})
+    return None
 
 
 def is_homomorphism(G: FiniteGroup, H: FiniteGroup, phi: Sequence[int]) -> bool:

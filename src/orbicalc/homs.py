@@ -17,8 +17,8 @@ from .errors import InternalCheckError, ValidationError
 from .groups import (
     FiniteGroup,
     centralizer,
-    extend_hom,
     generating_set,
+    hom_search,
     is_homomorphism,
     normal_subgroups,
     quotient_group,
@@ -37,38 +37,25 @@ class HomClass:
     centralizer_order: int
 
 
-def enumerate_homs(G: FiniteGroup, H: FiniteGroup, cap: int = DEFAULT_ORDER_CAP) -> list[tuple[int, ...]]:
-    """Every homomorphism G -> H as a full image tuple, sorted.
+def enumerate_homs(G: FiniteGroup, H: FiniteGroup) -> list[tuple[int, ...]]:
+    """Every homomorphism G -> H as a full image tuple, sorted; refused
+    when either group has more than DEFAULT_ORDER_CAP elements.
 
-    Backtracking over generator images with incremental closure checking;
-    a candidate image must have order dividing the generator's order.
+    A candidate generator image must have order dividing the generator's
+    order.
     """
-    if G.order > cap or H.order > cap:
-        raise ValidationError(f"order cap {cap} exceeded")
+    if G.order > DEFAULT_ORDER_CAP or H.order > DEFAULT_ORDER_CAP:
+        raise ValidationError(f"order cap {DEFAULT_ORDER_CAP} exceeded")
     key = ("homs", H.table_key())
     if key in G._cache:
         return G._cache[key]
-    gens = generating_set(G)
-    gen_orders = [G.element_order(g) for g in gens]
+    gen_orders = [G.element_order(g) for g in generating_set(G)]
     candidates = [
-        [h for h in range(H.order) if gen_orders[i] % H.element_order(h) == 0]
-        for i in range(len(gens))
+        [h for h in range(H.order) if k % H.element_order(h) == 0] for k in gen_orders
     ]
-
-    found = []
-
-    def backtrack(i: int, partial: dict[int, int]) -> None:
-        if i == len(gens):
-            if len(partial) == G.order:
-                found.append(tuple(partial[a] for a in range(G.order)))
-            return
-        for h in candidates[i]:
-            nxt = extend_hom(G, H, partial, gens[i], h)
-            if nxt is not None:
-                backtrack(i + 1, nxt)
-
-    backtrack(0, {G.identity: H.identity})
-    found.sort()
+    found = sorted(
+        tuple(phi[a] for a in range(G.order)) for phi in hom_search(G, H, candidates)
+    )
     G._cache[key] = found
     return found
 
@@ -186,11 +173,3 @@ def rep_hom_classes(
         return injective, rep
     return injective
 
-
-def compose_hom_classes(
-    A: FiniteGroup, B: FiniteGroup, C: FiniteGroup,
-    f: Sequence[int], g: Sequence[int],
-) -> tuple[int, ...]:
-    """Canonical class of (g . f) for f: A -> B, g: B -> C."""
-    comp = tuple(g[x] for x in f)
-    return class_of_hom(A, C, comp)

@@ -21,6 +21,10 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import ValidationError, read_json
 
+# Most arrows a category may have for the universal-property probe, which
+# enumerates every functor into each test category.
+MAX_PROBE_ARROWS = 12
+
 
 @dataclass(frozen=True)
 class ArrowData:
@@ -71,15 +75,16 @@ class FiniteCategory:
     def identity(self, x: str) -> str:
         return self._identities[x]
 
-    def is_iso(self, a: str) -> bool:
+    def inverse(self, a: str) -> Optional[str]:
+        """The two-sided inverse of a, or None when a is not an isomorphism."""
         ar = self.arrows[a]
         for b in self.hom(ar.dst, ar.src):
             if (
                 self.compose(a, b) == self.identity(ar.src)
                 and self.compose(b, a) == self.identity(ar.dst)
             ):
-                return True
-        return False
+                return b
+        return None
 
     def _validate(self) -> None:
         for a in self.arrows.values():
@@ -242,56 +247,6 @@ def check_right_multiplicative(C: FiniteCategory, W: Iterable[str]) -> RMSVerdic
     return RMSVerdict(ok=not failures, failures=failures)
 
 
-def verify_filtered(C: FiniteCategory, W: Iterable[str], x: str) -> bool:
-    """Check the category of W-arrows into x is filtered (nonempty, upper
-    bounds for pairs, equalizing refinements for parallel pairs)."""
-    W = set(W)
-    wins = [a for a in C.arrows.values() if a.dst == x and a.name in W]
-    if not wins:
-        return False
-    for w1 in wins:
-        for w2 in wins:
-            ok = False
-            for w3 in wins:
-                for z1 in C.hom(w3.src, w1.src):
-                    if C.compose(z1, w1.name) != w3.name:
-                        continue
-                    for z2 in C.hom(w3.src, w2.src):
-                        if C.compose(z2, w2.name) == w3.name:
-                            ok = True
-                            break
-                    if ok:
-                        break
-                if ok:
-                    break
-            if not ok:
-                return False
-    # Parallel morphisms over x get coequalized by a further W-arrow.
-    for w1 in wins:
-        for w2 in wins:
-            par = [
-                z
-                for z in C.hom(w1.src, w2.src)
-                if C.compose(z, w2.name) == w1.name
-            ]
-            for i, z1 in enumerate(par):
-                for z2 in par[i + 1 :]:
-                    ok = False
-                    for w3 in wins:
-                        for y in C.hom(w3.src, w1.src):
-                            if (
-                                C.compose(y, w1.name) == w3.name
-                                and C.compose(y, z1) == C.compose(y, z2)
-                            ):
-                                ok = True
-                                break
-                        if ok:
-                            break
-                    if not ok:
-                        return False
-    return True
-
-
 # -- localized hom-sets ------------------------------------------------------------
 
 
@@ -363,18 +318,6 @@ def localize_hom(C: FiniteCategory, W: Iterable[str], x: str, y: str) -> Localiz
     return LocalizedHom(source=x, target=y, classes=classes)
 
 
-def localization_map(C: FiniteCategory, W: Iterable[str], x: str, y: str) -> dict[str, int]:
-    """Index of the localized class of each plain arrow x -> y."""
-    loc = localize_hom(C, W, x, y)
-    idx = {}
-    id_x = C.identity(x)
-    for i, cls in enumerate(loc.classes):
-        for sp in cls:
-            if sp.w == id_x:
-                idx[sp.f] = i
-    return idx
-
-
 # -- universal property, by brute force --------------------------------------------
 
 
@@ -438,40 +381,25 @@ def _functors(C: FiniteCategory, T: FiniteCategory):
                 yield omap, amap
 
 
-def verify_universal_property(
-    C: FiniteCategory, W: Iterable[str], x: str, y: str, max_arrows: int = 12
-) -> bool:
+def verify_universal_property(C: FiniteCategory, W: Iterable[str], x: str, y: str) -> bool:
     """Factorization through the localized hom-set, on a probe battery.
 
     For every functor F into a small test category sending W to
     isomorphisms, F(f) . F(w)^-1 must be constant on each localized class
     (existence of the factorization) and is forced by F (uniqueness), so
-    constancy is the whole check at the hom-set level.
+    constancy is the whole check at the hom-set level.  Categories with
+    more than MAX_PROBE_ARROWS arrows are refused.
     """
     W = set(W)
-    if len(C.arrows) > max_arrows:
+    if len(C.arrows) > MAX_PROBE_ARROWS:
         raise ValidationError("category too large for functor enumeration")
     loc = localize_hom(C, W, x, y)
-
-    def inverse(T: FiniteCategory, a: str) -> str:
-        ar = T.arrows[a]
-        for b in T.hom(ar.dst, ar.src):
-            if (
-                T.compose(a, b) == T.identity(ar.src)
-                and T.compose(b, a) == T.identity(ar.dst)
-            ):
-                return b
-        raise ValidationError(f"arrow {a} is not invertible in the target")
-
     for T in _test_categories():
         for omap, amap in _functors(C, T):
-            if any(not T.is_iso(amap[w]) for w in W):
+            if any(T.inverse(amap[w]) is None for w in W):
                 continue
             for cls in loc.classes:
-                values = set()
-                for sp in cls:
-                    winv = inverse(T, amap[sp.w])
-                    values.add(T.compose(winv, amap[sp.f]))
+                values = {T.compose(T.inverse(amap[sp.w]), amap[sp.f]) for sp in cls}
                 if len(values) != 1:
                     return False
     return True

@@ -125,6 +125,15 @@ def real_irreps(G: FiniteGroup) -> RealIrrepTable:
 # -- restriction ---------------------------------------------------------------
 
 
+def real_multiplicity(m: int, sigma: RealIrrep) -> int:
+    """A complex inner product m with sigma's character, as a multiplicity
+    of sigma: m / dim End(sigma), which must be a nonnegative integer."""
+    q, r = divmod(m, sigma.end_dim)
+    if r != 0 or q < 0:
+        raise InternalCheckError("multiplicity fails End-divisibility")
+    return q
+
+
 def restriction_multiplicities(
     K: FiniteGroup,
     G: FiniteGroup,
@@ -146,17 +155,10 @@ def restriction_multiplicities(
         rho.char[cls_G[phi[cls[0]]]].lift(order)
         for cls in conjugacy_classes(K)
     ]
-    sizes = RK.complex_table.class_sizes
     out = []
     for sigma in RK.entries:
-        acc = CycInt.from_int(order, 0)
-        for i in range(len(pull)):
-            acc = acc + sizes[i] * (pull[i] * sigma.char[i].lift(order).conjugate())
-        m = acc.divide_exact(K.order).as_int()
-        q, r = divmod(m, sigma.end_dim)
-        if r != 0 or q < 0:
-            raise InternalCheckError("restriction multiplicity is not integral")
-        out.append(q)
+        m = RK.complex_table.inner_with(pull, [v.lift(order) for v in sigma.char])
+        out.append(real_multiplicity(m.as_int(), sigma))
     if sum(m * RK.entries[i].real_dim for i, m in enumerate(out)) != rho.real_dim:
         raise InternalCheckError("restricted dimensions do not add up")
     return tuple(out)
@@ -310,27 +312,25 @@ def projector_weights(G: FiniteGroup) -> tuple[list[list], bool]:
     return [[row[cls[g]] for g in range(n)] for row in weights], rational
 
 
-def character_multiplicity(rep: MatrixRep, sigma: RealIrrep) -> int:
-    """Multiplicity of sigma inside rep, from characters alone."""
+def character_multiplicities(rep: MatrixRep, sigmas: Sequence[RealIrrep]) -> list[int]:
+    """Multiplicity of each of sigmas inside rep, from characters alone.
+
+    An exact rep's character is converted once, by `genuine_character`."""
     G = rep.group
     ct = real_irreps(G).complex_table
-    terms = zip(ct.class_sizes, rep.character(), sigma.char)
     if rep.exact:
-        acc = CycInt.from_int(ct.exponent, 0)
-        for size, tr, v in terms:
-            t = rep.la.integer(tr)
-            if t is None:
-                raise InternalCheckError("exact character trace is not integral")
-            acc = acc + (size * t) * v.conjugate()
-        m = acc.divide_exact(G.order).as_int()
+        chi = genuine_character(G, rep)
+        ms = [ct.inner_with(chi, sigma.char).as_int() for sigma in sigmas]
     else:
-        m = rep.la.integer(sum(s * tr * complex(v).real for s, tr, v in terms) / G.order)
-        if m is None:
-            raise InternalCheckError("multiplicity is not close to an integer")
-    q, r = divmod(m, sigma.end_dim)
-    if r != 0 or q < 0:
-        raise InternalCheckError("character multiplicity fails End-divisibility")
-    return q
+        traces = rep.character()
+        ms = []
+        for sigma in sigmas:
+            terms = zip(ct.class_sizes, traces, sigma.char)
+            m = rep.la.integer(sum(s * tr * complex(v).real for s, tr, v in terms) / G.order)
+            if m is None:
+                raise InternalCheckError("multiplicity is not close to an integer")
+            ms.append(m)
+    return [real_multiplicity(m, sigma) for m, sigma in zip(ms, sigmas)]
 
 
 def isotypic_decomposition(rep: MatrixRep) -> list[IsotypicPiece]:
@@ -344,16 +344,16 @@ def isotypic_decomposition(rep: MatrixRep) -> list[IsotypicPiece]:
     weights, rational = projector_weights(rep.group)
     work = rep if rational else rep.to_float()
     la, d = work.la, work.dimension
+    mults = character_multiplicities(rep, R.entries)
     pieces = []
     total = la.zeros(d, d)
-    for sigma, row in zip(R.entries, weights):
+    for sigma, row, mult in zip(R.entries, weights, mults):
         P = la.zeros(d, d)
         for w, m in zip(row, work.matrices):
             if w != 0:
                 P = la.add(P, la.scale(m, w))
         if not la.close(la.mul(P, P), P):
             raise InternalCheckError("projector is not idempotent")
-        mult = character_multiplicity(rep, sigma)
         if la.rank(P) != mult * sigma.real_dim:
             raise InternalCheckError(
                 "projector rank disagrees with multiplicity x dimension"
@@ -397,9 +397,9 @@ def genuine_character(G: FiniteGroup, V) -> list[CycInt]:
         if e % v.order:
             raise ValidationError("character value outside the group's cyclotomic field")
         vals.append(v.lift(e))
-    for t in range(ct.num_classes):
+    for psi in ct.values:
         try:
-            m = ct.inner_with(vals, t)
+            m = ct.inner_with(vals, psi)
         except ValueError:  # not divisible by |G|
             m = None
         if m is None or not m.is_integer() or m.as_int() < 0:
@@ -427,8 +427,8 @@ def min_faithful_tensor_power(G: FiniteGroup, V) -> int:
     power = chi
     found = [False] * ct.num_classes
     for N in range(1, G.order + 1):
-        for t in range(ct.num_classes):
-            if not found[t] and ct.inner_with(power, t).as_int() > 0:
+        for t, psi in enumerate(ct.values):
+            if not found[t] and ct.inner_with(power, psi).as_int() > 0:
                 found[t] = True
         if all(found):
             return N

@@ -55,7 +55,7 @@ class Arrow:
 class QuotientCategory:
     """Groups of order <= N, injective hom classes, class composition."""
 
-    def __init__(self, max_order: int, verify: bool = True):
+    def __init__(self, max_order: int):
         if max_order < 1 or max_order > MAX_ORDER_CAP:
             raise ValidationError(
                 f"max order must lie in 1..{MAX_ORDER_CAP} (corpus completeness)"
@@ -96,8 +96,7 @@ class QuotientCategory:
                             "class_of_hom does not name the class of a conjugate"
                         )
                     table[phi] = t
-        if verify:
-            self._verify()
+        self._verify()
 
     def arrow_index(self, i: int, j: int, phi: tuple[int, ...]) -> int:
         """The index in homs[(i, j)] of the class that holds the injective hom phi."""

@@ -22,6 +22,7 @@ from .errors import InternalCheckError, ValidationError
 from .groups import FiniteGroup, generating_set
 from .realreps import (
     MatrixRep,
+    character_multiplicities,
     genuine_character,
     isotypic_decomposition,
     projector_weights,
@@ -33,18 +34,17 @@ def fixed_subspace(G: FiniteGroup, V: MatrixRep) -> tuple[int, list]:
     """(dimension, basis) of the invariant subspace, via averaging.
 
     The basis is the pivot columns of the averaging projector.  Its rank
-    must agree with the character inner product <chi_V, 1>; disagreement
-    is a hard failure, not a tolerance issue.
+    must agree with the character inner product <chi_V, 1>, the
+    multiplicity of the trivial irrep; disagreement is a hard failure, not
+    a tolerance issue.
     """
     la, n, d = V.la, G.order, V.dimension
     P = la.zeros(d, d)
     for m in V.matrices:
         P = la.add(P, m)
     basis = la.column_basis(la.scale(P, Fraction(1, n)))
-    sizes = character_table(G).class_sizes
-    expected = la.integer(sum(s * tr for s, tr in zip(sizes, V.character())) / n)
-    if expected is None:
-        raise InternalCheckError("character inner product is not integral")
+    R = real_irreps(G)
+    [expected] = character_multiplicities(V, [R.entries[R.trivial_index]])
     if len(basis) != expected:
         raise InternalCheckError(
             f"fixed-space rank {len(basis)} disagrees with <chi, 1> = {expected}"
@@ -164,9 +164,7 @@ def derived_class_detector(G: FiniteGroup, V: Union[MatrixRep, Sequence]) -> Det
         ct = character_table(G)
         vals = genuine_character(G, V)
         dim = vals[ct.identity_class].as_int()
-        acc = CycInt.from_int(ct.exponent, 0)
-        for s, v in zip(ct.class_sizes, vals):
-            acc = acc + s * v
-        fixed = acc.divide_exact(G.order).as_int()
+        one = [CycInt.from_int(ct.exponent, 1)] * ct.num_classes
+        fixed = ct.inner_with(vals, one).as_int()
     status = "nonzero_certified" if fixed == 0 else "inconclusive"
     return DetectorVerdict(status=status, degree=-dim, fixed_dim=fixed)

@@ -1,8 +1,11 @@
-"""Independent brute-force oracles used across the test suite.
+"""Independent brute-force oracles used across the test suite, and small
+constructors and checks that only the tests use.
 
-Everything here recomputes expected values from first principles, without
+The oracles recompute expected values from first principles, without
 touching the library's own algorithms, so tests compare two genuinely
-different routes to the same answer.
+different routes to the same answer.  The later sections build test
+inputs on top of the library: roots of unity, composite hom classes,
+localization maps and the filteredness check.
 """
 
 from __future__ import annotations
@@ -118,3 +121,122 @@ def sparse_columns(A, cols):
         for j in compress(range(cols), row):
             out[j][i] = int(row[j])
     return out
+
+
+# -- cyclotomic integers ---------------------------------------------------------
+
+
+def poly_reduce(order, raw):
+    """Coordinates of sum_k raw[k] zeta^k mod Phi_order by polynomial long
+    division: fold exponents with zeta^order = 1, then divide by the monic
+    Phi_order and keep the remainder, padded to degree phi(order)."""
+    from orbicalc.cyclotomic import cyclotomic_polynomial
+
+    num = [0] * order
+    for k, c in enumerate(raw):
+        num[k % order] += c
+    phi = cyclotomic_polynomial(order)
+    deg = len(phi) - 1
+    for i in range(len(num) - 1, deg - 1, -1):
+        c = num[i]
+        if c:
+            for j, f in enumerate(phi):
+                num[i - deg + j] -= c * f
+    return tuple(num[:deg])
+
+
+def root_of_unity(order, exponent):
+    """zeta_order^exponent as a CycInt."""
+    from orbicalc.cyclotomic import CycInt
+
+    raw = [0] * order
+    raw[exponent % order] = 1
+    return CycInt(order, tuple(raw))
+
+
+def from_root_multiplicities(order, mults):
+    """Sum of mults[k] copies of zeta^k for k = 0..order-1."""
+    from orbicalc.cyclotomic import CycInt
+
+    return CycInt(order, tuple(mults))
+
+
+def is_real(v):
+    return v == v.conjugate()
+
+
+# -- homomorphisms ----------------------------------------------------------------
+
+
+def compose_hom_classes(A, B, C, f, g):
+    """Canonical class of (g . f) for f: A -> B, g: B -> C."""
+    from orbicalc.homs import class_of_hom
+
+    return class_of_hom(A, C, tuple(g[x] for x in f))
+
+
+# -- localization -----------------------------------------------------------------
+
+
+def localization_map(C, W, x, y):
+    """Index of the localized class of each plain arrow x -> y."""
+    from orbicalc.localize import localize_hom
+
+    loc = localize_hom(C, W, x, y)
+    idx = {}
+    id_x = C.identity(x)
+    for i, cls in enumerate(loc.classes):
+        for sp in cls:
+            if sp.w == id_x:
+                idx[sp.f] = i
+    return idx
+
+
+def verify_filtered(C, W, x):
+    """Check the category of W-arrows into x is filtered (nonempty, upper
+    bounds for pairs, equalizing refinements for parallel pairs)."""
+    W = set(W)
+    wins = [a for a in C.arrows.values() if a.dst == x and a.name in W]
+    if not wins:
+        return False
+    for w1 in wins:
+        for w2 in wins:
+            ok = False
+            for w3 in wins:
+                for z1 in C.hom(w3.src, w1.src):
+                    if C.compose(z1, w1.name) != w3.name:
+                        continue
+                    for z2 in C.hom(w3.src, w2.src):
+                        if C.compose(z2, w2.name) == w3.name:
+                            ok = True
+                            break
+                    if ok:
+                        break
+                if ok:
+                    break
+            if not ok:
+                return False
+    # Parallel morphisms over x get coequalized by a further W-arrow.
+    for w1 in wins:
+        for w2 in wins:
+            par = [
+                z
+                for z in C.hom(w1.src, w2.src)
+                if C.compose(z, w2.name) == w1.name
+            ]
+            for i, z1 in enumerate(par):
+                for z2 in par[i + 1 :]:
+                    ok = False
+                    for w3 in wins:
+                        for y in C.hom(w3.src, w1.src):
+                            if (
+                                C.compose(y, w1.name) == w3.name
+                                and C.compose(y, z1) == C.compose(y, z2)
+                            ):
+                                ok = True
+                                break
+                        if ok:
+                            break
+                    if not ok:
+                        return False
+    return True

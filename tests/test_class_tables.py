@@ -41,7 +41,7 @@ def _pair_with_a_conjugate(cat):
 
 
 def test_verify_rejects_a_class_table_that_splits_an_orbit():
-    cat = rstar.QuotientCategory(8, verify=False)
+    cat = rstar.QuotientCategory(8)
     pair, t, phi = _pair_with_a_conjugate(cat)
     cat._classes[pair][phi] = 1 - min(t, 1)
     with pytest.raises(InternalCheckError, match="depends on representatives"):
@@ -49,7 +49,7 @@ def test_verify_rejects_a_class_table_that_splits_an_orbit():
 
 
 def test_verify_rejects_a_composite_missing_from_the_table():
-    cat = rstar.QuotientCategory(8, verify=False)
+    cat = rstar.QuotientCategory(8)
     pair, _, phi = _pair_with_a_conjugate(cat)
     del cat._classes[pair][phi]
     with pytest.raises(InternalCheckError, match="no class"):

@@ -334,3 +334,32 @@ def test_import_loads_neither_scipy_nor_sympy():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_package_exports_are_pinned():
+    import types
+
+    import orbicalc
+
+    exported = {
+        n for n, v in vars(orbicalc).items()
+        if not n.startswith("_") and not isinstance(v, types.ModuleType)
+    }
+    assert exported == {
+        "ChainComplex", "CharacterTable", "CoarseStableBundle", "FiniteCategory",
+        "FiniteGroup", "Framing", "HomClass", "InternalCheckError", "LinearChart",
+        "MapGenerator", "MapGroupPresentation", "MatrixRep", "OrbicalcError",
+        "RealIrrep", "RealIrrepTable", "StableBundle", "SubgroupClass",
+        "ValidationError", "are_isomorphic", "aut_group", "build_quotient_category",
+        "cell_census", "centralizer", "character_table", "check_right_multiplicative",
+        "conjugacy_classes", "corpus_group", "corpus_names",
+        "cross_check_abstract_enumeration", "derived_class_detector",
+        "enumerate_generators", "enumerate_homs", "fixed_subspace", "framings",
+        "frobenius_schur", "group_from_generators", "group_from_json", "hom_classes",
+        "homology", "involution", "isotypic_decomposition", "isotypic_surjectivity",
+        "load_group", "localize_hom", "map_group", "min_faithful_tensor_power",
+        "nerve_chain_complex", "pi1", "quotient_group", "real_irreps",
+        "rep_hom_classes", "restrict_bundle", "restriction_multiplicities",
+        "rstar_homology", "smith_normal_form", "subgroup_as_group", "subgroup_classes",
+        "transport_framing", "trivial_group", "verify_universal_property",
+    }

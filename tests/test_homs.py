@@ -1,15 +1,24 @@
+import pytest
+
 from orbicalc import homs
+from orbicalc.characters import character_table
 from orbicalc.corpus import corpus_group, groups_of_order_at_most
-from orbicalc.groups import FiniteGroup, is_homomorphism
+from orbicalc.errors import ValidationError
+from orbicalc.groups import (
+    FiniteGroup,
+    group_from_generators,
+    is_homomorphism,
+    normal_subgroups,
+    subgroup_classes,
+)
 from orbicalc.homs import (
     class_of_hom,
-    compose_hom_classes,
     enumerate_homs,
     hom_classes,
     pi1,
     rep_hom_classes,
 )
-from .helpers import brute_force_homs
+from .helpers import brute_force_homs, compose_hom_classes
 
 
 def test_hom_from_trivial_group():
@@ -149,3 +158,23 @@ def test_composition_well_defined_on_classes():
             for f in f_orbit:
                 for g in g_orbit:
                     assert compose_hom_classes(A, B, C, f, g) == expected
+
+
+def test_order_caps_refuse_a5_cold_and_after_warm_calls():
+    A5 = group_from_generators(5, [[1, 2, 0, 3, 4], [1, 2, 3, 4, 0]])
+    assert A5.order == 60
+    c2 = corpus_group("c2")
+    for _ in range(2):
+        for refused in (
+            lambda: subgroup_classes(A5),
+            lambda: normal_subgroups(A5),
+            lambda: enumerate_homs(A5, c2),
+            lambda: enumerate_homs(c2, A5),
+            lambda: hom_classes(A5, c2),
+        ):
+            with pytest.raises(ValidationError, match="cap"):
+                refused()
+        # Warm A5's own derived data and the small groups' lattice and homs.
+        character_table(A5)
+        subgroup_classes(c2)
+        enumerate_homs(c2, c2)

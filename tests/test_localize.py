@@ -7,8 +7,6 @@ from orbicalc.localize import (
     category_from_json,
     check_right_multiplicative,
     localize_hom,
-    localization_map,
-    verify_filtered,
     verify_universal_property,
 )
 from .cat_corpus import (
@@ -18,7 +16,9 @@ from .cat_corpus import (
     synthetic_corpus,
     walking_iso,
     cyclic_monoid,
+    idempotent_monoid,
 )
+from .helpers import localization_map, verify_filtered
 
 
 def identities_of(C):
@@ -164,3 +164,12 @@ def test_category_json_roundtrip(tmp_path):
     C, W = category_from_json(p)
     assert check_right_multiplicative(C, W).ok
     assert len(localize_hom(C, W, "b", "a").classes) == 1
+
+
+def test_inverse_is_two_sided_or_none():
+    C = walking_iso()
+    assert [C.inverse(a) for a in ("ia", "ib", "u", "v")] == ["ia", "ib", "v", "u"]
+    Z = cyclic_monoid(3)
+    assert [Z.inverse(a) for a in ("g0", "g1", "g2")] == ["g0", "g2", "g1"]
+    E = idempotent_monoid()
+    assert E.inverse("id") == "id" and E.inverse("e") is None

@@ -7,7 +7,6 @@ from orbicalc.errors import ValidationError
 from orbicalc.groups import subgroup_as_group, subgroup_classes
 from orbicalc.realreps import (
     MatrixRep,
-    character_multiplicity,
     direct_sum,
     isotypic_decomposition,
     min_faithful_tensor_power,
@@ -17,12 +16,14 @@ from orbicalc.realreps import (
     restriction_multiplicities,
 )
 
+from .helpers import root_of_unity
+
 
 def test_character_table_c3_values():
     ct = character_table(corpus_group("c3"))
     assert ct.degrees == (1, 1, 1)
     # The two nontrivial characters take primitive cube root values.
-    z = CycInt.root_of_unity(3, 1)
+    z = root_of_unity(3, 1)
     nontrivial = [row for row in ct.values if any(v != 1 for v in row)]
     assert len(nontrivial) == 2
     for row in nontrivial:
@@ -241,9 +242,10 @@ def test_stored_irrep_indices_equal_a_rescan():
 
 def test_indicators_are_computed_once_per_table(monkeypatch):
     from orbicalc import characters
+    from orbicalc.corpus import corpus_names
     from orbicalc.groups import class_index_map
 
-    for name in ("c4", "s3", "q8", "d8", "a4", "dic3", "f21"):
+    for name in corpus_names():
         G = corpus_group(name)
         ct = characters.CharacterTable(G)  # a fresh table, not the cached one
         calls = []
@@ -264,4 +266,18 @@ def test_indicators_are_computed_once_per_table(monkeypatch):
             for g in range(G.order):
                 acc = acc + chi[cls[G.mul(g, g)]]
             assert got[t] == acc.divide_exact(G.order).as_int(), (name, t)
+
+
+def test_conjugate_partner_is_the_conjugate_row_at_every_element():
+    from orbicalc.corpus import corpus_names
+    from orbicalc.groups import class_index_map
+
+    for name in corpus_names():
+        G = corpus_group(name)
+        ct = character_table(G)
+        cls = class_index_map(G)
+        for t, chi in enumerate(ct.values):
+            partner = ct.values[ct.conjugate_partner(t)]
+            for g in range(G.order):
+                assert partner[cls[g]] == chi[cls[g]].conjugate(), (name, t, g)
 

@@ -193,7 +193,7 @@ def _shape(p):
 @settings(max_examples=20, deadline=None)
 @given(st.data())
 def test_map_group_is_invariant_under_relabelling(data):
-    names = groups_of_order_at_most(8, names_only=True)
+    names = [G.name for G in groups_of_order_at_most(8)]
     G, H = (corpus_group(data.draw(st.sampled_from(names))) for _ in range(2))
     G2, H2 = (_relabelled(X, data.draw(st.permutations(range(X.order)))) for X in (G, H))
     for variant in ("rep", "orb"):
