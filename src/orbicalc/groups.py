@@ -8,6 +8,12 @@ Validation is complete at every order, with no sampling and no size
 bound.  Associativity is proved by Light's test (Clifford and Preston,
 The Algebraic Theory of Semigroups I, 1961, section 1.2): checking
 (x g) y = x (g y) for all x, y and every g in a generating set suffices.
+
+One loop closes element sets, `_closure`: breadth-first search by right
+multiplication with generators (Holt, Eick and O'Brien, Handbook of
+Computational Group Theory, 2005, section 4.1).  It picks Light's
+generators, generating sets and the subgroup lattice.  `extend_hom` walks
+the same Cayley graph carrying images, checking phi(x g) = phi(x) phi(g).
 """
 
 from __future__ import annotations
@@ -119,7 +125,7 @@ class FiniteGroup:
         if bad.size:
             raise ValidationError(f"element {int(bad[0])} has no two-sided inverse")
         # Blocks of rows keep each temporary at 256 x n entries.
-        for g in _right_generators(T, e):
+        for g in _right_generators(self.table, e):
             for lo in range(0, n, 256):
                 x = slice(lo, lo + 256)
                 fails = T[T[x, g]] != T[x][:, T[g]]
@@ -133,14 +139,8 @@ class FiniteGroup:
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
 
-    def inv(self, a: int) -> Optional[int]:
-        if "inverses" in self._cache:
-            return self._cache["inverses"][a]
-        e = self.identity
-        for b in range(self.order):
-            if self.table[a][b] == e and self.table[b][a] == e:
-                return b
-        return None
+    def inv(self, a: int) -> int:
+        return self.inverses()[a]
 
     def array(self) -> np.ndarray:
         """The table as a read-only int16 array (int32 above 32,767 elements)."""
@@ -154,8 +154,10 @@ class FiniteGroup:
         return self._cache["array"]
 
     def inverses(self) -> tuple[int, ...]:
+        """Row a's identity position; unvalidated tables are trusted to be groups."""
         if "inverses" not in self._cache:
-            self._cache["inverses"] = tuple(self.inv(a) for a in range(self.order))
+            e = self.identity
+            self._cache["inverses"] = tuple(row.index(e) for row in self.table)
         return self._cache["inverses"]
 
     def conj(self, g: int, x: int) -> int:
@@ -218,28 +220,35 @@ class FiniteGroup:
         return f"FiniteGroup({nm}, order={self.order})"
 
 
-def _right_generators(T: np.ndarray, e: int) -> list[int]:
+def _closure(
+    table: Sequence[Sequence[int]], gens: Sequence[int], start: Iterable[int]
+) -> set[int]:
+    """The elements reached from `start` by right multiplication with
+    `gens`: the subgroup `gens` generate when `start` is {e} or a subgroup
+    generated by some of them.  Only the products table[x][g] are formed,
+    so no associativity is assumed."""
+    reached = set(start)
+    frontier = list(reached)
+    for x in frontier:
+        row = table[x]
+        for g in gens:
+            y = row[g]
+            if y not in reached:
+                reached.add(y)
+                frontier.append(y)
+    return reached
+
+
+def _right_generators(table: Sequence[Sequence[int]], e: int) -> list[int]:
     """A generating set chosen greedily: take the least element not yet
     reached from the identity by right multiplication with the chosen
-    ones, until every element is reached.
-
-    Only products reached this way are used, so no associativity is
-    assumed.
-    """
-    n = len(T)
-    reached = np.zeros(n, dtype=bool)
-    reached[e] = True
+    ones, until every element is reached."""
     gens: list[int] = []
-    for g in range(n):
-        if reached[g]:
-            continue
-        gens.append(g)
-        frontier = np.flatnonzero(reached)
-        while frontier.size:
-            hit = np.zeros(n, dtype=bool)
-            hit[T[np.ix_(frontier, gens)]] = True
-            frontier = np.flatnonzero(hit & ~reached)
-            reached |= hit
+    reached = {e}
+    for g in range(len(table)):
+        if g not in reached:
+            gens.append(g)
+            reached = _closure(table, gens, reached)
     return gens
 
 
@@ -313,24 +322,17 @@ def group_from_generators(
     parent, via = [0], [0]
     # right[k][a] = index of elements[a] * gens[k]; BFS visits 0, 1, 2, ...
     right: list[list[int]] = [[] for _ in gens]
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for k, g in enumerate(gens):
-                q = _compose(p, g)
-                if q not in index:
-                    if len(elements) >= max_order:
-                        raise ValidationError(
-                            f"closure exceeds cap of {max_order} elements"
-                        )
-                    index[q] = len(elements)
-                    elements.append(q)
-                    parent.append(index[p])
-                    via.append(k)
-                    nxt.append(q)
-                right[k].append(index[q])
-        frontier = nxt
+    for a, p in enumerate(elements):
+        for k, g in enumerate(gens):
+            q = _compose(p, g)
+            if q not in index:
+                if len(elements) >= max_order:
+                    raise ValidationError(f"closure exceeds cap of {max_order} elements")
+                index[q] = len(elements)
+                elements.append(q)
+                parent.append(a)
+                via.append(k)
+            right[k].append(index[q])
 
     n = len(elements)
     dtype = np.int16 if n <= np.iinfo(np.int16).max else np.int32
@@ -382,22 +384,6 @@ def class_index_map(G: FiniteGroup) -> list[int]:
 # -- subgroups ----------------------------------------------------------------
 
 
-def _closure_of(G: FiniteGroup, seed: Iterable[int]) -> frozenset[int]:
-    elems = {G.identity}
-    frontier = list(set(seed) | {G.identity})
-    elems.update(frontier)
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for b in list(elems):
-                for c in (G.table[a][b], G.table[b][a]):
-                    if c not in elems:
-                        elems.add(c)
-                        nxt.append(c)
-        frontier = nxt
-    return frozenset(elems)
-
-
 def normalizer(G: FiniteGroup, H: Iterable[int]) -> tuple[int, ...]:
     Hs = frozenset(H)
     out = [
@@ -426,27 +412,24 @@ def centralizer(G: FiniteGroup, S: Iterable[int]) -> SubgroupClass:
 
 
 def all_subgroups(G: FiniteGroup) -> list[frozenset[int]]:
-    """Every subgroup of G, by closing cyclic seeds under one-element
-    extensions; refused above DEFAULT_SUBGROUP_CAP elements."""
+    """Every subgroup of G, each <H, g> closed from a subgroup H found with
+    H's generators plus g; refused above DEFAULT_SUBGROUP_CAP elements."""
     if G.order > DEFAULT_SUBGROUP_CAP:
         raise ValidationError(
             f"group order {G.order} exceeds subgroup cap {DEFAULT_SUBGROUP_CAP}"
         )
     if "all_subgroups" in G._cache:
         return G._cache["all_subgroups"]
-    found = {frozenset({G.identity})}
-    frontier = [frozenset({G.identity})]
-    while frontier:
-        nxt = []
-        for H in frontier:
-            for g in range(G.order):
-                if g in H:
-                    continue
-                K = _closure_of(G, H | {g})
+    found: dict[frozenset[int], list[int]] = {frozenset({G.identity}): []}
+    frontier = list(found)
+    for H in frontier:
+        for g in range(G.order):
+            if g not in H:
+                gens = found[H] + [g]
+                K = frozenset(_closure(G.table, gens, H))
                 if K not in found:
-                    found.add(K)
-                    nxt.append(K)
-        frontier = nxt
+                    found[K] = gens
+                    frontier.append(K)
     out = sorted(found, key=lambda s: (len(s), tuple(sorted(s))))
     G._cache["all_subgroups"] = out
     return out
@@ -564,14 +547,12 @@ def generating_set(G: FiniteGroup) -> tuple[int, ...]:
     if "gens" in G._cache:
         return G._cache["gens"]
     gens: list[int] = []
-    closure = frozenset({G.identity})
+    closure = {G.identity}
     by_order = sorted(range(G.order), key=lambda a: (-G.element_order(a), a))
-    while len(closure) < G.order:
-        for a in by_order:
-            if a not in closure:
-                gens.append(a)
-                closure = _closure_of(G, gens)
-                break
+    for a in by_order:
+        if a not in closure:
+            gens.append(a)
+            closure = _closure(G.table, gens, closure)
     out = tuple(gens)
     G._cache["gens"] = out
     return out
@@ -584,33 +565,24 @@ def _invariant_fingerprint(G: FiniteGroup) -> tuple:
 
 
 def extend_hom(
-    G: FiniteGroup, H: FiniteGroup, partial: dict[int, int], g: int, h: int
+    G: FiniteGroup, H: FiniteGroup, gens: Sequence[int], images: Sequence[int]
 ) -> Optional[dict[int, int]]:
-    """Grow a partial homomorphism after mapping g to h, or return None.
+    """The homomorphism <gens> -> H sending gens[i] to images[i], or None.
 
-    The new map is closed under products with everything already mapped,
-    checked against both multiplication tables; partial is not changed.
-    """
-    phi = dict(partial)
-    if g in phi:
-        return phi if phi[g] == h else None
-    phi[g] = h
-    frontier = [g]
-    while frontier:
-        nxt = []
-        for a in list(phi):
-            for b in frontier:
-                for x, y in (
-                    (G.table[a][b], H.table[phi[a]][phi[b]]),
-                    (G.table[b][a], H.table[phi[b]][phi[a]]),
-                ):
-                    if x in phi:
-                        if phi[x] != y:
-                            return None
-                    else:
-                        phi[x] = y
-                        nxt.append(x)
-        frontier = nxt
+    phi(x g) = phi(x) phi(g) sets phi from phi(e) = e along the edges of
+    the Cayley graph and is checked on every edge that meets a mapped
+    element; holding on every edge makes phi multiplicative on <gens>."""
+    phi = {G.identity: H.identity}
+    frontier = [G.identity]
+    for x in frontier:
+        row, image_row = G.table[x], H.table[phi[x]]
+        for g, h in zip(gens, images):
+            y, z = row[g], image_row[h]
+            if y not in phi:
+                phi[y] = z
+                frontier.append(y)
+            elif phi[y] != z:
+                return None
     return phi
 
 
@@ -618,21 +590,22 @@ def hom_search(
     G: FiniteGroup, H: FiniteGroup, candidates: Sequence[Sequence[int]]
 ) -> Iterator[dict[int, int]]:
     """Every homomorphism G -> H sending generating_set(G)[i] into
-    candidates[i], as a complete map, by backtracking over the generator
-    images with `extend_hom`; images are tried in the order given."""
+    candidates[i], as a complete map, by backtracking: a prefix of images
+    is kept when `extend_hom` extends it.  Images are tried in the order
+    given."""
     gens = generating_set(G)
 
-    def backtrack(i: int, partial: dict[int, int]) -> Iterator[dict[int, int]]:
+    def backtrack(images: tuple[int, ...], phi: dict[int, int]) -> Iterator[dict[int, int]]:
+        i = len(images)
         if i == len(gens):
-            if len(partial) == G.order:
-                yield partial
+            yield phi
             return
         for h in candidates[i]:
-            nxt = extend_hom(G, H, partial, gens[i], h)
+            nxt = extend_hom(G, H, gens[: i + 1], images + (h,))
             if nxt is not None:
-                yield from backtrack(i + 1, nxt)
+                yield from backtrack(images + (h,), nxt)
 
-    return backtrack(0, {G.identity: H.identity})
+    return backtrack((), {G.identity: H.identity})
 
 
 def are_isomorphic(G: FiniteGroup, H: FiniteGroup) -> Optional[tuple[int, ...]]:

@@ -315,12 +315,13 @@ def projector_weights(G: FiniteGroup) -> tuple[list[list], bool]:
 def character_multiplicities(rep: MatrixRep, sigmas: Sequence[RealIrrep]) -> list[int]:
     """Multiplicity of each of sigmas inside rep, from characters alone.
 
-    An exact rep's character is converted once, by `genuine_character`."""
+    An exact rep reuses the complex inner products `genuine_character`
+    checks: sigma's character is its constituents' sum, doubled for type H."""
     G = rep.group
     ct = real_irreps(G).complex_table
     if rep.exact:
-        chi = genuine_character(G, rep)
-        ms = [ct.inner_with(chi, sigma.char).as_int() for sigma in sigmas]
+        m = _genuine(G, rep)[1]
+        ms = [(2 if s.end_type == "H" else 1) * sum(m[t] for t in s.constituents) for s in sigmas]
     else:
         traces = rep.character()
         ms = []
@@ -380,6 +381,11 @@ def genuine_character(G: FiniteGroup, V) -> list[CycInt]:
     an integer); every inner product with an irreducible character must be
     a nonnegative integer.
     """
+    return _genuine(G, V)[0]
+
+
+def _genuine(G: FiniteGroup, V) -> tuple[list[CycInt], list[int]]:
+    """`genuine_character`, and the inner product with each complex irrep."""
     ct = character_table(G)
     e = ct.exponent
     if isinstance(V, MatrixRep):
@@ -397,6 +403,7 @@ def genuine_character(G: FiniteGroup, V) -> list[CycInt]:
         if e % v.order:
             raise ValidationError("character value outside the group's cyclotomic field")
         vals.append(v.lift(e))
+    ms = []
     for psi in ct.values:
         try:
             m = ct.inner_with(vals, psi)
@@ -404,7 +411,8 @@ def genuine_character(G: FiniteGroup, V) -> list[CycInt]:
             m = None
         if m is None or not m.is_integer() or m.as_int() < 0:
             raise ValidationError("V is not the character of a genuine representation")
-    return vals
+        ms.append(m.as_int())
+    return vals, ms
 
 
 def min_faithful_tensor_power(G: FiniteGroup, V) -> int:

@@ -5,7 +5,9 @@ The oracles recompute expected values from first principles, without
 touching the library's own algorithms, so tests compare two genuinely
 different routes to the same answer.  The later sections build test
 inputs on top of the library: roots of unity, composite hom classes,
-localization maps and the filteredness check.
+localization maps and the filteredness check.  The group-core section
+keeps the subgroup closure and the hom search as they were before both
+became one closure by right multiplication.
 """
 
 from __future__ import annotations
@@ -114,6 +116,16 @@ def extend_by_words(G, H, gens, images):
     return arr
 
 
+def relabelled(G, perm):
+    """A fresh copy of G in which element x is called perm[x]."""
+    from orbicalc.groups import FiniteGroup
+
+    inv = sorted(range(G.order), key=perm.__getitem__)
+    return FiniteGroup(
+        [[perm[G.table[inv[a]][inv[b]]] for b in range(G.order)] for a in range(G.order)]
+    )
+
+
 def sparse_columns(A, cols):
     """The nonzero entries of each of the `cols` columns of A, as row -> coefficient."""
     out = [{} for _ in range(cols)]
@@ -121,6 +133,122 @@ def sparse_columns(A, cols):
         for j in compress(range(cols), row):
             out[j][i] = int(row[j])
     return out
+
+
+# -- the group core before one closure ---------------------------------------------
+
+
+def closure_of(G, seed):
+    """The subgroup generated by seed: every new element is multiplied on
+    both sides with everything found so far."""
+    elems = {G.identity}
+    frontier = list(set(seed) | {G.identity})
+    elems.update(frontier)
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for b in list(elems):
+                for c in (G.table[a][b], G.table[b][a]):
+                    if c not in elems:
+                        elems.add(c)
+                        nxt.append(c)
+        frontier = nxt
+    return frozenset(elems)
+
+
+def reference_all_subgroups(G):
+    """Every subgroup, sorted by (order, elements), from closing H | {g}."""
+    found = {frozenset({G.identity})}
+    frontier = [frozenset({G.identity})]
+    while frontier:
+        nxt = []
+        for H in frontier:
+            for g in range(G.order):
+                if g not in H:
+                    K = closure_of(G, H | {g})
+                    if K not in found:
+                        found.add(K)
+                        nxt.append(K)
+        frontier = nxt
+    return sorted(found, key=lambda s: (len(s), tuple(sorted(s))))
+
+
+def reference_generating_set(G):
+    """The largest-order element outside the closure so far, repeatedly."""
+    gens = []
+    closure = frozenset({G.identity})
+    by_order = sorted(range(G.order), key=lambda a: (-G.element_order(a), a))
+    while len(closure) < G.order:
+        a = next(a for a in by_order if a not in closure)
+        gens.append(a)
+        closure = closure_of(G, gens)
+    return tuple(gens)
+
+
+def reference_extend_hom(G, H, partial, g, h):
+    """partial grown by g -> h and closed under products, on both sides,
+    with everything already mapped; None on a contradiction."""
+    phi = dict(partial)
+    if g in phi:
+        return phi if phi[g] == h else None
+    phi[g] = h
+    frontier = [g]
+    while frontier:
+        nxt = []
+        for a in list(phi):
+            for b in frontier:
+                for x, y in (
+                    (G.table[a][b], H.table[phi[a]][phi[b]]),
+                    (G.table[b][a], H.table[phi[b]][phi[a]]),
+                ):
+                    if x in phi:
+                        if phi[x] != y:
+                            return None
+                    else:
+                        phi[x] = y
+                        nxt.append(x)
+        frontier = nxt
+    return phi
+
+
+def reference_hom_search(G, H, candidates):
+    """Homomorphisms G -> H as image tuples, in backtracking order over
+    candidates[i] for the i-th element of reference_generating_set(G)."""
+    gens = reference_generating_set(G)
+
+    def backtrack(i, partial):
+        if i == len(gens):
+            if len(partial) == G.order:
+                yield tuple(partial[a] for a in range(G.order))
+            return
+        for h in candidates[i]:
+            nxt = reference_extend_hom(G, H, partial, gens[i], h)
+            if nxt is not None:
+                yield from backtrack(i + 1, nxt)
+
+    return backtrack(0, {G.identity: H.identity})
+
+
+def reference_hom_candidates(G, H):
+    """Images whose order divides the generator's, as `enumerate_homs` takes."""
+    return [
+        [h for h in range(H.order) if G.element_order(g) % H.element_order(h) == 0]
+        for g in reference_generating_set(G)
+    ]
+
+
+def reference_are_isomorphic(G, H):
+    """The first bijective homomorphism with order-preserving generator
+    images, or None when the fingerprints differ or none is bijective."""
+    from orbicalc.groups import _invariant_fingerprint
+
+    if _invariant_fingerprint(G) != _invariant_fingerprint(H):
+        return None
+    cand = [
+        [h for h in range(H.order) if H.element_order(h) == G.element_order(g)]
+        for g in reference_generating_set(G)
+    ]
+    return next((phi for phi in reference_hom_search(G, H, cand) if len(set(phi)) == G.order), None)
 
 
 # -- cyclotomic integers ---------------------------------------------------------

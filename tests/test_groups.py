@@ -15,7 +15,7 @@ from orbicalc.groups import (
     subgroup_classes,
     trivial_group,
 )
-from .helpers import brute_force_subgroups, conj_orbits, perm_closure
+from .helpers import brute_force_subgroups, conj_orbits, perm_closure, reference_are_isomorphic
 
 S3_GENS = [[1, 2, 0], [1, 0, 2]]  # (0 1 2), (0 1)
 C4_GENS = [[1, 2, 3, 0]]
@@ -63,6 +63,21 @@ def test_identity_first_and_table_is_group():
     assert G.identity == 0
     for a in range(6):
         assert G.table[G.inv(a)][a] == 0
+
+
+def test_inverses_of_unvalidated_subgroups_and_quotients():
+    # Subgroup and quotient tables skip validation, so their inverses are
+    # read off the tables rather than cached by _validate.
+    from orbicalc.corpus import corpus_group
+
+    G = corpus_group("s4")
+    built = [subgroup_as_group(G, sc.representative)[0] for sc in subgroup_classes(G)]
+    built += [quotient_group(G, N)[0] for N in normal_subgroups(G)]
+    assert sorted(X.order for X in built) == [1, 1, 2, 2, 2, 3, 4, 4, 4, 6, 6, 8, 12, 24, 24]
+    for X in built:
+        e = X.identity
+        assert all(X.table[X.inv(a)][a] == e == X.table[a][X.inv(a)] for a in range(X.order))
+        assert X.inverses() == tuple(X.inv(a) for a in range(X.order))
 
 
 def test_rejects_bad_generator():
@@ -279,6 +294,8 @@ def test_are_isomorphic_returns_the_reference_search_result():
     # Every ordered pair of corpus groups, and every subgroup of a corpus
     # group of order <= 12 against each corpus group of its order both
     # ways, so that many pairs are isomorphic through a nontrivial map.
+    # Both references agree: whole image tuples closed from scratch, and
+    # prefixes extended by the two-sided closure.
     from orbicalc.corpus import corpus_group, corpus_names
 
     corpus = [corpus_group(n) for n in corpus_names()]
@@ -291,6 +308,6 @@ def test_are_isomorphic_returns_the_reference_search_result():
     found = 0
     for A, B in pairs:
         phi = are_isomorphic(A, B)
-        assert phi == _reference_are_isomorphic(A, B)
+        assert phi == _reference_are_isomorphic(A, B) == reference_are_isomorphic(A, B)
         found += phi is not None
     assert found == 300  # 54 diagonal pairs and 246 through subgroups

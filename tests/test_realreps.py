@@ -281,3 +281,48 @@ def test_conjugate_partner_is_the_conjugate_row_at_every_element():
             for g in range(G.order):
                 assert partner[cls[g]] == chi[cls[g]].conjugate(), (name, t, g)
 
+
+
+def test_exact_multiplicities_reuse_the_complex_inner_products(monkeypatch):
+    # One inner product per complex irrep of C12 (12 classes), taken while
+    # the character is checked genuine; the real irreps' multiplicities are
+    # sums of those.
+    from orbicalc.characters import CharacterTable
+    from orbicalc.transversality import fixed_subspace
+
+    G = corpus_group("c12")
+    reg = regular_rep(G)
+    real_irreps(G)
+    calls = []
+    inner_with = CharacterTable.inner_with
+
+    def counting(self, chi, psi):
+        calls.append(psi)
+        return inner_with(self, chi, psi)
+
+    monkeypatch.setattr(CharacterTable, "inner_with", counting)
+    pieces = isotypic_decomposition(reg)
+    assert len(calls) == 12
+    assert [p.multiplicity for p in pieces] == [1, 1, 1, 1, 1, 1, 1]
+    calls.clear()
+    assert fixed_subspace(G, reg)[0] == 1
+    assert len(calls) == 12
+
+
+def test_exact_and_fixed_multiplicities_agree_with_types_r_c_and_h():
+    # Q8 has an H-type irrep and C12 has C-type pairs; a direct sum of two
+    # regular reps doubles every multiplicity in both modes.
+    from orbicalc.realreps import character_multiplicities
+
+    types = set()
+    for name in ("q8", "c12", "dic3", "s4"):
+        G = corpus_group(name)
+        R = real_irreps(G)
+        reg = regular_rep(G)
+        two = direct_sum(reg, reg)
+        expect = [e.real_dim // e.end_dim for e in R.entries]
+        types |= {e.end_type for e in R.entries}
+        for rep, k in ((reg, 1), (two, 2)):
+            for mode in (rep, rep.to_float()):
+                assert character_multiplicities(mode, R.entries) == [k * m for m in expect], name
+    assert types == {"R", "C", "H"}

@@ -130,3 +130,34 @@ def test_contractibility_with_isos():
 def test_truncation_flagging():
     h = rstar_homology(3, 2)
     assert [d.reliable for d in h] == [True, True, False]
+
+
+
+# (max order, max dim, include isos, Euler characteristic): every census of
+# N = 6, 8, 12 and d = 3, 4 within MAX_CELLS; N = 8 and 12 with isos exceed it.
+EULER_CASES = [
+    (6, 3, False, 1), (6, 3, True, -238), (6, 4, False, 1), (6, 4, True, 1096),
+    (8, 3, False, 1), (8, 4, False, 1), (12, 3, False, 1), (12, 4, False, 1),
+]
+
+
+@pytest.mark.parametrize("max_order, max_dim, isos, chi", EULER_CASES)
+def test_euler_characteristic_of_cells_equals_that_of_homology(max_order, max_dim, isos, chi):
+    # The truncated top degree counts too: its betti number is rank ker d_top.
+    from orbicalc.rstar import cell_counts
+    from orbicalc.snf import homology
+
+    cat = build_quotient_category(max_order)
+    counts = cell_counts(cat, max_dim, isos)
+    cc, _ = nerve_chain_complex(cat, max_dim, isos)
+    assert list(cc.ranks) == counts
+    assert sum((-1) ** p * c for p, c in enumerate(counts)) == chi
+    assert sum((-1) ** d.degree * d.betti for d in homology(cc)) == chi
+
+
+@pytest.mark.parametrize("max_order", [8, 12])
+def test_euler_cases_with_isos_above_order_6_exceed_the_budget(max_order):
+    from orbicalc.rstar import cell_counts
+
+    with pytest.raises(ValidationError, match="exceed the budget"):
+        cell_counts(build_quotient_category(max_order), 3, True)

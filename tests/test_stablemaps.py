@@ -14,6 +14,8 @@ from orbicalc.stablemaps import (
     map_group,
 )
 
+from .helpers import relabelled
+
 
 def test_generators_point_to_point():
     # One subgroup (trivial), one map, two framings of a point.
@@ -177,14 +179,6 @@ def test_deterministic_output():
     assert a.orbit_table == b.orbit_table
 
 
-def _relabelled(G: FiniteGroup, perm) -> FiniteGroup:
-    """A fresh copy of G in which element x is called perm[x]."""
-    inv = sorted(range(G.order), key=perm.__getitem__)
-    return FiniteGroup(
-        [[perm[G.table[inv[a]][inv[b]]] for b in range(G.order)] for a in range(G.order)]
-    )
-
-
 def _shape(p):
     gens = {g for pair in p.orbit_table for g in pair}
     return p.rank, len(gens), sorted(Counter(g.k_order for g in gens).items())
@@ -195,7 +189,7 @@ def _shape(p):
 def test_map_group_is_invariant_under_relabelling(data):
     names = [G.name for G in groups_of_order_at_most(8)]
     G, H = (corpus_group(data.draw(st.sampled_from(names))) for _ in range(2))
-    G2, H2 = (_relabelled(X, data.draw(st.permutations(range(X.order)))) for X in (G, H))
+    G2, H2 = (relabelled(X, data.draw(st.permutations(range(X.order)))) for X in (G, H))
     for variant in ("rep", "orb"):
         assert _shape(map_group(G2, H2, variant)) == _shape(map_group(G, H, variant))
 
