@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -236,7 +237,9 @@ def _is_matrix_list(mats) -> bool:
         isinstance(m, list)
         and m
         and all(
-            isinstance(row, list) and row and all(type(x) in (int, float) for x in row)
+            isinstance(row, list)
+            and row
+            and all(type(x) is int or (type(x) is float and math.isfinite(x)) for x in row)
             for row in m
         )
         for m in mats
@@ -249,7 +252,7 @@ def cmd_detect(args) -> None:
         data = read_json(args.matrix_file)
         if not isinstance(data, dict) or not _is_matrix_list(data.get("matrices")):
             raise ValidationError(
-                "matrix file needs 'matrices': a list of nonempty matrices of numbers"
+                "matrix file needs 'matrices': a list of nonempty matrices of finite numbers"
             )
         mode = data.get("mode", "exact")
         if mode not in ("exact", "fixed"):

@@ -28,3 +28,5 @@ def read_json(path) -> object:
             return json.load(fh)
         except ValueError as exc:  # malformed JSON or not UTF-8
             raise ValidationError(f"{path} is not a JSON file: {exc}") from None
+        except RecursionError:
+            raise ValidationError(f"{path} is nested too deeply") from None

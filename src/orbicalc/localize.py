@@ -132,6 +132,10 @@ class FiniteCategory:
                         )
 
 
+def _is_string_list(items) -> bool:
+    return isinstance(items, list) and all(isinstance(x, str) for x in items)
+
+
 def category_from_json(data: dict | str | Path) -> tuple[FiniteCategory, set[str]]:
     """Load {objects, arrows, compose, W} JSON; returns (category, W)."""
     if not isinstance(data, dict):
@@ -141,19 +145,25 @@ def category_from_json(data: dict | str | Path) -> tuple[FiniteCategory, set[str
     for key in ("objects", "arrows"):
         if not isinstance(data.get(key), list):
             raise ValidationError(f"category JSON needs a list '{key}'")
+    for key in ("objects", "W"):
+        if not _is_string_list(data.get(key, [])):
+            raise ValidationError(f"'{key}' must be a list of strings")
     for a in data["arrows"]:
         if not isinstance(a, dict):
             raise ValidationError(f"arrow {a!r} is not an object")
-        missing = [k for k in ("name", "src", "dst") if k not in a]
+        missing = [k for k in ("name", "src", "dst") if not isinstance(a.get(k), str)]
         if missing:
             raise ValidationError(
-                f"arrow {a.get('name', a)!r} lacks {', '.join(missing)}"
+                f"arrow {a.get('name', a)!r} lacks a string {', '.join(missing)}"
             )
-    for entry in data.get("compose", []):
-        if not isinstance(entry, list) or len(entry) != 3:
+    entries = data.get("compose", [])
+    if not isinstance(entries, list):
+        raise ValidationError("'compose' must be a list")
+    for entry in entries:
+        if not (_is_string_list(entry) and len(entry) == 3):
             raise ValidationError(f"compose entry {entry!r} is not [first, then, composite]")
     arrows = [ArrowData(a["name"], a["src"], a["dst"]) for a in data["arrows"]]
-    compose = {(a, b): c for a, b, c in data.get("compose", [])}
+    compose = {(a, b): c for a, b, c in entries}
     cat = FiniteCategory(data["objects"], arrows, compose, name=data.get("name"))
     W = set(data.get("W", []))
     unknown = W - set(cat.arrows)

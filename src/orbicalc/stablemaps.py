@@ -8,17 +8,21 @@ stable framing of K.  Two generators coincide when a normalizer-induced
 automorphism of K carries one triple to the other.  Cylinders are the
 only bordisms in dimension zero, and the boundary convention pairs each
 generator with its image under the canonical framing involution as its
-inverse, so the group is free abelian of rank (#classes)/2.
+inverse.  The involution flips the trivial bit, the framing bit of the
+trivial real irrep.  Every automorphism fixes the trivial irrep and so
+that bit (checked for each one).  Each class therefore keeps one
+trivial-bit value, and flipping the bit keeps the order among pairs that
+share it: it carries the least pair of a bit-0 class to the least pair of
+its partner, a larger one.  The group is free abelian on the bit-0
+classes, the only ones enumerated.
 
 What does not depend on the target is built once per source group and
 cached on it: each subgroup class's K, the inverses of its
-normalizer-induced automorphisms and their moves on framing bits, every
-framing bit tuple and its image under the involution.  Per target and
-variant only the hom-class representatives, their moves under those
-automorphisms and the canonical pair of each (class, bits) pair are
-built, one subgroup class at a time.  A generator's partner has the same
-subgroup class, so the per-class lists, each sorted, concatenate to the
-global order.
+normalizer-induced automorphisms and their moves on the bit-0 framings.
+Per target and variant only the hom-class representatives, their moves
+under those automorphisms and the canonical pairs are built, one
+subgroup class at a time; the per-class lists, each sorted, concatenate
+to the global order.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ from .groups import (
     subgroup_classes,
 )
 from .homs import class_of_hom, enumerate_homs, hom_classes, rep_hom_classes
+from .realreps import real_irreps
 
 Variant = Literal["rep", "orb"]
 Pair = tuple[tuple[int, ...], tuple[int, ...]]  # (hom class representative, framing bits)
@@ -50,17 +55,13 @@ def _check_variant(variant: str) -> str:
 class MapGenerator(NamedTuple):
     """A framed point over the product of the two classifying objects.
 
-    Within one source group k_order is fixed by subgroup_index, so tuple
-    order is sort_key order.
+    Tuple order is output order.
     """
 
     subgroup_index: int  # index into subgroup_classes(G)
     k_order: int
     g_class: tuple[int, ...]  # canonical hom class representative K -> H
     framing_bits: tuple[int, ...]
-
-    def sort_key(self) -> tuple:
-        return (self.subgroup_index, self.g_class, self.framing_bits)
 
 
 @dataclass(frozen=True)
@@ -85,8 +86,7 @@ class _Subgroup(NamedTuple):
     K: FiniteGroup
     auto_invs: tuple[tuple[int, ...], ...]  # inverses of the induced automorphisms
     bit_moves: tuple[dict, ...]  # per automorphism: bits -> bits pushed along it
-    all_bits: tuple[tuple[int, ...], ...]  # every framing, in lexicographic order
-    flipped: dict  # bits -> bits under the canonical involution
+    bits0: tuple[tuple[int, ...], ...]  # the framings with trivial bit 0, in lexicographic order
 
 
 def _subgroups(G: FiniteGroup) -> list[_Subgroup]:
@@ -98,25 +98,26 @@ def _subgroups(G: FiniteGroup) -> list[_Subgroup]:
             autos = sorted(
                 {tuple(pos[G.conj(n, g)] for g in emb) for n in normalizer(G, sc.representative)}
             )
-            all_bits = tuple(fr.bits for fr in framings(K))
+            t = real_irreps(K).trivial_bit
+            bits0 = tuple(fr.bits for fr in framings(K) if fr.bits[t] == 0)
             bit_moves = []
             for a in autos:
                 perm = framing_bit_permutation(K, K, a)
-                bit_moves.append({b: push_bits(perm, b) for b in all_bits})
+                if perm[t] != t:
+                    raise InternalCheckError("an automorphism moved the trivial framing bit")
+                bit_moves.append({b: push_bits(perm, b) for b in bits0})
             out.append(_Subgroup(
                 K=K,
                 auto_invs=tuple(_inverse(a) for a in autos),
                 bit_moves=tuple(bit_moves),
-                all_bits=all_bits,
-                flipped={b: flip_trivial_bit(K, b) for b in all_bits},
+                bits0=bits0,
             ))
         G._cache["stablemaps_subgroups"] = out
     return G._cache["stablemaps_subgroups"]
 
 
-def _generator_classes(sub: _Subgroup, H: FiniteGroup, variant: str) -> tuple[list[Pair], dict]:
-    """One subgroup class's canonical pairs, sorted, and the canonical pair
-    of every pair.
+def _generator_classes(sub: _Subgroup, H: FiniteGroup, variant: str) -> list[Pair]:
+    """One subgroup class's canonical pairs with trivial bit 0, sorted.
 
     An automorphism a acts coherently: it precomposes the map leg by a^-1
     while pushing the framing forward along a.  The induced automorphisms
@@ -130,62 +131,43 @@ def _generator_classes(sub: _Subgroup, H: FiniteGroup, variant: str) -> tuple[li
         {g: class_of_hom(K, H, tuple(g[k] for k in a_inv)) for g in g_reps}
         for a_inv in sub.auto_invs
     ]
-    canon: dict[Pair, Pair] = {}
+    seen: set[Pair] = set()
     out = []
     for g in g_reps:
         moves = [(gm[g], bm) for gm, bm in zip(g_moves, sub.bit_moves)]
-        for bits in sub.all_bits:
-            pair = (g, bits)
-            if pair in canon:
+        for bits in sub.bits0:
+            if (g, bits) in seen:
                 continue
-            out.append(pair)
+            out.append((g, bits))
             for g2, bm in moves:
-                canon[(g2, bm[bits])] = pair
-    return out, canon
-
-
-def enumerate_generators(G: FiniteGroup, H: FiniteGroup, variant: Variant) -> list[MapGenerator]:
-    """All generator classes, canonical and sorted."""
-    variant = _check_variant(variant)
-    return [
-        MapGenerator(i, sub.K.order, g, bits)
-        for i, sub in enumerate(_subgroups(G))
-        for g, bits in _generator_classes(sub, H, variant)[0]
-    ]
+                seen.add((g2, bm[bits]))
+    return out
 
 
 def map_group(G: FiniteGroup, H: FiniteGroup, variant: Variant) -> MapGroupPresentation:
-    """Free abelian presentation: generators modulo q + involution(q) = 0."""
+    """Free abelian presentation: generators modulo q + involution(q) = 0.
+
+    The basis is the canonical classes with trivial bit 0, each paired with
+    its image under the involution."""
     variant = _check_variant(variant)
-    basis = []
     orbit_table = []
     for i, sub in enumerate(_subgroups(G)):
         n = sub.K.order
-        classes, canon = _generator_classes(sub, H, variant)
-        paired = set()
-        for pair in classes:
-            if pair in paired:
-                continue
-            g, bits = pair
-            partner = canon.get((g, sub.flipped[bits]))
-            if partner == pair:
-                raise InternalCheckError("involution fixed a generator class")
-            if partner is None:
-                raise InternalCheckError("involution left the generator set")
-            # Visited in ascending order, an involution's unpaired class
-            # comes before its partner, so the basis is built sorted.
-            if partner < pair or partner in paired:
-                raise InternalCheckError("involution does not pair the generator classes")
-            paired.add(partner)
-            c = MapGenerator(i, n, g, bits)
-            basis.append(c)
-            orbit_table.append((c, MapGenerator(i, n, *partner)))
+        for g, bits in _generator_classes(sub, H, variant):
+            partner = MapGenerator(i, n, g, flip_trivial_bit(sub.K, bits))
+            orbit_table.append((MapGenerator(i, n, g, bits), partner))
+    basis = tuple(c for c, _ in orbit_table)
     return MapGroupPresentation(
         variant=variant,
         rank=len(basis),
-        basis=tuple(basis),
+        basis=basis,
         orbit_table=tuple(orbit_table),
     )
+
+
+def enumerate_generators(G: FiniteGroup, H: FiniteGroup, variant: Variant) -> list[MapGenerator]:
+    """All generator classes, canonical and sorted: both sides of each pair."""
+    return sorted(c for pair in map_group(G, H, variant).orbit_table for c in pair)
 
 
 # -- independent re-enumeration -------------------------------------------------

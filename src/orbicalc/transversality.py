@@ -22,8 +22,8 @@ from .errors import InternalCheckError, ValidationError
 from .groups import FiniteGroup, generating_set
 from .realreps import (
     MatrixRep,
+    _genuine,
     character_multiplicities,
-    genuine_character,
     isotypic_decomposition,
     projector_weights,
     real_irreps,
@@ -161,10 +161,12 @@ def derived_class_detector(G: FiniteGroup, V: Union[MatrixRep, Sequence]) -> Det
         dim = V.dimension
         fixed, _ = fixed_subspace(G, V)
     else:
+        # <chi, 1> is the inner product with the trivial character, already
+        # taken while chi is checked genuine.
         ct = character_table(G)
-        vals = genuine_character(G, V)
+        vals, ms = _genuine(G, V)
         dim = vals[ct.identity_class].as_int()
-        one = [CycInt.from_int(ct.exponent, 1)] * ct.num_classes
-        fixed = ct.inner_with(vals, one).as_int()
+        one = CycInt.from_int(ct.exponent, 1)
+        fixed = next(m for m, psi in zip(ms, ct.values) if all(v == one for v in psi))
     status = "nonzero_certified" if fixed == 0 else "inconclusive"
     return DetectorVerdict(status=status, degree=-dim, fixed_dim=fixed)

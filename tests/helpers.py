@@ -7,7 +7,9 @@ different routes to the same answer.  The later sections build test
 inputs on top of the library: roots of unity, composite hom classes,
 localization maps and the filteredness check.  The group-core section
 keeps the subgroup closure and the hom search as they were before both
-became one closure by right multiplication.
+became one closure by right multiplication; the stable-maps section keeps
+the map group as it was built before the basis was read off the framings
+with trivial bit 0.
 """
 
 from __future__ import annotations
@@ -249,6 +251,69 @@ def reference_are_isomorphic(G, H):
         for g in reference_generating_set(G)
     ]
     return next((phi for phi in reference_hom_search(G, H, cand) if len(set(phi)) == G.order), None)
+
+
+# -- stable maps by canonicalising every framing and pairing --------------------------
+
+
+_REFERENCE_MAP_SUBGROUPS = {}  # source group -> its per-subgroup-class data
+
+
+def _reference_map_subgroups(G):
+    """Per subgroup class: K, the inverses of its induced automorphisms,
+    their moves on every framing, and the involution on every framing."""
+    from orbicalc.bundles import flip_trivial_bit, framing_bit_permutation, framings, push_bits
+    from orbicalc.groups import normalizer, subgroup_as_group, subgroup_classes
+
+    if G not in _REFERENCE_MAP_SUBGROUPS:
+        out = []
+        for sc in subgroup_classes(G):
+            K, emb = subgroup_as_group(G, sc.representative)
+            pos = {g: i for i, g in enumerate(emb)}
+            autos = sorted(
+                {tuple(pos[G.conj(n, g)] for g in emb) for n in normalizer(G, sc.representative)}
+            )
+            all_bits = [fr.bits for fr in framings(K)]
+            bit_moves = []
+            for a in autos:
+                perm = framing_bit_permutation(K, K, a)
+                bit_moves.append({b: push_bits(perm, b) for b in all_bits})
+            auto_invs = [tuple(sorted(range(len(a)), key=a.__getitem__)) for a in autos]
+            flipped = {b: flip_trivial_bit(K, b) for b in all_bits}
+            out.append((K, auto_invs, bit_moves, all_bits, flipped))
+        _REFERENCE_MAP_SUBGROUPS[G] = out
+    return _REFERENCE_MAP_SUBGROUPS[G]
+
+
+def reference_map_group(G, H, variant):
+    """(presentation, every generator class sorted): the canonical pair of
+    every (hom class, framing) pair, then each unpaired class matched with
+    the class of its involution image."""
+    from orbicalc.homs import class_of_hom, hom_classes, rep_hom_classes
+    from orbicalc.stablemaps import MapGenerator, MapGroupPresentation
+
+    basis, orbit_table, classes = [], [], []
+    for i, (K, auto_invs, bit_moves, all_bits, flipped) in enumerate(_reference_map_subgroups(G)):
+        homs = rep_hom_classes(K, H) if variant == "rep" else hom_classes(K, H)
+        canon = {}
+        for g in (c.representative for c in homs):
+            for bits in all_bits:
+                if (g, bits) in canon:
+                    continue
+                classes.append(MapGenerator(i, K.order, g, bits))
+                for a_inv, bm in zip(auto_invs, bit_moves):
+                    canon[(class_of_hom(K, H, tuple(g[k] for k in a_inv)), bm[bits])] = (g, bits)
+        paired = set()
+        for pair in sorted(set(canon.values())):
+            if pair in paired:
+                continue
+            partner = canon[(pair[0], flipped[pair[1]])]
+            assert partner > pair and partner not in paired
+            paired.add(partner)
+            basis.append(MapGenerator(i, K.order, *pair))
+            orbit_table.append((basis[-1], MapGenerator(i, K.order, *partner)))
+    pres = MapGroupPresentation(variant, len(basis), tuple(basis), tuple(orbit_table))
+    return pres, sorted(classes)
 
 
 # -- cyclotomic integers ---------------------------------------------------------

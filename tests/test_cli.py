@@ -1,9 +1,16 @@
+import contextlib
 import hashlib
+import io
 import json
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from orbicalc import cli
 from orbicalc.corpus import corpus_dir
 
 from .test_linalg import C3_ROTATION
@@ -326,6 +333,85 @@ def test_detect_refuses_a_tolerance_that_accepts_anything(tmp_path):
     assert "tolerance" in err["message"]
 
 
+def _main(argv):
+    """cli.main in process: (exit code, stderr)."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, err.getvalue()
+
+
+def _category_with(path, value):
+    """The two-object category JSON with the leaf at path replaced by value."""
+    data = _two_object_category()
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return json.dumps(data)
+
+
+def _leaf_paths(node, path=()):
+    if isinstance(node, (dict, list)):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        return [p for key, child in items for p in _leaf_paths(child, path + (key,))]
+    return [path]
+
+
+FILE = object()  # stands for the input file in an argv
+LOCALIZE = ["localize", FILE, "--from", "a", "--to", "b"]
+DETECT = ["detect", "c2", "--matrix-file", FILE]
+DEEP = "[" * 100_000 + "]" * 100_000
+
+MALFORMED_INPUTS = {  # name -> (argv, file text, part of the error message)
+    "arrow name": (LOCALIZE, _category_with(("arrows", 2, "name"), ["i"]), "lacks a string name"),
+    "arrow src": (LOCALIZE, _category_with(("arrows", 2, "src"), ["i"]), "lacks a string src"),
+    "arrow dst": (LOCALIZE, _category_with(("arrows", 2, "dst"), ["i"]), "lacks a string dst"),
+    "object": (LOCALIZE, _category_with(("objects", 0), 5), "'objects' must be"),
+    "W not a list": (LOCALIZE, _category_with(("W",), 5), "'W' must be"),
+    "W entry": (LOCALIZE, _category_with(("W",), [["i"]]), "'W' must be"),
+    "compose not a list": (LOCALIZE, _category_with(("compose",), 7), "'compose'"),
+    "compose entry": (LOCALIZE, _category_with(("compose", 0, 2), ["ia"]), "compose entry"),
+    "exact NaN": (DETECT, '{"mode": "exact", "matrices": [[[1]], [[NaN]]]}', "finite numbers"),
+    "exact Infinity": (DETECT, '{"matrices": [[[1]], [[Infinity]]]}', "finite numbers"),
+    "exact 1e400": (DETECT, '{"mode": "exact", "matrices": [[[1]], [[1e400]]]}', "finite numbers"),
+    "fixed NaN": (DETECT, '{"mode": "fixed", "matrices": [[[1]], [[NaN]]]}', "finite numbers"),
+    "deep matrix file": (DETECT, DEEP, "nested too deeply"),
+    "deep category": (LOCALIZE, DEEP, "nested too deeply"),
+    "deep group file": (["group", FILE], DEEP, "nested too deeply"),
+}
+
+
+@pytest.mark.parametrize("argv, text, message", MALFORMED_INPUTS.values(), ids=MALFORMED_INPUTS)
+def test_malformed_inputs_exit_1_with_a_structured_error(tmp_path, argv, text, message):
+    f = tmp_path / "input.json"
+    f.write_text(text)
+    code, err = _main([str(f) if a is FILE else a for a in argv])
+    assert code == 1
+    err = json.loads(err)
+    assert err["error"] == "ValidationError" and message in err["message"]
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    path=st.sampled_from(_leaf_paths(_two_object_category())),
+    value=st.one_of(
+        st.integers(),
+        st.lists(st.sampled_from(["a", "b", "ia", "ib", "w"]), max_size=3),
+        st.none(),
+        st.dictionaries(st.sampled_from(["name", "src", "dst"]), st.just("a"), max_size=3),
+    ),
+)
+def test_a_category_with_one_mistyped_leaf_never_raises(tmp_path, path, value):
+    f = tmp_path / "cat.json"
+    f.write_text(_category_with(path, value))
+    code, err = _main(["localize", str(f), "--from", "a", "--to", "b"])
+    assert code in (0, 1)
+    if code == 1:
+        json.loads(err)
+
+
 def test_import_loads_neither_scipy_nor_sympy():
     code = (
         "import sys, orbicalc, orbicalc.cli; "
@@ -363,3 +449,4 @@ def test_package_exports_are_pinned():
         "rstar_homology", "smith_normal_form", "subgroup_as_group", "subgroup_classes",
         "transport_framing", "trivial_group", "verify_universal_property",
     }
+

@@ -309,6 +309,28 @@ def test_exact_multiplicities_reuse_the_complex_inner_products(monkeypatch):
     assert len(calls) == 12
 
 
+def test_detector_reads_the_trivial_multiplicity_off_the_genuine_check(monkeypatch):
+    # <chi, 1> for a character is the trivial row of the inner products
+    # taken while chi is checked genuine: 12 calls for C12, not 13.
+    from orbicalc.characters import CharacterTable
+    from orbicalc.transversality import derived_class_detector
+
+    G = corpus_group("c12")
+    ct = character_table(G)
+    regular = [G.order if i == ct.identity_class else 0 for i in range(ct.num_classes)]
+    calls = []
+    inner_with = CharacterTable.inner_with
+
+    def counting(self, chi, psi):
+        calls.append(psi)
+        return inner_with(self, chi, psi)
+
+    monkeypatch.setattr(CharacterTable, "inner_with", counting)
+    verdict = derived_class_detector(G, regular)
+    assert (verdict.fixed_dim, verdict.degree, verdict.status) == (1, -12, "inconclusive")
+    assert len(calls) == 12
+
+
 def test_exact_and_fixed_multiplicities_agree_with_types_r_c_and_h():
     # Q8 has an H-type irrep and C12 has C-type pairs; a direct sum of two
     # regular reps doubles every multiplicity in both modes.

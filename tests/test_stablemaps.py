@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from orbicalc import bundles, stablemaps
 from orbicalc.corpus import corpus_group, groups_of_order_at_most
-from orbicalc.errors import ValidationError
+from orbicalc.errors import InternalCheckError, ValidationError
 from orbicalc.groups import FiniteGroup, normalizer, subgroup_as_group, subgroup_classes
 from orbicalc.stablemaps import (
     cross_check_abstract_enumeration,
@@ -14,7 +14,7 @@ from orbicalc.stablemaps import (
     map_group,
 )
 
-from .helpers import relabelled
+from .helpers import reference_map_group, relabelled
 
 
 def test_generators_point_to_point():
@@ -213,3 +213,38 @@ def test_target_independent_data_is_built_once(monkeypatch):
             map_group(G, corpus_group(name), variant)
     assert autos > len(subgroup_classes(G))  # some automorphism is not the identity
     assert len(calls) == autos
+
+
+def test_map_group_equals_the_canonicalise_and_pair_reference():
+    # Reading the basis off the framings with trivial bit 0 gives the same
+    # presentation as canonicalising every framing and pairing each class
+    # with its involution partner, on all 392 calls of order <= 8.
+    groups = groups_of_order_at_most(8)
+    calls = 0
+    for G in groups:
+        for H in groups:
+            for variant in ("rep", "orb"):
+                expected, classes = reference_map_group(G, H, variant)
+                p = map_group(G, H, variant)
+                assert (p.rank, p.basis, p.orbit_table) == (
+                    expected.rank, expected.basis, expected.orbit_table
+                ), (G.name, H.name, variant)
+                assert enumerate_generators(G, H, variant) == classes, (G.name, H.name, variant)
+                calls += 1
+    assert calls == 392
+
+
+def test_an_automorphism_moving_the_trivial_bit_is_refused(monkeypatch):
+    def swapping(K, K2, alpha):
+        perm = list(bundles.framing_bit_permutation(K, K2, alpha))
+        if len(perm) > 1:
+            t = bundles.real_irreps(K).trivial_bit
+            u = (t + 1) % len(perm)
+            perm[t], perm[u] = perm[u], perm[t]
+        return tuple(perm)
+
+    monkeypatch.setattr(stablemaps, "framing_bit_permutation", swapping)
+    G = FiniteGroup(corpus_group("c2").table)  # a fresh instance: nothing cached on it yet
+    assert [sc.order for sc in subgroup_classes(G)] == [1, 2]
+    with pytest.raises(InternalCheckError, match="trivial framing bit"):
+        map_group(G, corpus_group("c1"), "rep")
