@@ -264,7 +264,10 @@ def cmd_detect(args) -> None:
                 for m in data["matrices"]
             ]
         else:
-            mats = data["matrices"]
+            try:
+                mats = [[[float(x) for x in row] for row in m] for m in data["matrices"]]
+            except OverflowError:
+                raise ValidationError("a matrix entry is too large for fixed mode") from None
         rep = MatrixRep(G, mats, exact=exact, tolerance=data.get("tolerance", 1e-9))
         verdict = derived_class_detector(G, rep)
     elif args.char_index is not None:

@@ -559,9 +559,11 @@ def generating_set(G: FiniteGroup) -> tuple[int, ...]:
 
 
 def _invariant_fingerprint(G: FiniteGroup) -> tuple:
-    orders = sorted(G.element_order(a) for a in range(G.order))
-    sizes = sorted(len(c) for c in conjugacy_classes(G))
-    return (G.order, tuple(orders), tuple(sizes))
+    if "fingerprint" not in G._cache:
+        orders = sorted(G.element_order(a) for a in range(G.order))
+        sizes = sorted(len(c) for c in conjugacy_classes(G))
+        G._cache["fingerprint"] = (G.order, tuple(orders), tuple(sizes))
+    return G._cache["fingerprint"]
 
 
 def extend_hom(

@@ -3,13 +3,17 @@ between small groups, and the integer homology of its coarse space.
 
 Objects of the underlying category are isomorphism types of groups of
 order <= N; an arrow is a conjugacy class of injective homomorphisms.
-Each arrow's conjugation orbit is computed once, and each pair of objects
-gets one class table from every orbit member to its arrow (the orbit
-tables of Holt, Eick and O'Brien, Handbook of Computational Group Theory,
-2005, section 4.1), so composing classes is one lookup.  The build always
-checks that class_of_hom names each orbit member's own arrow, and that
-composition is representative-independent: for every composable pair of
-classes, the composite of every member of both orbits lies in one class.
+Each pair of groups gets its arrows, their conjugation orbits and one
+class table from every orbit member to its arrow (the orbit tables of
+Holt, Eick and O'Brien, Handbook of Computational Group Theory, 2005,
+section 4.1), so composing classes is one lookup.  This pair data is
+built once per process, cached on the source group and shared by every
+category; building it checks that class_of_hom names each orbit member's
+own arrow.  The first category holding a triple A -> B -> C with arrows
+on both legs checks that composition there is representative-independent
+(the composite of every member of both orbits of every pair of classes
+lies in one class).  So each check runs once per pair or triple, before
+any category containing it is returned.
 A cell of dimension p is a chain of p composable arrows, carrying its
 source group as the isotropy label.  The census stores each cell once, as
 integers (object indices, arrow indices); the nerve's boundaries are
@@ -71,31 +75,12 @@ class QuotientCategory:
         self.objects = objects
         self.object_names = [G.name for G in objects]
         self.homs: dict[tuple[int, int], list[Arrow]] = {}
-        for i, A in enumerate(objects):
-            for j, B in enumerate(objects):
-                classes = rep_hom_classes(A, B)
-                self.homs[(i, j)] = [
-                    Arrow(i, j, c.representative) for c in classes
-                ]
-        # Each arrow's conjugation orbit, and for each object pair one table
-        # from every orbit member to the index of the arrow that class_of_hom
-        # names for it, so compose and _verify classify a hom by one probe.
         self._orbits: dict[tuple[int, int], list[frozenset[tuple[int, ...]]]] = {}
         self._classes: dict[tuple[int, int], dict[tuple[int, ...], int]] = {}
-        for (i, j), arrows in self.homs.items():
-            A, B = objects[i], objects[j]
-            index = {a.rep: t for t, a in enumerate(arrows)}
-            orbits = self._orbits[(i, j)] = []
-            table = self._classes[(i, j)] = {}
-            for t, a in enumerate(arrows):
-                orbit = frozenset(conjugate_hom(B, a.rep, h) for h in range(B.order))
-                orbits.append(orbit)
-                for phi in orbit:
-                    if index.get(class_of_hom(A, B, phi)) != t:
-                        raise InternalCheckError(
-                            "class_of_hom does not name the class of a conjugate"
-                        )
-                    table[phi] = t
+        for i, A in enumerate(objects):
+            for j, B in enumerate(objects):
+                reps, self._orbits[(i, j)], self._classes[(i, j)] = _arrows(A, B)
+                self.homs[(i, j)] = [Arrow(i, j, rep) for rep in reps]
         self._verify()
 
     def arrow_index(self, i: int, j: int, phi: tuple[int, ...]) -> int:
@@ -114,29 +99,15 @@ class QuotientCategory:
 
     def _verify(self) -> None:
         # Identities, class-composition well-definedness, associativity.
-        n = len(self.objects)
-        for i, G in enumerate(self.objects):
+        objects = self.objects
+        for i, G in enumerate(objects):
             self.arrow_index(i, i, tuple(range(G.order)))
-        for (i, j), orbits_ij in self._orbits.items():
-            for orbit_a in orbits_ij:
-                for k in range(n):
-                    table = self._classes[(i, k)]
-                    for orbit_b in self._orbits[(j, k)]:
-                        got = {
-                            table.get(tuple(map(fb.__getitem__, fa)))
-                            for fa in orbit_a
-                            for fb in orbit_b
-                        }
-                        if None in got:
-                            raise InternalCheckError(
-                                "a composite lies in no class of the category"
-                            )
-                        if len(got) != 1:
-                            raise InternalCheckError(
-                                "class composition depends on representatives"
-                            )
+        for (i, j), arrows in self.homs.items():
+            for k, C in enumerate(objects):
+                if arrows and self.homs[(j, k)]:
+                    _check_composition(objects[i], objects[j], C)
         trivial = self.object_names.index("c1")
-        for j in range(n):
+        for j in range(len(objects)):
             if len(self.homs[(trivial, j)]) != 1:
                 raise InternalCheckError("trivial group is not initial")
 
@@ -145,6 +116,44 @@ class QuotientCategory:
             a for (i, j), arrows in self.homs.items() for a in arrows
             if not a.is_identity() and (i != j or include_isos)
         ]
+
+
+def _arrows(A: FiniteGroup, B: FiniteGroup) -> tuple[list, list, dict]:
+    """The injective class representatives A -> B, each class's conjugation
+    orbit and the table from every orbit member to its class's index, cached
+    on A once class_of_hom is checked to name each member's own class."""
+    key = ("arrow_orbits", B.table_key())
+    if key not in A._cache:
+        reps = [c.representative for c in rep_hom_classes(A, B)]
+        index = {rep: t for t, rep in enumerate(reps)}
+        orbits, table = [], {}
+        for t, rep in enumerate(reps):
+            orbit = frozenset(conjugate_hom(B, rep, h) for h in range(B.order))
+            orbits.append(orbit)
+            for phi in orbit:
+                if index.get(class_of_hom(A, B, phi)) != t:
+                    raise InternalCheckError("class_of_hom does not name the class of a conjugate")
+                table[phi] = t
+        A._cache[key] = reps, orbits, table
+    return A._cache[key]
+
+
+def _check_composition(A: FiniteGroup, B: FiniteGroup, C: FiniteGroup) -> None:
+    """Check that composing classes A -> B -> C is well defined, once per
+    triple with arrows on both legs, and record the triple on A."""
+    key = ("composition_checked", B.table_key(), C.table_key())
+    orbits_ab, orbits_bc = _arrows(A, B)[1], _arrows(B, C)[1]
+    if key in A._cache or not orbits_ab or not orbits_bc:
+        return
+    table = _arrows(A, C)[2]
+    for orbit_a in orbits_ab:
+        for orbit_b in orbits_bc:
+            got = {table.get(tuple(map(fb.__getitem__, fa))) for fa in orbit_a for fb in orbit_b}
+            if None in got:
+                raise InternalCheckError("a composite lies in no class of the category")
+            if len(got) != 1:
+                raise InternalCheckError("class composition depends on representatives")
+    A._cache[key] = True
 
 
 def build_quotient_category(max_order: int) -> QuotientCategory:

@@ -18,7 +18,8 @@ classes, the only ones enumerated.
 
 What does not depend on the target is built once per source group and
 cached on it: each subgroup class's K, the inverses of its
-normalizer-induced automorphisms and their moves on the bit-0 framings.
+normalizer-induced automorphisms, their moves on the bit-0 framings and
+each bit-0 framing's image under the involution.
 Per target and variant only the hom-class representatives, their moves
 under those automorphisms and the canonical pairs are built, one
 subgroup class at a time; the per-class lists, each sorted, concatenate
@@ -86,7 +87,7 @@ class _Subgroup(NamedTuple):
     K: FiniteGroup
     auto_invs: tuple[tuple[int, ...], ...]  # inverses of the induced automorphisms
     bit_moves: tuple[dict, ...]  # per automorphism: bits -> bits pushed along it
-    bits0: tuple[tuple[int, ...], ...]  # the framings with trivial bit 0, in lexicographic order
+    bits0: dict  # each framing with trivial bit 0, in lexicographic order -> its involution image
 
 
 def _subgroups(G: FiniteGroup) -> list[_Subgroup]:
@@ -99,7 +100,7 @@ def _subgroups(G: FiniteGroup) -> list[_Subgroup]:
                 {tuple(pos[G.conj(n, g)] for g in emb) for n in normalizer(G, sc.representative)}
             )
             t = real_irreps(K).trivial_bit
-            bits0 = tuple(fr.bits for fr in framings(K) if fr.bits[t] == 0)
+            bits0 = {fr.bits: flip_trivial_bit(K, fr.bits) for fr in framings(K) if fr.bits[t] == 0}
             bit_moves = []
             for a in autos:
                 perm = framing_bit_permutation(K, K, a)
@@ -154,7 +155,7 @@ def map_group(G: FiniteGroup, H: FiniteGroup, variant: Variant) -> MapGroupPrese
     for i, sub in enumerate(_subgroups(G)):
         n = sub.K.order
         for g, bits in _generator_classes(sub, H, variant):
-            partner = MapGenerator(i, n, g, flip_trivial_bit(sub.K, bits))
+            partner = MapGenerator(i, n, g, sub.bits0[bits])
             orbit_table.append((MapGenerator(i, n, g, bits), partner))
     basis = tuple(c for c, _ in orbit_table)
     return MapGroupPresentation(

@@ -9,7 +9,9 @@ localization maps and the filteredness check.  The group-core section
 keeps the subgroup closure and the hom search as they were before both
 became one closure by right multiplication; the stable-maps section keeps
 the map group as it was built before the basis was read off the framings
-with trivial bit 0.
+with trivial bit 0; the quotient-category section keeps the category as
+each build made it before the pair data and the composition checks were
+shared across builds.
 """
 
 from __future__ import annotations
@@ -314,6 +316,68 @@ def reference_map_group(G, H, variant):
             orbit_table.append((basis[-1], MapGenerator(i, K.order, *partner)))
     pres = MapGroupPresentation(variant, len(basis), tuple(basis), tuple(orbit_table))
     return pres, sorted(classes)
+
+
+# -- the quotient category, built anew by every call ---------------------------------
+
+
+class _ReferenceQuotientCategory:
+    """Objects, homs, orbits and class tables of rstar.QuotientCategory,
+    all computed and checked by this one build."""
+
+    def __init__(self, max_order):
+        from orbicalc.corpus import groups_of_order_at_most
+        from orbicalc.groups import are_isomorphic
+        from orbicalc.homs import class_of_hom, conjugate_hom, rep_hom_classes
+        from orbicalc.rstar import Arrow
+
+        candidates = sorted(groups_of_order_at_most(max_order), key=lambda g: (g.order, g.name))
+        objects = []
+        for G in candidates:
+            if not any(are_isomorphic(G, H) is not None for H in objects):
+                objects.append(G)
+        self.objects = objects
+        self.homs = {
+            (i, j): [Arrow(i, j, c.representative) for c in rep_hom_classes(A, B)]
+            for i, A in enumerate(objects)
+            for j, B in enumerate(objects)
+        }
+        self._orbits, self._classes = {}, {}
+        for (i, j), arrows in self.homs.items():
+            A, B = objects[i], objects[j]
+            index = {a.rep: t for t, a in enumerate(arrows)}
+            orbits = self._orbits[(i, j)] = []
+            table = self._classes[(i, j)] = {}
+            for t, a in enumerate(arrows):
+                orbit = frozenset(conjugate_hom(B, a.rep, h) for h in range(B.order))
+                orbits.append(orbit)
+                for phi in orbit:
+                    assert index.get(class_of_hom(A, B, phi)) == t
+                    table[phi] = t
+        n = len(objects)
+        for i, G in enumerate(objects):
+            assert tuple(range(G.order)) in self._classes[(i, i)]
+        for (i, j), orbits_ij in self._orbits.items():
+            for orbit_a in orbits_ij:
+                for k in range(n):
+                    table = self._classes[(i, k)]
+                    for orbit_b in self._orbits[(j, k)]:
+                        got = {
+                            table.get(tuple(map(fb.__getitem__, fa)))
+                            for fa in orbit_a
+                            for fb in orbit_b
+                        }
+                        assert None not in got and len(got) == 1
+
+    def compose(self, a, b):
+        phi = tuple(map(b.rep.__getitem__, a.rep))
+        return self.homs[(a.src, b.dst)][self._classes[(a.src, b.dst)][phi]]
+
+
+def reference_quotient_category(max_order):
+    """The quotient category on groups of order <= max_order, with every
+    pair's orbits and class table and every composition check made anew."""
+    return _ReferenceQuotientCategory(max_order)
 
 
 # -- cyclotomic integers ---------------------------------------------------------

@@ -10,14 +10,22 @@ from orbicalc.groups import centralizer, quotient_group
 from orbicalc.homs import class_of_hom, hom_classes
 
 
-def test_non_invariant_class_of_hom_fails_the_build(monkeypatch):
+# The mutation tests below run on fresh corpus groups: a build on groups
+# whose pair data and triples are already checked and cached checks nothing
+# again, and a corrupted shared table must not outlive its test.
+
+
+def test_non_invariant_class_of_hom_fails_the_build(fresh_groups, monkeypatch):
     # The identity is constant on no orbit of size > 1 (S3 has them).
     monkeypatch.setattr(rstar, "class_of_hom", lambda G, H, phi: tuple(phi))
-    with pytest.raises(InternalCheckError):
-        rstar.QuotientCategory(6)
+    for _ in range(2):  # a failed check is not cached as passed
+        with pytest.raises(InternalCheckError, match="class_of_hom"):
+            rstar.QuotientCategory(6)
+    monkeypatch.setattr(rstar, "class_of_hom", class_of_hom)
+    rstar.QuotientCategory(6)
 
 
-def test_class_of_hom_naming_no_arrow_fails_the_build(monkeypatch):
+def test_class_of_hom_naming_no_arrow_fails_the_build(fresh_groups, monkeypatch):
     # Invariant, but the largest member is not the representative.
     def largest(G, H, phi):
         return max(tuple(cm[x] for x in phi) for cm in H.conj_maps())
@@ -27,33 +35,39 @@ def test_class_of_hom_naming_no_arrow_fails_the_build(monkeypatch):
         rstar.QuotientCategory(6)
 
 
-def _pair_with_a_conjugate(cat):
-    """(i, j), an arrow index t and a member of its orbit other than its rep,
-    on a pair with at least two arrows."""
-    for (i, j), arrows in cat.homs.items():
-        if len(arrows) < 2:
-            continue
-        for t, orbit in enumerate(cat._orbits[(i, j)]):
-            for phi in sorted(orbit):
-                if phi != arrows[t].rep:
-                    return (i, j), t, phi
+def _shared_pair_with_a_conjugate(max_order):
+    """The shared class table of a pair of groups of order <= max_order with
+    at least two arrows, an arrow index t and a member of its orbit other
+    than its representative."""
+    groups = sorted(groups_of_order_at_most(max_order), key=lambda g: (g.order, g.name))
+    for A in groups:
+        for B in groups:
+            reps, orbits, table = rstar._arrows(A, B)
+            if len(reps) < 2:
+                continue
+            for t, orbit in enumerate(orbits):
+                for phi in sorted(orbit):
+                    if phi != reps[t]:
+                        return table, t, phi
     raise AssertionError("no orbit of size > 1")
 
 
-def test_verify_rejects_a_class_table_that_splits_an_orbit():
-    cat = rstar.QuotientCategory(8)
-    pair, t, phi = _pair_with_a_conjugate(cat)
-    cat._classes[pair][phi] = 1 - min(t, 1)
-    with pytest.raises(InternalCheckError, match="depends on representatives"):
-        cat._verify()
+def test_verify_rejects_a_class_table_that_splits_an_orbit(fresh_groups):
+    table, t, phi = _shared_pair_with_a_conjugate(8)
+    table[phi] = 1 - min(t, 1)
+    # A failed triple is not recorded as checked, so each build fails again.
+    for _ in range(len(groups_of_order_at_most(8)) + 1):
+        with pytest.raises(InternalCheckError, match="depends on representatives"):
+            rstar.QuotientCategory(8)
+    table[phi] = t
+    rstar.QuotientCategory(8)
 
 
-def test_verify_rejects_a_composite_missing_from_the_table():
-    cat = rstar.QuotientCategory(8)
-    pair, _, phi = _pair_with_a_conjugate(cat)
-    del cat._classes[pair][phi]
+def test_verify_rejects_a_composite_missing_from_the_table(fresh_groups):
+    table, _, phi = _shared_pair_with_a_conjugate(8)
+    del table[phi]
     with pytest.raises(InternalCheckError, match="no class"):
-        cat._verify()
+        rstar.QuotientCategory(8)
 
 
 def test_compose_is_class_of_hom_of_the_composite():

@@ -376,6 +376,9 @@ MALFORMED_INPUTS = {  # name -> (argv, file text, part of the error message)
     "exact Infinity": (DETECT, '{"matrices": [[[1]], [[Infinity]]]}', "finite numbers"),
     "exact 1e400": (DETECT, '{"mode": "exact", "matrices": [[[1]], [[1e400]]]}', "finite numbers"),
     "fixed NaN": (DETECT, '{"mode": "fixed", "matrices": [[[1]], [[NaN]]]}', "finite numbers"),
+    "fixed big integer": (
+        DETECT, '{"mode": "fixed", "matrices": [[[1]], [[1%s]]]}' % ("0" * 400), "too large"
+    ),
     "deep matrix file": (DETECT, DEEP, "nested too deeply"),
     "deep category": (LOCALIZE, DEEP, "nested too deeply"),
     "deep group file": (["group", FILE], DEEP, "nested too deeply"),
@@ -390,6 +393,16 @@ def test_malformed_inputs_exit_1_with_a_structured_error(tmp_path, argv, text, m
     assert code == 1
     err = json.loads(err)
     assert err["error"] == "ValidationError" and message in err["message"]
+
+
+def test_exact_mode_accepts_an_integer_too_large_for_a_float(tmp_path):
+    big = 10**400
+    # [[1, big], [0, -1]] squares to the identity, so it represents C2.
+    data = {"mode": "exact", "matrices": [[[1, 0], [0, 1]], [[1, big], [0, -1]]]}
+    f = tmp_path / "m.json"
+    f.write_text(json.dumps(data))
+    code, err = _main(["detect", "c2", "--matrix-file", str(f)])
+    assert (code, err) == (0, "")
 
 
 @settings(max_examples=60, deadline=None,

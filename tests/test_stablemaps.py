@@ -215,6 +215,28 @@ def test_target_independent_data_is_built_once(monkeypatch):
     assert len(calls) == autos
 
 
+def test_partner_bits_are_flipped_once_per_bit0_framing(monkeypatch):
+    calls = []
+
+    def counting(K, bits):
+        calls.append(bits)
+        return bundles.flip_trivial_bit(K, bits)
+
+    monkeypatch.setattr(stablemaps, "flip_trivial_bit", counting)
+    G = FiniteGroup(corpus_group("d8").table)  # a fresh instance: nothing cached on it yet
+    map_group(G, corpus_group("c2"), "rep")
+    bit0_framings = sum(
+        len(bundles.framings(subgroup_as_group(G, sc.representative)[0])) // 2
+        for sc in subgroup_classes(G)
+    )
+    assert len(calls) == bit0_framings  # while the source's data is built
+    calls.clear()
+    for H in groups_of_order_at_most(8):
+        for variant in ("rep", "orb"):
+            assert map_group(G, H, variant).rank > 0
+    assert calls == []
+
+
 def test_map_group_equals_the_canonicalise_and_pair_reference():
     # Reading the basis off the framings with trivial bit 0 gives the same
     # presentation as canonicalising every framing and pairing each class
