@@ -290,7 +290,6 @@ def group_from_generators(
     degree: int,
     generators: Sequence[Sequence[int]],
     name: Optional[str] = None,
-    max_order: int = DEFAULT_CLOSURE_CAP,
 ) -> FiniteGroup:
     """Close permutation generators into a FiniteGroup.
 
@@ -326,8 +325,8 @@ def group_from_generators(
         for k, g in enumerate(gens):
             q = _compose(p, g)
             if q not in index:
-                if len(elements) >= max_order:
-                    raise ValidationError(f"closure exceeds cap of {max_order} elements")
+                if len(elements) >= DEFAULT_CLOSURE_CAP:
+                    raise ValidationError(f"closure exceeds cap of {DEFAULT_CLOSURE_CAP} elements")
                 index[q] = len(elements)
                 elements.append(q)
                 parent.append(a)
@@ -364,7 +363,6 @@ def conjugacy_classes(G: FiniteGroup) -> list[tuple[int, ...]]:
         for x in orbit:
             seen[x] = True
         classes.append(tuple(sorted(orbit)))
-    classes.sort(key=lambda c: c[0])
     G._cache["classes"] = classes
     return classes
 
@@ -447,17 +445,16 @@ def subgroup_classes(G: FiniteGroup) -> list[SubgroupClass]:
             continue
         orbit = {frozenset(G.conj(g, x) for x in H) for g in range(G.order)}
         remaining -= orbit
-        rep = min(orbit, key=lambda s: tuple(sorted(s)))
-        norm = normalizer(G, rep)
+        # all_subgroups is sorted, so H is the least member of its orbit.
+        norm = normalizer(G, H)
         sc = SubgroupClass(
-            representative=tuple(sorted(rep)),
+            representative=tuple(sorted(H)),
             normalizer_order=len(norm),
             conjugates_count=len(orbit),
         )
         if sc.conjugates_count * sc.normalizer_order != G.order:
             raise ValidationError("orbit-stabilizer identity fails for subgroups")
         classes.append(sc)
-    classes.sort(key=lambda c: (c.order, c.representative))
     G._cache["subgroup_classes"] = classes
     return classes
 

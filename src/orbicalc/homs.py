@@ -19,7 +19,6 @@ from .groups import (
     centralizer,
     generating_set,
     hom_search,
-    is_homomorphism,
     normal_subgroups,
     quotient_group,
 )
@@ -78,10 +77,10 @@ def hom_classes(G: FiniteGroup, H: FiniteGroup) -> list[HomClass]:
             continue
         orbit = {conjugate_hom(H, phi, h) for h in range(H.order)}
         remaining -= orbit
-        rep = min(orbit)
-        image = set(rep)
+        # enumerate_homs is sorted, so phi is the least member of its orbit.
+        image = set(phi)
         cls = HomClass(
-            representative=rep,
+            representative=phi,
             injective=len(image) == G.order,
             orbit_size=len(orbit),
             # |Z_H(im rep)|, counted without building the subgroup class.
@@ -92,7 +91,6 @@ def hom_classes(G: FiniteGroup, H: FiniteGroup) -> list[HomClass]:
         if cls.orbit_size * cls.centralizer_order != H.order:
             raise InternalCheckError("orbit-stabilizer fails for a hom class")
         classes.append(cls)
-    classes.sort(key=lambda c: c.representative)
     G._cache[key] = classes
     return classes
 

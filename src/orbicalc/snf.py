@@ -5,13 +5,16 @@ row -> nonzero coefficient dict per cell, as its producer writes them.
 The d∘d = 0 check and homology both work on those columns; the dense
 matrices exist only as a view built on request.
 
-Homology first eliminates unit pivots sparsely.  A pivot of +1 or -1
-splits off one invariant factor 1 by a unimodular step (the Schur
-complement of the pivot), so the factors stay exact; among a column's
-unit entries the pivot is taken in the row with the fewest entries, which
-limits fill-in.  Only the block left when no unit pivot remains goes to
-the dense `smith_normal_form`, which pivots on a minimal-absolute-value
-nonzero entry.  Nerve boundaries usually leave no such block at all.
+One sparse elimination gives the invariant factors.  It first takes unit
+pivots: a pivot of +1 or -1 splits off one invariant factor 1 by a
+unimodular step (the Schur complement of the pivot), so the factors stay
+exact; among a column's unit entries the pivot is taken in the row with
+the fewest entries, which limits fill-in.  When no unit is left, it
+pivots on a least nonzero entry p: a row or column step leaves a smaller
+remainder wherever p does not divide its row or column, and once it
+does, p splits off by the same Schur step, dividing exactly by p.  One
+pairwise (gcd, lcm) pass puts those least-entry pivots into divisibility
+order.  Nerve boundaries usually need no least-entry pivot at all.
 Arithmetic is arbitrary precision throughout.  References: Dumas,
 Heckenbach, Saunders and Welker, "Computing simplicial homology based on
 efficient Smith normal form algorithms" (2003); Kaczynski, Mischaikow and
@@ -21,6 +24,7 @@ Mrozek, Computational Homology (2004), chapter 3.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd, lcm
 from typing import Mapping, Sequence
 
 from .errors import ValidationError
@@ -28,79 +32,13 @@ from .errors import ValidationError
 
 def smith_normal_form(A: Sequence[Sequence[int]]) -> list[int]:
     """Invariant factors d_1 | d_2 | ... (nonzero diagonal of the SNF)."""
-    M = [list(map(int, row)) for row in A]
-    rows = len(M)
-    cols = len(M[0]) if rows else 0
-    diag = []
-    t = 0
-    while t < min(rows, cols):
-        # Find a minimal nonzero pivot in the remaining block.
-        best = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                if M[i][j] != 0 and (best is None or abs(M[i][j]) < abs(M[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
-        bi, bj = best
-        M[t], M[bi] = M[bi], M[t]
-        for r in M:
-            r[t], r[bj] = r[bj], r[t]
-        # Reduce row and column against the pivot until both are clear.
-        while True:
-            pivot = M[t][t]
-            done = True
-            for i in range(t + 1, rows):
-                if M[i][t] % pivot != 0:
-                    q = M[i][t] // pivot
-                    M[i] = [a - q * b for a, b in zip(M[i], M[t])]
-                    M[t], M[i] = M[i], M[t]
-                    done = False
-                    break
-            if not done:
-                continue
-            for i in range(t + 1, rows):
-                q = M[i][t] // pivot
-                if q:
-                    M[i] = [a - q * b for a, b in zip(M[i], M[t])]
-            for j in range(t + 1, cols):
-                if M[t][j] % pivot != 0:
-                    q = M[t][j] // pivot
-                    for r in M:
-                        r[j] -= q * r[t]
-                    for r in M:
-                        r[t], r[j] = r[j], r[t]
-                    done = False
-                    break
-            if not done:
-                continue
-            for j in range(t + 1, cols):
-                q = M[t][j] // pivot
-                if q:
-                    for r in M:
-                        r[j] -= q * r[t]
-            break
-        # Enforce divisibility towards the lower-right block.
-        pivot = M[t][t]
-        fixed = False
-        for i in range(t + 1, rows):
-            for j in range(t + 1, cols):
-                if M[i][j] % pivot != 0:
-                    M[t] = [a + b for a, b in zip(M[t], M[i])]
-                    fixed = True
-                    break
-            if fixed:
-                break
-        if fixed:
-            continue
-        diag.append(abs(pivot))
-        t += 1
-    return diag
+    width = len(A[0]) if A else 0
+    return invariant_factors([{i: v for i, row in enumerate(A) if (v := int(row[j]))} for j in range(width)])
 
 
 def invariant_factors(columns: Sequence[Mapping[int, int]]) -> list[int]:
-    """The nonzero diagonal of the Smith normal form of the matrix with these
-    columns: the list `smith_normal_form` gives for its dense form."""
+    """The nonzero diagonal d_1 | d_2 | ... of the Smith normal form of the
+    matrix with these columns."""
     cols = {j: dict(col) for j, col in enumerate(columns) if col}
     rows: dict[int, set[int]] = {}
     for j, col in cols.items():
@@ -119,31 +57,50 @@ def invariant_factors(columns: Sequence[Mapping[int, int]]) -> list[int]:
                 if (v == 1 or v == -1) and (r is None or len(rows[i]) < len(rows[r])):
                     r = i
             if r is not None:
-                _eliminate_unit(cols, rows, r, c)
+                _eliminate(cols, rows, r, c)
                 units += 1
                 found = True
-    if not cols:
-        return [1] * units
-    left = sorted({i for col in cols.values() for i in col})
-    at = {i: t for t, i in enumerate(left)}
-    residual = [[0] * len(cols) for _ in left]
-    for j, col in enumerate(cols.values()):
-        for i, v in col.items():
-            residual[at[i]][j] = v
-    return [1] * units + smith_normal_form(residual)
+    factors = []
+    while cols:
+        _, r, c = min((abs(v), i, j) for j, col in cols.items() for i, v in col.items())
+        p = cols[c][r]
+        if (j := next((j for j in rows[r] if cols[j][r] % p), None)) is not None:
+            # column j minus q times column c
+            q, line = cols[j][r] // p, [(i, j, v) for i, v in cols[c].items()]
+        elif (i := next((i for i, v in cols[c].items() if v % p), None)) is not None:
+            # row i minus q times row r
+            q, line = cols[c][i] // p, [(i, j, cols[j][r]) for j in rows[r]]
+        else:
+            _eliminate(cols, rows, r, c)
+            factors.append(abs(p))
+            continue
+        for i, j, v in line:
+            col = cols[j]
+            x = col.get(i, 0) - q * v
+            if x:
+                col[i] = x
+                rows[i].add(j)
+            else:
+                del col[i]
+                rows[i].discard(j)
+    for s in range(len(factors)):
+        for t in range(s + 1, len(factors)):
+            factors[s], factors[t] = gcd(factors[s], factors[t]), lcm(factors[s], factors[t])
+    return [1] * units + factors
 
 
-def _eliminate_unit(cols: dict, rows: dict, r: int, c: int) -> None:
-    """Replace the matrix by the Schur complement of its unit entry (r, c)."""
+def _eliminate(cols: dict, rows: dict, r: int, c: int) -> None:
+    """Replace the matrix by the Schur complement of its entry (r, c), which
+    divides every entry of its row and of its column."""
     pivot = cols.pop(c)
-    u = pivot.pop(r)
+    p = pivot.pop(r)
     for i in pivot:
         rows[i].discard(c)
     targets = rows.pop(r)
     targets.discard(c)
     for j in targets:
         col = cols[j]
-        q = col.pop(r) * u  # u is its own inverse
+        q = col.pop(r) // p
         for i, v in pivot.items():
             x = col.get(i, 0) - q * v
             if x:

@@ -11,7 +11,9 @@ became one closure by right multiplication; the stable-maps section keeps
 the map group as it was built before the basis was read off the framings
 with trivial bit 0; the quotient-category section keeps the category as
 each build made it before the pair data and the composition checks were
-shared across builds.
+shared across builds; the Smith normal form section keeps the dense
+elimination that ran on whatever the unit pivots left, before the sparse
+elimination took every pivot.
 """
 
 from __future__ import annotations
@@ -137,6 +139,84 @@ def sparse_columns(A, cols):
         for j in compress(range(cols), row):
             out[j][i] = int(row[j])
     return out
+
+
+# -- Smith normal form by the dense loop ---------------------------------------------
+
+
+def reference_smith_normal_form(A):
+    """Invariant factors d_1 | d_2 | ... (nonzero diagonal of the SNF), by
+    the dense loop: a least-magnitude pivot swapped to the diagonal, its row
+    and column reduced until clear, then a row added wherever the pivot
+    does not divide the block that is left."""
+    M = [list(map(int, row)) for row in A]
+    rows = len(M)
+    cols = len(M[0]) if rows else 0
+    diag = []
+    t = 0
+    while t < min(rows, cols):
+        # Find a minimal nonzero pivot in the remaining block.
+        best = None
+        for i in range(t, rows):
+            for j in range(t, cols):
+                if M[i][j] != 0 and (best is None or abs(M[i][j]) < abs(M[best[0]][best[1]])):
+                    best = (i, j)
+        if best is None:
+            break
+        bi, bj = best
+        M[t], M[bi] = M[bi], M[t]
+        for r in M:
+            r[t], r[bj] = r[bj], r[t]
+        # Reduce row and column against the pivot until both are clear.
+        while True:
+            pivot = M[t][t]
+            done = True
+            for i in range(t + 1, rows):
+                if M[i][t] % pivot != 0:
+                    q = M[i][t] // pivot
+                    M[i] = [a - q * b for a, b in zip(M[i], M[t])]
+                    M[t], M[i] = M[i], M[t]
+                    done = False
+                    break
+            if not done:
+                continue
+            for i in range(t + 1, rows):
+                q = M[i][t] // pivot
+                if q:
+                    M[i] = [a - q * b for a, b in zip(M[i], M[t])]
+            for j in range(t + 1, cols):
+                if M[t][j] % pivot != 0:
+                    q = M[t][j] // pivot
+                    for r in M:
+                        r[j] -= q * r[t]
+                    for r in M:
+                        r[t], r[j] = r[j], r[t]
+                    done = False
+                    break
+            if not done:
+                continue
+            for j in range(t + 1, cols):
+                q = M[t][j] // pivot
+                if q:
+                    for r in M:
+                        r[j] -= q * r[t]
+            break
+        # Enforce divisibility towards the lower-right block.
+        pivot = M[t][t]
+        fixed = False
+        for i in range(t + 1, rows):
+            for j in range(t + 1, cols):
+                if M[i][j] % pivot != 0:
+                    M[t] = [a + b for a, b in zip(M[t], M[i])]
+                    fixed = True
+                    break
+            if fixed:
+                break
+        if fixed:
+            continue
+        diag.append(abs(pivot))
+        t += 1
+    return diag
 
 
 # -- the group core before one closure ---------------------------------------------

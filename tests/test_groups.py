@@ -1,5 +1,6 @@
 import pytest
 
+from orbicalc import groups
 from orbicalc.errors import ValidationError
 from orbicalc.groups import (
     FiniteGroup,
@@ -85,9 +86,11 @@ def test_rejects_bad_generator():
         group_from_generators(3, [[0, 0, 1]])
 
 
-def test_rejects_closure_cap():
-    with pytest.raises(ValidationError):
-        group_from_generators(5, [[1, 2, 3, 4, 0], [1, 0, 2, 3, 4]], max_order=30)
+def test_rejects_closure_cap(monkeypatch):
+    # S5 has 120 elements; the cap is read when the closure runs.
+    monkeypatch.setattr(groups, "DEFAULT_CLOSURE_CAP", 30)
+    with pytest.raises(ValidationError, match="cap of 30"):
+        group_from_generators(5, [[1, 2, 3, 4, 0], [1, 0, 2, 3, 4]])
 
 
 def test_rejects_non_associative_table():

@@ -1,10 +1,12 @@
-"""Sparse unit-pivot homology against the dense Smith normal form oracle."""
+"""Sparse homology against the dense Smith normal form oracle kept in the
+test helpers."""
+
+import copy
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orbicalc import snf
 from orbicalc.errors import ValidationError
 from orbicalc.rstar import build_quotient_category, nerve_chain_complex
 from orbicalc.snf import (
@@ -15,25 +17,29 @@ from orbicalc.snf import (
     smith_normal_form,
 )
 
-from .helpers import sparse_columns
+from .helpers import reference_smith_normal_form, sparse_columns
 from .test_snf import RP2_TRIANGLES
 
 # Units, zeros and non-units in about equal measure.
 ENTRIES = st.sampled_from([-3, -2, -1, 0, 0, 0, 1, 1, 2, 4, 6])
+# No units at all, and pairs like 2 and 3 or 4 and 6 that divide neither
+# way: every pivot is a least entry, both reduction steps run, and the
+# pivots need the (gcd, lcm) pass to come out in divisibility order.
+NON_UNITS = st.sampled_from([0, 2, -2, 3, -3, 4, -4, 6, -6, 9, -9, 12, -12])
 
 
 @st.composite
-def matrices(draw):
+def matrices(draw, entries=ENTRIES):
     rows = draw(st.integers(0, 6))
     cols = draw(st.integers(0, 6))
-    return [[draw(ENTRIES) for _ in range(cols)] for _ in range(rows)], cols
+    return [[draw(entries) for _ in range(cols)] for _ in range(rows)], cols
 
 
 def dense_homology(cc: ChainComplex) -> list[tuple[int, tuple[int, ...]]]:
     """(betti, torsion) per degree from dense SNF of each whole boundary."""
     k = len(cc.ranks)
     factors = [[]] + [
-        smith_normal_form(cc.boundaries[p]) if cc.ranks[p] and cc.ranks[p - 1] else []
+        reference_smith_normal_form(cc.boundaries[p]) if cc.ranks[p] and cc.ranks[p - 1] else []
         for p in range(1, k)
     ]
     factors.append([])
@@ -54,18 +60,27 @@ def sparse_homology(cc: ChainComplex) -> list[tuple[int, tuple[int, ...]]]:
 @given(matrices())
 def test_invariant_factors_match_dense_snf(case):
     A, cols = case
-    assert invariant_factors(sparse_columns(A, cols)) == smith_normal_form(A)
+    assert invariant_factors(sparse_columns(A, cols)) == reference_smith_normal_form(A)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(matrices(NON_UNITS))
+def test_least_entry_pivots_match_dense_snf(case):
+    A, cols = case
+    expected = reference_smith_normal_form(A)
+    assert invariant_factors(sparse_columns(A, cols)) == expected
+    assert smith_normal_form(A) == expected
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(matrices(), st.integers(0, 5), st.integers(0, 5))
 def test_invariant_factors_of_unit_bordered_block(case, i, j):
     # Border a random block with a unit row and column, so that at least
-    # one unit pivot is eliminated before the rest reaches the dense SNF.
+    # one unit pivot is eliminated before any least-entry pivot.
     A, cols = case
     B = [[1] + [(i * c + j) % 3 for c in range(cols)]]
     B += [[(r * i + j) % 2] + row for r, row in enumerate(A)]
-    assert invariant_factors(sparse_columns(B, cols + 1)) == smith_normal_form(B)
+    assert invariant_factors(sparse_columns(B, cols + 1)) == reference_smith_normal_form(B)
 
 
 def test_sparse_columns_skip_zeros():
@@ -102,23 +117,22 @@ def test_homology_matches_dense_oracle_on_random_complexes(faces):
     assert sparse_homology(cc) == dense_homology(cc)
 
 
-def test_rp2_torsion_comes_from_the_residual_block(monkeypatch):
-    residuals = []
-
-    def recording(A):
-        residuals.append([list(r) for r in A])
-        return smith_normal_form(A)
-
-    monkeypatch.setattr(snf, "smith_normal_form", recording)
+def test_rp2_torsion_from_the_invariant_factors_of_d2():
     cc = complex_from_simplices(RP2_TRIANGLES)
-    h = sparse_homology(cc)
-    assert h == [(1, ()), (0, (2,)), (0, ())]
-    monkeypatch.undo()
-    assert h == dense_homology(cc)
-    # Only the boundary carrying the torsion leaves a block, and it is small.
-    assert len(residuals) == 1
-    assert smith_normal_form(residuals[0]) == [2]
-    assert len(residuals[0]) * len(residuals[0][0]) < 15 * 10
+    factors = invariant_factors(cc.columns[2])
+    assert factors == [1] * 9 + [2]
+    assert factors == reference_smith_normal_form(cc.boundaries[2])
+    assert sparse_homology(cc) == [(1, ()), (0, (2,)), (0, ())] == dense_homology(cc)
+
+
+def test_homology_leaves_its_input_alone():
+    nerve, _ = nerve_chain_complex(build_quotient_category(6), 3, True)
+    for cc in (nerve, complex_from_simplices(RP2_TRIANGLES)):
+        before = copy.deepcopy(cc.columns)
+        first = homology(cc)
+        assert cc.columns == before
+        assert homology(cc) == first
+        assert cc.columns == before
 
 
 @pytest.mark.parametrize("include_isos", [False, True])
