@@ -2,32 +2,26 @@
 
 Every command is deterministic: identical inputs and flags produce
 byte-identical output.  Exit status is 0 on success, 1 on a domain error
-(reported as a structured JSON record on stderr), 2 on usage errors.
+or an input or output path that cannot be read or written (reported as a
+structured JSON record on stderr), 2 on usage errors.
+
+Each subcommand imports the modules it runs inside its own function, so a
+call loads only those, and a usage error loads none.  A command that
+takes groups resolves them before it imports what computes, so a first
+group argument that is an unknown name or a file that is not JSON is
+refused without loading numpy, which is most of a cold call's start-up.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
-from .bundles import StableBundle, aut_group, framings
-from .characters import character_table, frobenius_schur
-from .corpus import corpus_dir, corpus_names, corpus_group, resolve_group
 from .errors import OrbicalcError, ValidationError, read_json
-from .groups import conjugacy_classes, group_to_json, subgroup_classes
-from .homs import hom_classes, rep_hom_classes
-from .localize import category_from_json, check_right_multiplicative, localize_hom
-from .realreps import MatrixRep, real_irreps
-from .rstar import build_quotient_category, cell_census, nerve_chain_complex
-from .snf import homology
-from .stablemaps import map_group
-from .transversality import derived_class_detector
 
 
 def _dump(data: dict) -> str:
@@ -41,6 +35,8 @@ def _emit(args, payload: dict, inputs: dict[str, Path | None]) -> None:
     else:
         sys.stdout.write(text)
     if getattr(args, "manifest", None):
+        import hashlib
+
         digests = {}
         for label, path in inputs.items():
             if path is not None and Path(path).exists():
@@ -65,7 +61,11 @@ def _emit(args, payload: dict, inputs: dict[str, Path | None]) -> None:
 
 
 def cmd_group(args) -> None:
+    from .corpus import resolve_group
+
     G, group_file = resolve_group(args.group)
+    from .groups import conjugacy_classes, subgroup_classes
+
     classes = conjugacy_classes(G)
     payload = {
         "name": G.name,
@@ -88,7 +88,12 @@ def cmd_group(args) -> None:
 
 
 def cmd_irreps(args) -> None:
+    from .corpus import resolve_group
+
     G, group_file = resolve_group(args.group)
+    from .characters import character_table, frobenius_schur
+    from .realreps import real_irreps
+
     ct = character_table(G)
     R = real_irreps(G)
     payload = {
@@ -110,8 +115,12 @@ def cmd_irreps(args) -> None:
 
 
 def cmd_homs(args) -> None:
+    from .corpus import resolve_group
+
     G, source_file = resolve_group(args.source)
     H, target_file = resolve_group(args.target)
+    from .homs import hom_classes, rep_hom_classes
+
     classes = rep_hom_classes(G, H) if args.injective else hom_classes(G, H)
     payload = {
         "source": G.name,
@@ -131,7 +140,12 @@ def cmd_homs(args) -> None:
 
 
 def cmd_bundles(args) -> None:
+    from .corpus import resolve_group
+
     G, group_file = resolve_group(args.group)
+    from .bundles import StableBundle, aut_group, framings
+    from .realreps import real_irreps
+
     R = real_irreps(G)
     zero = StableBundle(G, tuple([0] * len(R)))
     payload = {
@@ -147,8 +161,12 @@ def cmd_bundles(args) -> None:
 
 
 def cmd_stable_maps(args) -> None:
+    from .corpus import resolve_group
+
     G, source_file = resolve_group(args.source)
     H, target_file = resolve_group(args.target)
+    from .stablemaps import map_group
+
     pres = map_group(G, H, args.variant)
     payload = {
         "source": G.name,
@@ -170,6 +188,19 @@ def cmd_stable_maps(args) -> None:
 
 
 def cmd_rstar(args) -> None:
+    from .rstar import (
+        build_quotient_category,
+        cell_census,
+        check_max_dim,
+        check_max_order,
+        nerve_chain_complex,
+    )
+    from .snf import homology
+
+    # The library's own range checks, before the category is built; the
+    # order first, as building the category would check it.
+    check_max_order(args.max_order)
+    check_max_dim(args.max_dim)
     cat = build_quotient_category(args.max_order)
     if args.census:
         census = cell_census(
@@ -214,6 +245,8 @@ def cmd_rstar(args) -> None:
 
 
 def cmd_localize(args) -> None:
+    from .localize import category_from_json, check_right_multiplicative, localize_hom
+
     cat, W = category_from_json(args.category)
     verdict = check_right_multiplicative(cat, W)
     payload = {
@@ -247,7 +280,15 @@ def _is_matrix_list(mats) -> bool:
 
 
 def cmd_detect(args) -> None:
+    from .corpus import resolve_group
+
     G, group_file = resolve_group(args.group)
+    from fractions import Fraction
+
+    from .characters import character_table
+    from .realreps import MatrixRep
+    from .transversality import derived_class_detector
+
     if args.matrix_file:
         data = read_json(args.matrix_file)
         if not isinstance(data, dict) or not _is_matrix_list(data.get("matrices")):
@@ -294,8 +335,12 @@ def cmd_detect(args) -> None:
 
 
 def cmd_corpus(args) -> None:
+    from .corpus import corpus_dir, corpus_group, corpus_names
+
     if args.dump:
         G = corpus_group(args.dump)
+        from .groups import group_to_json
+
         payload = group_to_json(G)
     else:
         payload = {
@@ -390,13 +435,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         args.func(args)
-    except OrbicalcError as exc:
-        record = {"error": type(exc).__name__, "message": str(exc)}
-        sys.stderr.write(_dump(record))
-        return 1
-    except FileNotFoundError as exc:
-        record = {"error": "FileNotFound", "message": str(exc)}
-        sys.stderr.write(_dump(record))
+    except (OrbicalcError, OSError) as exc:
+        error = type(exc).__name__
+        if isinstance(exc, OSError):
+            # A path that is missing, a directory or unreadable:
+            # FileNotFound, IsADirectory, Permission, ...
+            error = error.removesuffix("Error")
+        sys.stderr.write(_dump({"error": error, "message": str(exc)}))
         return 1
     return 0
 

@@ -7,15 +7,20 @@ directory, or the ORBICALC_CORPUS environment variable when it is set.
 Every lookup (`corpus_names`, `corpus_group`, `groups_of_order_at_most`,
 `resolve_group`, `load_group`) reads that directory, and `resolve_group`
 alone decides whether a command-line argument is a file or a corpus name.
+The group module, and with it numpy, is imported only when a group is
+built: an unknown name or a file that is not JSON is refused first.
 """
 
 from __future__ import annotations
 
 import os
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .errors import ValidationError
-from .groups import FiniteGroup, group_from_json
+from .errors import ValidationError, read_json_object
+
+if TYPE_CHECKING:
+    from .groups import FiniteGroup
 
 ALIASES = {"trivial": "c1", "d6": "s3", "q12": "dic3"}
 
@@ -45,6 +50,8 @@ def corpus_group(name: str) -> FiniteGroup:
             raise ValidationError(
                 f"cannot resolve group '{name}' (no file, not in corpus)"
             )
+        from .groups import group_from_json
+
         _GROUP_CACHE[file] = group_from_json(file, name=name)
     return _GROUP_CACHE[file]
 
@@ -58,7 +65,10 @@ def resolve_group(name_or_path: str) -> tuple[FiniteGroup, Path]:
     corpus name or alias.  Returns the group and the file it was read from."""
     path = Path(name_or_path)
     if path.suffix == ".json" and path.exists():
-        return group_from_json(path), path
+        data = read_json_object(path)
+        from .groups import group_from_json
+
+        return group_from_json(data, name=data.get("name", path.stem)), path
     G = corpus_group(name_or_path)
     return G, corpus_dir() / f"{G.name}.json"
 

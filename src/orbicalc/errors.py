@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the JSON file reader
-that turns a malformed input file into one of them."""
+"""Exception types shared across the package, and the JSON file readers
+that turn a malformed input file into one of them."""
 
 import json
 
@@ -30,3 +30,11 @@ def read_json(path) -> object:
             raise ValidationError(f"{path} is not a JSON file: {exc}") from None
         except RecursionError:
             raise ValidationError(f"{path} is nested too deeply") from None
+
+
+def read_json_object(path) -> dict:
+    """Parse a JSON file that must hold an object."""
+    data = read_json(path)
+    if not isinstance(data, dict):
+        raise ValidationError(f"{path} does not hold a JSON object")
+    return data

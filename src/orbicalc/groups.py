@@ -26,7 +26,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .errors import ValidationError, read_json
+from .errors import ValidationError, read_json_object
 
 DEFAULT_CLOSURE_CAP = 10_000
 DEFAULT_SUBGROUP_CAP = 48
@@ -641,9 +641,7 @@ def group_from_json(data: dict | str | Path, name: Optional[str] = None) -> Fini
     """Load a group from {"degree", "generators"} or {"table"} JSON."""
     if not isinstance(data, dict):
         path = Path(data)
-        data = read_json(path)
-        if not isinstance(data, dict):
-            raise ValidationError(f"{path} does not hold a JSON object")
+        data = read_json_object(path)
         if name is None:
             name = data.get("name", path.stem)
     else:

@@ -46,6 +46,19 @@ MAX_ORDER_CAP = 12
 MAX_CELLS = 100_000
 
 
+def check_max_order(max_order: int) -> None:
+    if max_order < 1 or max_order > MAX_ORDER_CAP:
+        raise ValidationError(
+            f"max order must lie in 1..{MAX_ORDER_CAP} (corpus completeness)"
+        )
+
+
+def check_max_dim(max_dim: int) -> None:
+    # Every degree is a level of the census, so the budget bounds them too.
+    if not 0 <= max_dim < MAX_CELLS:
+        raise ValidationError(f"max dim must lie in 0..{MAX_CELLS - 1}")
+
+
 @dataclass(frozen=True)
 class Arrow:
     src: int
@@ -60,10 +73,7 @@ class QuotientCategory:
     """Groups of order <= N, injective hom classes, class composition."""
 
     def __init__(self, max_order: int):
-        if max_order < 1 or max_order > MAX_ORDER_CAP:
-            raise ValidationError(
-                f"max order must lie in 1..{MAX_ORDER_CAP} (corpus completeness)"
-            )
+        check_max_order(max_order)
         self.max_order = max_order
         candidates = sorted(
             groups_of_order_at_most(max_order), key=lambda g: (g.order, g.name)
@@ -248,9 +258,7 @@ def cell_counts(cat: QuotientCategory, max_dim: int, include_isos: bool) -> list
 
 def cell_census(max_order: int, max_dim: int, include_isos: bool = False,
                 category: Optional[QuotientCategory] = None) -> CellCensus:
-    # Every degree is a level of the census, so the budget bounds them too.
-    if not 0 <= max_dim < MAX_CELLS:
-        raise ValidationError(f"max dim must lie in 0..{MAX_CELLS - 1}")
+    check_max_dim(max_dim)
     cat = category or build_quotient_category(max_order)
     cell_counts(cat, max_dim, include_isos)  # refuses before any cell is built
     # Sorting by name rank, then by arrow index, is Cell.key order, because

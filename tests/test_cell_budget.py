@@ -1,5 +1,7 @@
 """Cell counts before enumeration, the cell budget and the --max-dim range."""
 
+import contextlib
+import io
 import json
 import resource
 import subprocess
@@ -7,7 +9,7 @@ import sys
 
 import pytest
 
-from orbicalc import rstar
+from orbicalc import cli, rstar
 from orbicalc.errors import ValidationError
 from orbicalc.rstar import build_quotient_category, cell_census, cell_counts
 
@@ -84,6 +86,24 @@ def run_refused(*argv) -> dict:
 def test_cli_max_dim_out_of_range_is_a_structured_error(mode, max_dim):
     record = run_refused("rstar", "--max-order", "4", "--max-dim", max_dim, mode)
     assert "max dim" in record["message"]
+
+
+@pytest.mark.parametrize("max_order, message", [
+    ("12", "max dim must lie in 0..99999"),
+    ("13", "max order must lie in 1..12 (corpus completeness)"),
+], ids=["max dim", "max order first"])
+def test_cli_refuses_a_bad_max_dim_before_building(monkeypatch, max_order, message):
+    # Every category is built by QuotientCategory, whatever name the caller
+    # bound the builder to.
+    def no_build(*args):
+        raise AssertionError("the category was built")
+
+    monkeypatch.setattr(rstar, "QuotientCategory", no_build)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(["rstar", "--max-order", max_order, "--max-dim", "-1", "--homology"])
+    assert code == 1
+    assert err.getvalue() == f'{{\n  "error": "ValidationError",\n  "message": "{message}"\n}}\n'
 
 
 def test_cli_refuses_over_budget():

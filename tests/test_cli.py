@@ -395,6 +395,36 @@ def test_malformed_inputs_exit_1_with_a_structured_error(tmp_path, argv, text, m
     assert err["error"] == "ValidationError" and message in err["message"]
 
 
+PATH_ARGVS = {  # FILE stands for a directory named x.json
+    "--out": ["group", "c2", "--out", FILE],
+    "--manifest": ["group", "c2", "--manifest", FILE],
+    "group file": ["group", FILE],
+    "category file": ["localize", FILE, "--from", "a", "--to", "b"],
+    "matrix file": ["detect", "c2", "--matrix-file", FILE],
+}
+
+
+@pytest.mark.parametrize("argv", PATH_ARGVS.values(), ids=PATH_ARGVS)
+def test_a_directory_for_a_path_exits_1_with_a_structured_error(tmp_path, argv):
+    d = tmp_path / "x.json"
+    d.mkdir()
+    code, err = _main([str(d) if a is FILE else a for a in argv])
+    assert code == 1
+    assert json.loads(err) == {
+        "error": "IsADirectory", "message": f"[Errno 21] Is a directory: '{d}'"
+    }
+
+
+def test_a_missing_file_keeps_its_record(tmp_path):
+    missing = tmp_path / "missing.json"
+    code, err = _main(["detect", "c2", "--matrix-file", str(missing)])
+    assert code == 1
+    assert err == (
+        '{\n  "error": "FileNotFound",\n'
+        f'  "message": "[Errno 2] No such file or directory: \'{missing}\'"\n}}\n'
+    )
+
+
 def test_exact_mode_accepts_an_integer_too_large_for_a_float(tmp_path):
     big = 10**400
     # [[1, big], [0, -1]] squares to the identity, so it represents C2.
@@ -435,16 +465,55 @@ def test_import_loads_neither_scipy_nor_sympy():
     assert proc.stdout.strip() == "[]"
 
 
+def loaded_modules(tmp_path, *argv):
+    """Run `orbicalc argv` the way `python -m orbicalc` does, in a fresh
+    interpreter, and return the names in sys.modules when it ends."""
+    listing = tmp_path / "modules.json"
+    code = (
+        "import json, runpy, sys\n"
+        "try:\n"
+        "    runpy.run_module('orbicalc', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit:\n"
+        "    pass\n"
+        f"open({str(listing)!r}, 'w').write(json.dumps(sorted(sys.modules)))\n"
+    )
+    subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, check=True)
+    return set(json.loads(listing.read_text()))
+
+
+def test_import_and_early_refusals_load_no_numpy(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-c", "import json, sys, orbicalc; print(json.dumps(sorted(sys.modules)))"],
+        capture_output=True, text=True, check=True,
+    )
+    modules = set(json.loads(proc.stdout))
+    assert "numpy" not in modules
+    assert {m for m in modules if m.startswith("orbicalc")} == {"orbicalc"}
+    category = tmp_path / "cat.json"
+    category.write_text(json.dumps(_two_object_category()))
+    not_json = tmp_path / "broken.json"
+    not_json.write_text('{"name": "s3", "degree": 3, "gener')
+    for argv in (
+        ["--version"],
+        ["localize", str(category), "--from", "a", "--to", "b"],
+        ["stable-maps", "c2", "c2", "--variant", "nope"],
+        ["group", "definitely-not-a-group"],
+        ["group", str(not_json)],
+    ):
+        assert "numpy" not in loaded_modules(tmp_path, *argv), argv
+
+
+def test_a_group_command_loads_the_group_core(tmp_path):
+    # The check above would pass vacuously if no call loaded anything.
+    assert {"orbicalc.groups", "numpy"} <= loaded_modules(tmp_path, "group", "c2")
+
+
 def test_package_exports_are_pinned():
     import types
 
     import orbicalc
 
-    exported = {
-        n for n, v in vars(orbicalc).items()
-        if not n.startswith("_") and not isinstance(v, types.ModuleType)
-    }
-    assert exported == {
+    pinned = {
         "ChainComplex", "CharacterTable", "CoarseStableBundle", "FiniteCategory",
         "FiniteGroup", "Framing", "HomClass", "InternalCheckError", "LinearChart",
         "MapGenerator", "MapGroupPresentation", "MatrixRep", "OrbicalcError",
@@ -462,4 +531,11 @@ def test_package_exports_are_pinned():
         "rstar_homology", "smith_normal_form", "subgroup_as_group", "subgroup_classes",
         "transport_framing", "trivial_group", "verify_universal_property",
     }
+    # The names are exported lazily, so they are listed by dir() and
+    # __all__; submodules show up in dir() once something imports them.
+    public = {n for n in dir(orbicalc) if not n.startswith("_")}
+    assert {n for n in public if not isinstance(getattr(orbicalc, n), types.ModuleType)} == pinned
+    assert set(orbicalc.__all__) == pinned
+    assert not any(isinstance(getattr(orbicalc, n), types.ModuleType) for n in pinned)
+    assert pinned <= set(vars(orbicalc))
 

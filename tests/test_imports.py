@@ -1,6 +1,9 @@
 """Every module of the package uses each name it imports.
 
-The package's `__init__.py` is skipped: its imports are re-exports.
+An import inside a function must be read in that function (nested
+functions included); an import at module level must be read somewhere in
+the module.  So a stale function-local import is caught even when another
+function reads the same name.
 """
 
 import ast
@@ -9,24 +12,41 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "orbicalc"
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+MODULES = sorted(PACKAGE.glob("*.py"))
 
 
 def imported_names(tree):
-    """Name bound -> line, for every import outside `from __future__`."""
-    out = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                out[alias.asname or alias.name.split(".")[0]] = node.lineno
-        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
-            for alias in node.names:
-                out[alias.asname or alias.name] = node.lineno
+    """(name bound, line, scope) for every import outside `from __future__`.
+
+    The scope is the innermost function that holds the import, or the
+    module's tree for an import outside every function.
+    """
+    out = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Import):
+                out.extend((a.asname or a.name.split(".")[0], child.lineno, scope)
+                           for a in child.names)
+            elif isinstance(child, ast.ImportFrom) and child.module != "__future__":
+                out.extend((a.asname or a.name, child.lineno, scope) for a in child.names)
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child if inner else scope)
+
+    visit(tree, tree)
     return out
 
 
+def unused_imports(tree):
+    """(line, name) for every import its scope never reads."""
+    return sorted(
+        (line, name) for name, line, scope in imported_names(tree)
+        if name not in used_names(scope)
+    )
+
+
 def used_names(tree):
-    """Every name read, including those inside quoted annotations."""
+    """Every name read in a tree, including those inside quoted annotations."""
     out = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     annotations = [
         getattr(node, field)
@@ -43,9 +63,7 @@ def used_names(tree):
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
-    tree = ast.parse(path.read_text(encoding="utf-8"))
-    used = used_names(tree)
-    unused = sorted((line, name) for name, line in imported_names(tree).items() if name not in used)
+    unused = unused_imports(ast.parse(path.read_text(encoding="utf-8")))
     assert not unused, f"{path.name} imports names it never uses: {unused}"
 
 
@@ -56,6 +74,16 @@ def test_the_check_sees_an_unused_import():
         "import os.path\n"
         "x: Sequence\n"
         "def f(y: 'Optional[int]'): return 'Mapping'\n"
+        "def g():\n"
+        "    from json import dumps, loads\n"
+        "    return dumps(loads)\n"
+        "def h():\n"
+        "    from json import dumps\n"
+        "    def inner(): return dumps\n"
+        "    return inner\n"
+        "def stale():\n"
+        "    from json import dumps\n"
+        "    return 1\n"
     )
-    used = used_names(tree)
-    assert sorted(n for n in imported_names(tree) if n not in used) == ["Mapping", "os"]
+    # g and h's inner function read dumps; stale's own import of it (line 14) is unused.
+    assert unused_imports(tree) == [(2, "Mapping"), (3, "os"), (14, "dumps")]
