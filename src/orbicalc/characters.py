@@ -31,7 +31,7 @@ import numpy as np
 from ._modlinalg import charpoly_mod, nullspace_mod, roots_mod, solve_columns
 from .cyclotomic import CycInt, reduce_rows
 from .errors import InternalCheckError
-from .groups import FiniteGroup, class_index_map, conjugacy_classes
+from .groups import FiniteGroup, cached, class_index_map, conjugacy_classes
 
 
 def _find_prime(e: int, bound: int) -> int:
@@ -96,7 +96,6 @@ class CharacterTable:
         self.identity_class = class_of[G.identity]
         inv_class = [class_of[G.inv(z)] for z in reps]
         p = _find_prime(e, n)
-        self._prime = p
 
         # Class-sum matrices: (M_i)[j][k] = #{(x, y) in C_i x C_j : xy = z_k},
         # one bincount over the keys (class of y, class of xy) per class i.
@@ -291,10 +290,9 @@ def orthogonality_fold(W: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return acc.reshape(r, r, e)
 
 
+@cached("character_table")
 def character_table(G: FiniteGroup) -> CharacterTable:
-    if "character_table" not in G._cache:
-        G._cache["character_table"] = CharacterTable(G)
-    return G._cache["character_table"]
+    return CharacterTable(G)
 
 
 def frobenius_schur(table: CharacterTable, t: int) -> int:

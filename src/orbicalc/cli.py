@@ -280,6 +280,8 @@ def _is_matrix_list(mats) -> bool:
 
 
 def cmd_detect(args) -> None:
+    if not args.matrix_file and args.char_index is None:
+        raise ValidationError("need --char-index or --matrix-file")
     from .corpus import resolve_group
 
     G, group_file = resolve_group(args.group)
@@ -311,13 +313,11 @@ def cmd_detect(args) -> None:
                 raise ValidationError("a matrix entry is too large for fixed mode") from None
         rep = MatrixRep(G, mats, exact=exact, tolerance=data.get("tolerance", 1e-9))
         verdict = derived_class_detector(G, rep)
-    elif args.char_index is not None:
+    else:
         ct = character_table(G)
         if not 0 <= args.char_index < ct.num_classes:
             raise ValidationError("character index out of range")
         verdict = derived_class_detector(G, list(ct.values[args.char_index]))
-    else:
-        raise ValidationError("need --char-index or --matrix-file")
     payload = {
         "group": G.name,
         "fixed_dim": verdict.fixed_dim,

@@ -14,11 +14,15 @@ multiplication with generators (Holt, Eick and O'Brien, Handbook of
 Computational Group Theory, 2005, section 4.1).  It picks Light's
 generators, generating sets and the subgroup lattice.  `extend_hom` walks
 the same Cayley graph carrying images, checking phi(x g) = phi(x) phi(g).
+
+Derived data kept on a group (classes, subgroups, character tables, hom
+classes, ...) goes through one memo, `cached`, in whichever module derives it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import wraps
 from itertools import chain
 from math import lcm
 from pathlib import Path
@@ -30,6 +34,26 @@ from .errors import ValidationError, read_json_object
 
 DEFAULT_CLOSURE_CAP = 10_000
 DEFAULT_SUBGROUP_CAP = 48
+
+
+def cached(name: str):
+    """Memoise fn(G, *args) on G: computed once and kept in G._cache under
+    `name`, or under (name, *args) with each group argument keyed by its
+    table.  A call that raises stores nothing."""
+
+    def decorate(fn):
+        @wraps(fn)
+        def memo(G, *args):
+            key = name
+            if args:
+                key = (name, *[a.table_key() if isinstance(a, FiniteGroup) else a for a in args])
+            if key not in G._cache:
+                G._cache[key] = fn(G, *args)
+            return G._cache[key]
+
+        return memo
+
+    return decorate
 
 
 @dataclass(frozen=True)
@@ -49,8 +73,9 @@ class FiniteGroup:
     """A finite group given by its full multiplication table.
 
     table[g][h] is the element index of g*h.  Instances are immutable
-    (mutating methods do not exist); derived data is cached lazily, so any
-    value may be shared freely between threads.
+    (mutating methods do not exist); derived data is computed lazily and
+    kept in `_cache` by `cached`, so any value may be shared freely between
+    threads.
     """
 
     def __init__(
@@ -142,38 +167,31 @@ class FiniteGroup:
     def inv(self, a: int) -> int:
         return self.inverses()[a]
 
+    @cached("array")
     def array(self) -> np.ndarray:
         """The table as a read-only int16 array (int32 above 32,767 elements)."""
-        if "array" not in self._cache:
-            n = self.order
-            dtype = np.int16 if n <= np.iinfo(np.int16).max else np.int32
-            T = np.fromiter(chain.from_iterable(self.table), dtype=dtype, count=n * n)
-            T = T.reshape(n, n)
-            T.flags.writeable = False
-            self._cache["array"] = T
-        return self._cache["array"]
+        n = self.order
+        dtype = np.int16 if n <= np.iinfo(np.int16).max else np.int32
+        T = np.fromiter(chain.from_iterable(self.table), dtype=dtype, count=n * n)
+        T = T.reshape(n, n)
+        T.flags.writeable = False
+        return T
 
+    @cached("inverses")
     def inverses(self) -> tuple[int, ...]:
         """Row a's identity position; unvalidated tables are trusted to be groups."""
-        if "inverses" not in self._cache:
-            e = self.identity
-            self._cache["inverses"] = tuple(row.index(e) for row in self.table)
-        return self._cache["inverses"]
+        e = self.identity
+        return tuple(row.index(e) for row in self.table)
 
     def conj(self, g: int, x: int) -> int:
         """g * x * g^-1."""
         return self.table[self.table[g][x]][self.inverses()[g]]
 
+    @cached("conj_maps")
     def conj_maps(self) -> tuple[tuple[int, ...], ...]:
         """conj_maps()[g][x] = g x g^-1, precomputed for hot loops."""
-        if "conj_maps" not in self._cache:
-            inv = self.inverses()
-            t = self.table
-            self._cache["conj_maps"] = tuple(
-                tuple(t[t[g][x]][inv[g]] for x in range(self.order))
-                for g in range(self.order)
-            )
-        return self._cache["conj_maps"]
+        inv, t, n = self.inverses(), self.table, self.order
+        return tuple(tuple(t[t[g][x]][inv[g]] for x in range(n)) for g in range(n))
 
     def element_order(self, a: int) -> int:
         k, x = 1, a
@@ -182,22 +200,14 @@ class FiniteGroup:
             k += 1
         return k
 
+    @cached("exponent")
     def exponent(self) -> int:
-        if "exponent" not in self._cache:
-            self._cache["exponent"] = lcm(
-                *[self.element_order(a) for a in range(self.order)]
-            )
-        return self._cache["exponent"]
+        return lcm(*[self.element_order(a) for a in range(self.order)])
 
+    @cached("abelian")
     def is_abelian(self) -> bool:
-        if "abelian" not in self._cache:
-            t = self.table
-            self._cache["abelian"] = all(
-                t[a][b] == t[b][a]
-                for a in range(self.order)
-                for b in range(a + 1, self.order)
-            )
-        return self._cache["abelian"]
+        t, n = self.table, self.order
+        return all(t[a][b] == t[b][a] for a in range(n) for b in range(a + 1, n))
 
     def label(self, a: int) -> str:
         if self.labels is not None:
@@ -205,12 +215,7 @@ class FiniteGroup:
         return f"g{a}"
 
     def center(self) -> tuple[int, ...]:
-        t = self.table
-        return tuple(
-            z
-            for z in range(self.order)
-            if all(t[z][g] == t[g][z] for g in range(self.order))
-        )
+        return centralizer(self, range(self.order)).representative
 
     def table_key(self) -> tuple:
         return self.table
@@ -307,13 +312,17 @@ def group_from_generators(
         raise ValidationError("generators must be a list of permutations")
     gens = []
     for g in generators:
+        # The length first: no range of `degree` is built for a short list.
         if (
             not isinstance(g, (list, tuple))
+            or len(g) != degree
             or any(type(x) is not int for x in g)
             or sorted(g) != list(range(degree))
         ):
             raise ValidationError(f"not a permutation of 0..{degree - 1}: {g}")
         gens.append(tuple(g))
+    if not gens:  # the trivial group, without a degree-length identity
+        return FiniteGroup([[0]], labels=["e"], name=name)
 
     ident = tuple(range(degree))
     elements = [ident]
@@ -350,10 +359,9 @@ def group_from_generators(
 # -- conjugacy ---------------------------------------------------------------
 
 
+@cached("classes")
 def conjugacy_classes(G: FiniteGroup) -> list[tuple[int, ...]]:
     """Partition of the elements into conjugacy classes, sorted by minimum."""
-    if "classes" in G._cache:
-        return G._cache["classes"]
     seen = [False] * G.order
     classes = []
     for a in range(G.order):
@@ -363,19 +371,16 @@ def conjugacy_classes(G: FiniteGroup) -> list[tuple[int, ...]]:
         for x in orbit:
             seen[x] = True
         classes.append(tuple(sorted(orbit)))
-    G._cache["classes"] = classes
     return classes
 
 
+@cached("class_of")
 def class_index_map(G: FiniteGroup) -> list[int]:
     """Element index -> index of its conjugacy class."""
-    if "class_of" in G._cache:
-        return G._cache["class_of"]
     out = [0] * G.order
     for i, cls in enumerate(conjugacy_classes(G)):
         for x in cls:
             out[x] = i
-    G._cache["class_of"] = out
     return out
 
 
@@ -409,6 +414,7 @@ def centralizer(G: FiniteGroup, S: Iterable[int]) -> SubgroupClass:
     )
 
 
+@cached("all_subgroups")
 def all_subgroups(G: FiniteGroup) -> list[frozenset[int]]:
     """Every subgroup of G, each <H, g> closed from a subgroup H found with
     H's generators plus g; refused above DEFAULT_SUBGROUP_CAP elements."""
@@ -416,8 +422,6 @@ def all_subgroups(G: FiniteGroup) -> list[frozenset[int]]:
         raise ValidationError(
             f"group order {G.order} exceeds subgroup cap {DEFAULT_SUBGROUP_CAP}"
         )
-    if "all_subgroups" in G._cache:
-        return G._cache["all_subgroups"]
     found: dict[frozenset[int], list[int]] = {frozenset({G.identity}): []}
     frontier = list(found)
     for H in frontier:
@@ -428,15 +432,12 @@ def all_subgroups(G: FiniteGroup) -> list[frozenset[int]]:
                 if K not in found:
                     found[K] = gens
                     frontier.append(K)
-    out = sorted(found, key=lambda s: (len(s), tuple(sorted(s))))
-    G._cache["all_subgroups"] = out
-    return out
+    return sorted(found, key=lambda s: (len(s), tuple(sorted(s))))
 
 
+@cached("subgroup_classes")
 def subgroup_classes(G: FiniteGroup) -> list[SubgroupClass]:
     """Conjugacy classes of subgroups; representative is the least member."""
-    if "subgroup_classes" in G._cache:
-        return G._cache["subgroup_classes"]
     subs = all_subgroups(G)
     remaining = set(subs)
     classes = []
@@ -455,7 +456,6 @@ def subgroup_classes(G: FiniteGroup) -> list[SubgroupClass]:
         if sc.conjugates_count * sc.normalizer_order != G.order:
             raise ValidationError("orbit-stabilizer identity fails for subgroups")
         classes.append(sc)
-    G._cache["subgroup_classes"] = classes
     return classes
 
 
@@ -502,12 +502,13 @@ def quotient_group(G: FiniteGroup, N: Iterable[int]) -> tuple[FiniteGroup, tuple
 
     Returns (Q, projection) with projection[g] the coset index of g.
     Cosets are ordered with the identity coset first, then by least member.
-    The result is cached on G per subgroup, once N is known to be normal.
+    Kept on G per subgroup once N is known to be normal.
     """
-    Ns = frozenset(N)
-    key = ("quotient", Ns)
-    if key in G._cache:
-        return G._cache[key]
+    return _quotient(G, frozenset(N))
+
+
+@cached("quotient")
+def _quotient(G: FiniteGroup, Ns: frozenset[int]) -> tuple[FiniteGroup, tuple[int, ...]]:
     if frozenset(G.conj(g, x) for g in range(G.order) for x in Ns) != Ns:
         raise ValidationError("subgroup is not normal")
     coset_of = {}
@@ -531,18 +532,16 @@ def quotient_group(G: FiniteGroup, N: Iterable[int]) -> tuple[FiniteGroup, tuple
     ]
     labels = [f"[{G.label(r)}]" for r in reps]
     Q = FiniteGroup(table, labels=labels, validate=False)
-    G._cache[key] = (canonical_instance(Q), projection)
-    return G._cache[key]
+    return canonical_instance(Q), projection
 
 
 # -- isomorphism ---------------------------------------------------------------
 
 
+@cached("gens")
 def generating_set(G: FiniteGroup) -> tuple[int, ...]:
     """Greedy generating set: repeatedly add the largest-order element
     outside the current closure (ties broken by index)."""
-    if "gens" in G._cache:
-        return G._cache["gens"]
     gens: list[int] = []
     closure = {G.identity}
     by_order = sorted(range(G.order), key=lambda a: (-G.element_order(a), a))
@@ -550,17 +549,14 @@ def generating_set(G: FiniteGroup) -> tuple[int, ...]:
         if a not in closure:
             gens.append(a)
             closure = _closure(G.table, gens, closure)
-    out = tuple(gens)
-    G._cache["gens"] = out
-    return out
+    return tuple(gens)
 
 
+@cached("fingerprint")
 def _invariant_fingerprint(G: FiniteGroup) -> tuple:
-    if "fingerprint" not in G._cache:
-        orders = sorted(G.element_order(a) for a in range(G.order))
-        sizes = sorted(len(c) for c in conjugacy_classes(G))
-        G._cache["fingerprint"] = (G.order, tuple(orders), tuple(sizes))
-    return G._cache["fingerprint"]
+    orders = sorted(G.element_order(a) for a in range(G.order))
+    sizes = sorted(len(c) for c in conjugacy_classes(G))
+    return (G.order, tuple(orders), tuple(sizes))
 
 
 def extend_hom(

@@ -16,6 +16,7 @@ from typing import Sequence
 from .errors import InternalCheckError, ValidationError
 from .groups import (
     FiniteGroup,
+    cached,
     centralizer,
     generating_set,
     hom_search,
@@ -36,6 +37,7 @@ class HomClass:
     centralizer_order: int
 
 
+@cached("homs")
 def enumerate_homs(G: FiniteGroup, H: FiniteGroup) -> list[tuple[int, ...]]:
     """Every homomorphism G -> H as a full image tuple, sorted; refused
     when either group has more than DEFAULT_ORDER_CAP elements.
@@ -45,18 +47,13 @@ def enumerate_homs(G: FiniteGroup, H: FiniteGroup) -> list[tuple[int, ...]]:
     """
     if G.order > DEFAULT_ORDER_CAP or H.order > DEFAULT_ORDER_CAP:
         raise ValidationError(f"order cap {DEFAULT_ORDER_CAP} exceeded")
-    key = ("homs", H.table_key())
-    if key in G._cache:
-        return G._cache[key]
     gen_orders = [G.element_order(g) for g in generating_set(G)]
     candidates = [
         [h for h in range(H.order) if k % H.element_order(h) == 0] for k in gen_orders
     ]
-    found = sorted(
+    return sorted(
         tuple(phi[a] for a in range(G.order)) for phi in hom_search(G, H, candidates)
     )
-    G._cache[key] = found
-    return found
 
 
 def conjugate_hom(H: FiniteGroup, phi: Sequence[int], h: int) -> tuple[int, ...]:
@@ -64,11 +61,9 @@ def conjugate_hom(H: FiniteGroup, phi: Sequence[int], h: int) -> tuple[int, ...]
     return tuple(cm[x] for x in phi)
 
 
+@cached("hom_classes")
 def hom_classes(G: FiniteGroup, H: FiniteGroup) -> list[HomClass]:
     """Conjugation orbits of Hom(G, H), canonical representative least."""
-    key = ("hom_classes", H.table_key())
-    if key in G._cache:
-        return G._cache[key]
     homs = enumerate_homs(G, H)
     remaining = set(homs)
     classes = []
@@ -84,14 +79,11 @@ def hom_classes(G: FiniteGroup, H: FiniteGroup) -> list[HomClass]:
             injective=len(image) == G.order,
             orbit_size=len(orbit),
             # |Z_H(im rep)|, counted without building the subgroup class.
-            centralizer_order=sum(
-                all(cm[s] == s for s in image) for cm in H.conj_maps()
-            ),
+            centralizer_order=sum(all(cm[s] == s for s in image) for cm in H.conj_maps()),
         )
         if cls.orbit_size * cls.centralizer_order != H.order:
             raise InternalCheckError("orbit-stabilizer fails for a hom class")
         classes.append(cls)
-    G._cache[key] = classes
     return classes
 
 
@@ -128,12 +120,14 @@ def rep_hom_classes(
     (b) the classes of G are partitioned by kernel: summing injective class
         counts of every quotient G/N gives the total class count.
 
-    The verified list is cached on G, so the identities are checked once
-    per target; report=True checks them again and returns the report.
+    The verified list is kept on G, so the identities are checked once per
+    target; report=True checks them again and returns the report too.
     """
-    key = ("rep_hom_classes", H.table_key())
-    if not report and key in G._cache:
-        return G._cache[key]
+    return _rep_hom_classes.__wrapped__(G, H, report=True) if report else _rep_hom_classes(G, H)
+
+
+@cached("rep_hom_classes")
+def _rep_hom_classes(G: FiniteGroup, H: FiniteGroup, report: bool = False):
     classes = hom_classes(G, H)
     injective = [c for c in classes if c.injective]
 
@@ -159,15 +153,13 @@ def rep_hom_classes(
             "representability recovery identities fail for "
             f"({G.name or G.order}, {H.name or H.order})"
         )
-    G._cache[key] = injective
     if report:
-        rep = RepRecoveryReport(
+        return injective, RepRecoveryReport(
             total_classes=len(classes),
             injective_classes=len(injective),
             classes_by_normal={n: c for n, c in sorted(counts.items())},
             identity_a=identity_a,
             identity_b=identity_b,
         )
-        return injective, rep
     return injective
 

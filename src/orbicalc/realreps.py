@@ -18,7 +18,9 @@ from ._linalg import EXACT, Fixed
 from .characters import character_table, frobenius_schur
 from .cyclotomic import CycInt
 from .errors import InternalCheckError, ValidationError
-from .groups import FiniteGroup, class_index_map, conjugacy_classes, generating_set, is_homomorphism
+from .groups import (
+    FiniteGroup, cached, class_index_map, conjugacy_classes, generating_set, is_homomorphism
+)
 
 END_DIM = {"R": 1, "C": 2, "H": 4}
 
@@ -116,10 +118,9 @@ class RealIrrepTable:
         return self._r_type
 
 
+@cached("real_irreps")
 def real_irreps(G: FiniteGroup) -> RealIrrepTable:
-    if "real_irreps" not in G._cache:
-        G._cache["real_irreps"] = RealIrrepTable(G)
-    return G._cache["real_irreps"]
+    return RealIrrepTable(G)
 
 
 # -- restriction ---------------------------------------------------------------

@@ -34,7 +34,7 @@ from typing import Optional
 
 from .corpus import groups_of_order_at_most
 from .errors import InternalCheckError, ValidationError
-from .groups import FiniteGroup, are_isomorphic
+from .groups import FiniteGroup, are_isomorphic, cached
 from .homs import class_of_hom, conjugate_hom, rep_hom_classes
 from .snf import ChainComplex, HomologyDegree, homology
 
@@ -128,42 +128,42 @@ class QuotientCategory:
         ]
 
 
+@cached("arrow_orbits")
 def _arrows(A: FiniteGroup, B: FiniteGroup) -> tuple[list, list, dict]:
     """The injective class representatives A -> B, each class's conjugation
-    orbit and the table from every orbit member to its class's index, cached
+    orbit and the table from every orbit member to its class's index, kept
     on A once class_of_hom is checked to name each member's own class."""
-    key = ("arrow_orbits", B.table_key())
-    if key not in A._cache:
-        reps = [c.representative for c in rep_hom_classes(A, B)]
-        index = {rep: t for t, rep in enumerate(reps)}
-        orbits, table = [], {}
-        for t, rep in enumerate(reps):
-            orbit = frozenset(conjugate_hom(B, rep, h) for h in range(B.order))
-            orbits.append(orbit)
-            for phi in orbit:
-                if index.get(class_of_hom(A, B, phi)) != t:
-                    raise InternalCheckError("class_of_hom does not name the class of a conjugate")
-                table[phi] = t
-        A._cache[key] = reps, orbits, table
-    return A._cache[key]
+    reps = [c.representative for c in rep_hom_classes(A, B)]
+    index = {rep: t for t, rep in enumerate(reps)}
+    orbits, table = [], {}
+    for t, rep in enumerate(reps):
+        orbit = frozenset(conjugate_hom(B, rep, h) for h in range(B.order))
+        orbits.append(orbit)
+        for phi in orbit:
+            if index.get(class_of_hom(A, B, phi)) != t:
+                raise InternalCheckError("class_of_hom does not name the class of a conjugate")
+            table[phi] = t
+    return reps, orbits, table
 
 
 def _check_composition(A: FiniteGroup, B: FiniteGroup, C: FiniteGroup) -> None:
     """Check that composing classes A -> B -> C is well defined, once per
     triple with arrows on both legs, and record the triple on A."""
-    key = ("composition_checked", B.table_key(), C.table_key())
-    orbits_ab, orbits_bc = _arrows(A, B)[1], _arrows(B, C)[1]
-    if key in A._cache or not orbits_ab or not orbits_bc:
-        return
+    if _arrows(A, B)[1] and _arrows(B, C)[1]:
+        _composition_checked(A, B, C)
+
+
+@cached("composition_checked")
+def _composition_checked(A: FiniteGroup, B: FiniteGroup, C: FiniteGroup) -> bool:
     table = _arrows(A, C)[2]
-    for orbit_a in orbits_ab:
-        for orbit_b in orbits_bc:
+    for orbit_a in _arrows(A, B)[1]:
+        for orbit_b in _arrows(B, C)[1]:
             got = {table.get(tuple(map(fb.__getitem__, fa))) for fa in orbit_a for fb in orbit_b}
             if None in got:
                 raise InternalCheckError("a composite lies in no class of the category")
             if len(got) != 1:
                 raise InternalCheckError("class composition depends on representatives")
-    A._cache[key] = True
+    return True
 
 
 def build_quotient_category(max_order: int) -> QuotientCategory:

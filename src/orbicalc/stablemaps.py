@@ -36,6 +36,7 @@ from .errors import InternalCheckError, ValidationError
 from .groups import (
     FiniteGroup,
     are_isomorphic,
+    cached,
     normalizer,
     subgroup_as_group,
     subgroup_classes,
@@ -90,31 +91,27 @@ class _Subgroup(NamedTuple):
     bits0: dict  # each framing with trivial bit 0, in lexicographic order -> its involution image
 
 
+@cached("stablemaps_subgroups")
 def _subgroups(G: FiniteGroup) -> list[_Subgroup]:
-    if "stablemaps_subgroups" not in G._cache:
-        out = []
-        for sc in subgroup_classes(G):
-            K, emb = subgroup_as_group(G, sc.representative)
-            pos = {g: i for i, g in enumerate(emb)}
-            autos = sorted(
-                {tuple(pos[G.conj(n, g)] for g in emb) for n in normalizer(G, sc.representative)}
-            )
-            t = real_irreps(K).trivial_bit
-            bits0 = {fr.bits: flip_trivial_bit(K, fr.bits) for fr in framings(K) if fr.bits[t] == 0}
-            bit_moves = []
-            for a in autos:
-                perm = framing_bit_permutation(K, K, a)
-                if perm[t] != t:
-                    raise InternalCheckError("an automorphism moved the trivial framing bit")
-                bit_moves.append({b: push_bits(perm, b) for b in bits0})
-            out.append(_Subgroup(
-                K=K,
-                auto_invs=tuple(_inverse(a) for a in autos),
-                bit_moves=tuple(bit_moves),
-                bits0=bits0,
-            ))
-        G._cache["stablemaps_subgroups"] = out
-    return G._cache["stablemaps_subgroups"]
+    out = []
+    for sc in subgroup_classes(G):
+        K, emb = subgroup_as_group(G, sc.representative)
+        pos = {g: i for i, g in enumerate(emb)}
+        autos = sorted(
+            {tuple(pos[G.conj(n, g)] for g in emb) for n in normalizer(G, sc.representative)}
+        )
+        t = real_irreps(K).trivial_bit
+        bits0 = {fr.bits: flip_trivial_bit(K, fr.bits) for fr in framings(K) if fr.bits[t] == 0}
+        bit_moves = []
+        for a in autos:
+            perm = framing_bit_permutation(K, K, a)
+            if perm[t] != t:
+                raise InternalCheckError("an automorphism moved the trivial framing bit")
+            bit_moves.append({b: push_bits(perm, b) for b in bits0})
+        out.append(_Subgroup(
+            K=K, auto_invs=tuple(_inverse(a) for a in autos), bit_moves=tuple(bit_moves), bits0=bits0
+        ))
+    return out
 
 
 def _generator_classes(sub: _Subgroup, H: FiniteGroup, variant: str) -> list[Pair]:
@@ -174,13 +171,9 @@ def enumerate_generators(G: FiniteGroup, H: FiniteGroup, variant: Variant) -> li
 # -- independent re-enumeration -------------------------------------------------
 
 
+@cached("automorphisms")
 def _automorphisms(K: FiniteGroup) -> list[tuple[int, ...]]:
-    key = "automorphisms"
-    if key not in K._cache:
-        K._cache[key] = [
-            phi for phi in enumerate_homs(K, K) if len(set(phi)) == K.order
-        ]
-    return K._cache[key]
+    return [phi for phi in enumerate_homs(K, K) if len(set(phi)) == K.order]
 
 
 @dataclass

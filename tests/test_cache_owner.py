@@ -1,0 +1,88 @@
+"""Every cache kept on a group goes through `groups.cached`.
+
+No module but groups.py mentions `_cache`, and inside groups.py only the
+constructor (which creates it), `_validate` (which fills the inverses it
+has just proved) and `cached` itself do.
+"""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "orbicalc"
+MODULES = sorted(PACKAGE.glob("*.py"))
+OWNERS = {"FiniteGroup.__init__", "cached.decorate.memo"}
+
+
+def _mentions(node):
+    return (
+        (isinstance(node, ast.Attribute) and node.attr == "_cache")
+        or (isinstance(node, ast.Name) and node.id == "_cache")
+        or (isinstance(node, ast.Constant) and node.value == "_cache")
+    )
+
+
+def _is_inverses_fill(node, parent):
+    """`<x>._cache["inverses"] = ...`"""
+    return (
+        isinstance(parent, ast.Subscript)
+        and parent.value is node
+        and isinstance(parent.ctx, ast.Store)
+        and isinstance(parent.slice, ast.Constant)
+        and parent.slice.value == "inverses"
+    )
+
+
+def stray_mentions(tree, owner_module):
+    """(line, enclosing scope) for every mention of `_cache` outside its
+    owners; `owner_module` says whether the tree is groups.py."""
+    out = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            if _mentions(child):
+                allowed = owner_module and (
+                    scope in OWNERS
+                    or (scope == "FiniteGroup._validate" and _is_inverses_fill(child, node))
+                )
+                if not allowed:
+                    out.append((child.lineno, scope))
+            visit(child, inner)
+
+    visit(tree, "")
+    return out
+
+
+def test_only_cached_touches_a_group_cache():
+    stray = {
+        path.name: found
+        for path in MODULES
+        if (found := stray_mentions(ast.parse(path.read_text(encoding="utf-8")),
+                                    path.name == "groups.py"))
+    }
+    assert not stray, f"_cache used outside groups.cached: {stray}"
+
+
+def test_the_check_sees_a_hand_rolled_cache():
+    source = (
+        "class FiniteGroup:\n"
+        "    def __init__(self):\n"
+        "        self._cache = {}\n"
+        "    def _validate(self):\n"
+        "        self._cache['inverses'] = ()\n"
+        "        self._cache['array'] = ()\n"
+        "def cached(name):\n"
+        "    def decorate(fn):\n"
+        "        def memo(G):\n"
+        "            return G._cache[name]\n"
+        "        return memo\n"
+        "    return decorate\n"
+        "def classes(G):\n"
+        "    if 'classes' in G._cache:\n"
+        "        return getattr(G, '_cache')['classes']\n"
+    )
+    tree = ast.parse(source)
+    assert stray_mentions(tree, True) == [(6, "FiniteGroup._validate"), (14, "classes"), (15, "classes")]
+    assert [line for line, _ in stray_mentions(tree, False)] == [3, 5, 6, 10, 14, 15]

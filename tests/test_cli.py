@@ -455,6 +455,60 @@ def test_a_category_with_one_mistyped_leaf_never_raises(tmp_path, path, value):
         json.loads(err)
 
 
+GROUP_FILES = {  # one valid group JSON of each form
+    "generators": {"name": "s3", "order": 6, "degree": 3, "generators": [[1, 2, 0], [1, 0, 2]]},
+    "table": {
+        "name": "c2xc2",
+        "labels": ["e", "a", "b", "ab"],
+        "table": [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]],
+    },
+}
+DELETE = object()  # stands for deleting the key
+
+
+def _node_paths(node, path=()):
+    """The path to every value below the root, inner nodes included."""
+    if not isinstance(node, (dict, list)):
+        return []
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    return [p for key, child in items for p in [path + (key,), *_node_paths(child, path + (key,))]]
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_a_group_file_with_one_mutated_field_exits_0_or_1(tmp_path, data):
+    form = data.draw(st.sampled_from(sorted(GROUP_FILES)))
+    doc = json.loads(json.dumps(GROUP_FILES[form]))
+    path = data.draw(st.sampled_from(_node_paths(doc)))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    value = data.draw(st.one_of(
+        st.integers(-3, 8),
+        st.integers(max_value=-1),
+        st.just(10**12),
+        st.floats(allow_nan=False),
+        st.text(max_size=3),
+        st.none(),
+        st.lists(st.one_of(st.integers(-1, 4), st.lists(st.integers(-1, 4), max_size=4)), max_size=4),
+        st.dictionaries(st.sampled_from(["degree", "generators", "table", "labels"]),
+                        st.integers(0, 3), max_size=2),
+        *([st.just(DELETE)] if isinstance(parent, dict) else []),
+    ))
+    if value is DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    f = tmp_path / "g.json"
+    f.write_text(json.dumps(doc))
+    code, err = _main(["group", str(f)])
+    assert code in (0, 1)
+    if code == 1:
+        record = json.loads(err)
+        assert {"error", "message"} <= set(record), record
+
+
 def test_import_loads_neither_scipy_nor_sympy():
     code = (
         "import sys, orbicalc, orbicalc.cli; "
@@ -499,6 +553,7 @@ def test_import_and_early_refusals_load_no_numpy(tmp_path):
         ["stable-maps", "c2", "c2", "--variant", "nope"],
         ["group", "definitely-not-a-group"],
         ["group", str(not_json)],
+        ["detect", "c2"],
     ):
         assert "numpy" not in loaded_modules(tmp_path, *argv), argv
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from orbicalc import groups
@@ -9,6 +11,7 @@ from orbicalc.groups import (
     conjugacy_classes,
     generating_set,
     group_from_generators,
+    group_from_json,
     is_homomorphism,
     normal_subgroups,
     quotient_group,
@@ -38,6 +41,33 @@ def test_trivial_group():
     G = group_from_generators(1, [])
     assert G.order == 1
     assert conjugacy_classes(G) == [(0,)]
+
+
+def _peak_bytes(fn):
+    """The tracemalloc peak while fn runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_large_degree_alone_allocates_nothing_of_its_size():
+    """The degree of a group file sets no memory by itself: no generators
+    give the trivial group and a short one is refused, each in under 1 MB
+    at degree 2,000,000."""
+    group_from_json({"degree": 1, "generators": []})  # numpy's first-call setup
+    trivial = {"degree": 2_000_000, "generators": []}
+    assert _peak_bytes(lambda: group_from_json(trivial)) < 1 << 20
+    G = group_from_json(trivial)
+    assert (G.table, G.labels) == (((0,),), ("e",))
+
+    def refused():
+        with pytest.raises(ValidationError, match=r"not a permutation of 0\.\.1999999: \[0\]"):
+            group_from_json({"degree": 2_000_000, "generators": [[0]]})
+
+    assert _peak_bytes(refused) < 1 << 20
 
 
 def test_s3_closure_order_and_classes():
