@@ -1,12 +1,16 @@
 """Linear algebra over prime fields GF(p), vectorized with numpy int64.
 
-Entries stay far below 2**63 for the primes used here (p < 10**4), so all
-arithmetic is exact.
+Entries are reduced to [0, p) before they multiply, so sums of k products
+stay below k * p**2 < 2**63: for the character table's prime (the least
+p = 1 mod exp(G) above |G|) and k <= |G| <= 10,000 they stay below
+3 * 10**15 (worst: C9199, p = 496747), so all arithmetic is exact.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .errors import InternalCheckError
 
 
 def rref_mod(A: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
@@ -57,16 +61,12 @@ def solve_columns(B: np.ndarray, C: np.ndarray, p: int) -> np.ndarray:
     return R[:k, k:]
 
 
-def charpoly_mod(A: np.ndarray, p: int) -> np.ndarray:
-    """det(xI - A) mod p, coefficients from x^k down to x^0.
-
-    A is brought to upper Hessenberg form H by similarity transformations
-    mod p; the polynomial then follows from the recurrence over the
-    leading principal blocks of H (Cohen, A Course in Computational
-    Algebraic Number Theory, Algorithm 2.2.9).
-    """
+def hessenberg_mod(A: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """(H, S) with H upper Hessenberg and A = S H S^-1 mod p, by
+    similarity transformations; S collects their column moves."""
     H = np.array(A, dtype=np.int64) % p
     k = H.shape[0]
+    S = np.eye(k, dtype=np.int64)
     for c in range(k - 2):
         nz = np.flatnonzero(H[c + 1 :, c])
         if nz.size == 0:
@@ -75,10 +75,17 @@ def charpoly_mod(A: np.ndarray, p: int) -> np.ndarray:
         if i != c + 1:
             H[[c + 1, i]] = H[[i, c + 1]]
             H[:, [c + 1, i]] = H[:, [i, c + 1]]
+            S[:, [c + 1, i]] = S[:, [i, c + 1]]
         u = (H[c + 2 :, c] * pow(int(H[c + 1, c]), p - 2, p)) % p
         # Rows c+2.. lose u * row c+1; column c+1 gains the inverse move.
         H[c + 2 :] = (H[c + 2 :] - np.outer(u, H[c + 1])) % p
         H[:, c + 1] = (H[:, c + 1] + H[:, c + 2 :] @ u) % p
+        S[:, c + 1] = (S[:, c + 1] + S[:, c + 2 :] @ u) % p
+    return H, S
+
+
+def _hessenberg_charpoly(H: np.ndarray, p: int) -> np.ndarray:
+    k = H.shape[0]
     # P[m] = det(xI - H[:m, :m]), coefficients from x^m down to x^0.
     P = [np.ones(1, dtype=np.int64)]
     for m in range(k):
@@ -92,6 +99,38 @@ def charpoly_mod(A: np.ndarray, p: int) -> np.ndarray:
             nxt[m - i + 1 :] -= (int(H[i, m]) * t % p) * P[i]
         P.append(nxt % p)
     return P[k]
+
+
+def charpoly_mod(A: np.ndarray, p: int) -> np.ndarray:
+    """det(xI - A) mod p, coefficients from x^k down to x^0, by the
+    recurrence over the leading principal blocks of A's Hessenberg form
+    (Cohen, A Course in Computational Algebraic Number Theory, Alg. 2.2.9)."""
+    return _hessenberg_charpoly(hessenberg_mod(A, p)[0], p)
+
+
+def eigenspaces_mod(A: np.ndarray, p: int) -> list[np.ndarray]:
+    """Column bases of A's eigenspaces mod p, one per root in GF(p) of its
+    characteristic polynomial, ascending.  If A = S H S^-1 has no zero on
+    H's subdiagonal, A is non-derogatory: each eigenspace is a line, solved
+    up the rows of H for every root at once and checked exactly in A.
+    Otherwise each root takes a nullspace."""
+    A = np.array(A, dtype=np.int64) % p
+    k = A.shape[0]
+    H, S = hessenberg_mod(A, p)
+    roots = roots_mod(_hessenberg_charpoly(H, p), p)
+    if not np.diagonal(H, -1).all():
+        return [nullspace_mod((A - lam * np.eye(k, dtype=np.int64)) % p, p) for lam in roots]
+    lam = np.array(roots, dtype=np.int64)
+    V = np.zeros((k, len(roots)), dtype=np.int64)
+    V[k - 1] = 1
+    # Row i of (H - lam) v = 0 gives v[i-1] from v[i:].
+    for i in range(k - 1, 0, -1):
+        t = (H[i, i:] @ V[i:] - lam * V[i]) % p
+        V[i - 1] = (-t * pow(int(H[i, i - 1]), p - 2, p)) % p
+    V = (S @ V) % p
+    if ((A @ V - V * lam) % p).any():
+        raise InternalCheckError("back-substituted eigenvector fails A v = lam v")
+    return [V[:, [j]] for j in range(len(roots))]
 
 
 def roots_mod(coeffs: np.ndarray, p: int) -> list[int]:

@@ -3,17 +3,20 @@
 Method (Dixon, "High speed computation of group characters", Numer.
 Math. 10, 1967): class-sum matrices are simultaneously diagonalized over a
 prime field GF(p) with p = 1 mod exp(G) and p > |G|.  Each class matrix
-splits the current invariant subspaces along its eigenspaces; its
-eigenvalues there are the roots in GF(p) of the characteristic
-polynomial (Hessenberg reduction mod p, then Horner's rule at every
-element of GF(p)), so a nullspace is computed only at a root.  The joint
-eigenvectors are the central characters mod p; degrees are recovered from
-the second orthogonality relation, and the character values are lifted to
-exact cyclotomic integers through eigenvalue multiplicities obtained by a
-discrete Fourier inversion mod p.  Both orthogonality relations are then
-re-verified for every pair with exact integer arithmetic, folding only
-the nonzero multiplicities; nothing in the public output depends on the
-internal prime.
+splits the current invariant subspaces along its eigenspaces, restricted
+to each subspace (Schneider, "Dixon's character table algorithm
+revisited", J. Symb. Comp. 9, 1990).  The restriction is reduced once to
+Hessenberg form H mod p; its eigenvalues are the roots in GF(p) of the
+characteristic polynomial read off H (Horner's rule at every element of
+GF(p)).  With no zero on H's subdiagonal every eigenspace is a line, and
+one back-substitution up H finds them all; only a reduced H takes a
+nullspace per root.  The joint eigenvectors are the central characters
+mod p; degrees are recovered from the second orthogonality relation, and
+the character values are lifted to exact cyclotomic integers through
+eigenvalue multiplicities obtained by a discrete Fourier inversion mod p.
+Both orthogonality relations are then re-verified for every pair with
+exact integer arithmetic, folding only the nonzero multiplicities;
+nothing in the public output depends on the internal prime.
 
 The table owns the arithmetic on its characters: `inner_with` is the one
 inner product of class functions, indicators fold the multiplicities at
@@ -28,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._modlinalg import charpoly_mod, nullspace_mod, roots_mod, solve_columns
+from ._modlinalg import eigenspaces_mod, solve_columns
 from .cyclotomic import CycInt, reduce_rows
 from .errors import InternalCheckError
 from .groups import FiniteGroup, cached, class_index_map, conjugacy_classes
@@ -112,8 +115,8 @@ class CharacterTable:
         mats %= p
 
         # Joint eigenvectors over GF(p): iteratively split invariant subspaces
-        # along the eigenspaces of each class matrix in turn.  The
-        # eigenvalues are the roots of the characteristic polynomial.
+        # along the eigenspaces of each class matrix M_i restricted to each
+        # subspace B, as X with M_i B = B X.
         subspaces = [np.eye(r, dtype=np.int64)]
         for i in range(r):
             if i == self.identity_class:
@@ -127,13 +130,10 @@ class CharacterTable:
                     nxt.append(B)
                     continue
                 X = solve_columns(B, (mats[i] @ B) % p, p)
-                found = 0
-                for lam in roots_mod(charpoly_mod(X, p), p):
-                    K = nullspace_mod((X - lam * np.eye(k, dtype=np.int64)) % p, p)
-                    nxt.append((B @ K) % p)
-                    found += K.shape[1]
-                if found != k:
+                spaces = eigenspaces_mod(X, p)
+                if sum(K.shape[1] for K in spaces) != k:
                     raise InternalCheckError("class matrix not diagonalizable")
+                nxt.extend((B @ K) % p for K in spaces)
             subspaces = nxt
         if any(B.shape[1] != 1 for B in subspaces):
             raise InternalCheckError("joint eigenspaces are not one-dimensional")

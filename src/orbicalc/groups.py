@@ -33,6 +33,9 @@ import numpy as np
 from .errors import ValidationError, read_json_object
 
 DEFAULT_CLOSURE_CAP = 10_000
+# A closure of n elements on d points stores n permutations of d points and
+# an n x n table: it is refused once n * max(n, d) would pass this many entries.
+CLOSURE_ENTRY_BUDGET = 1_000_000
 DEFAULT_SUBGROUP_CAP = 48
 
 
@@ -312,19 +315,19 @@ def group_from_generators(
         raise ValidationError("generators must be a list of permutations")
     gens = []
     for g in generators:
-        # The length first: no range of `degree` is built for a short list.
+        # The length first: nothing of size `degree` is built for a short list.
         if (
             not isinstance(g, (list, tuple))
             or len(g) != degree
             or any(type(x) is not int for x in g)
-            or sorted(g) != list(range(degree))
+            or any(map(int.__ne__, sorted(g), range(degree)))
         ):
             raise ValidationError(f"not a permutation of 0..{degree - 1}: {g}")
         gens.append(tuple(g))
     if not gens:  # the trivial group, without a degree-length identity
         return FiniteGroup([[0]], labels=["e"], name=name)
 
-    ident = tuple(range(degree))
+    ident = tuple(sorted(gens[0]))  # 0..degree-1, in the generators' own ints
     elements = [ident]
     index = {ident: 0}
     parent, via = [0], [0]
@@ -334,8 +337,12 @@ def group_from_generators(
         for k, g in enumerate(gens):
             q = _compose(p, g)
             if q not in index:
-                if len(elements) >= DEFAULT_CLOSURE_CAP:
-                    raise ValidationError(f"closure exceeds cap of {DEFAULT_CLOSURE_CAP} elements")
+                m = len(elements) + 1
+                if m > DEFAULT_CLOSURE_CAP or m * max(m, degree) > CLOSURE_ENTRY_BUDGET:
+                    raise ValidationError(
+                        f"closure of {m} elements on {degree} points exceeds the cap of"
+                        f" {DEFAULT_CLOSURE_CAP} elements or {CLOSURE_ENTRY_BUDGET} table entries"
+                    )
                 index[q] = len(elements)
                 elements.append(q)
                 parent.append(a)

@@ -13,7 +13,9 @@ with trivial bit 0; the quotient-category section keeps the category as
 each build made it before the pair data and the composition checks were
 shared across builds; the Smith normal form section keeps the dense
 elimination that ran on whatever the unit pivots left, before the sparse
-elimination took every pivot.
+elimination took every pivot; the character-table section keeps the
+eigenspace split as it was before eigenvectors were back-substituted on
+the Hessenberg form.
 """
 
 from __future__ import annotations
@@ -217,6 +219,21 @@ def reference_smith_normal_form(A):
         diag.append(abs(pivot))
         t += 1
     return diag
+
+
+# -- character tables: one nullspace per eigenvalue -------------------------------
+
+
+def reference_eigenspaces(A, p):
+    """Bases of the eigenspaces of A mod p as the character table split
+    them before back-substitution: one nullspace per root of the
+    characteristic polynomial, roots ascending."""
+    import numpy as np
+
+    from orbicalc._modlinalg import charpoly_mod, nullspace_mod, roots_mod
+
+    eye = np.eye(len(A), dtype=np.int64)
+    return [nullspace_mod((A - lam * eye) % p, p) for lam in roots_mod(charpoly_mod(A, p), p)]
 
 
 # -- the group core before one closure ---------------------------------------------

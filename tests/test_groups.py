@@ -70,6 +70,21 @@ def test_a_large_degree_alone_allocates_nothing_of_its_size():
     assert _peak_bytes(refused) < 1 << 20
 
 
+def test_a_closure_is_refused_before_its_table_outgrows_the_entry_budget():
+    """One long cycle is refused once elements x max(elements, points)
+    would pass the budget, long before the order cap: a 9,999-cycle at 101
+    elements, a 1,000,000-point cycle at its second element."""
+    group_from_generators(6, [[1, 0, 2, 3, 4, 5], [1, 2, 3, 4, 5, 0]])  # S6 is admitted
+    for degree, refused_at in ((9_999, 101), (1_000_000, 2)):
+        cycle = [(i + 1) % degree for i in range(degree)]
+
+        def refused():
+            with pytest.raises(ValidationError, match=f"closure of {refused_at} elements"):
+                group_from_generators(degree, [cycle])
+
+        assert _peak_bytes(refused) < 40 << 20
+
+
 def test_s3_closure_order_and_classes():
     # Oracle: brute-force closure of the generators.
     assert len(perm_closure(3, S3_GENS)) == 6
