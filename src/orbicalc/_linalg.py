@@ -6,7 +6,8 @@ works on float arrays and decides every comparison, integrality test and
 rank by one rule: an error counts as zero when it is at most
 ``tolerance * max(1, largest absolute entry of the operands)``.  The
 operands are the compared values themselves, plus any matrices a caller
-names as the inputs they were computed from.
+names as the inputs they were computed from.  Nothing counts as zero once
+an error or an operand is not finite, and overflow raises no warning.
 """
 
 from __future__ import annotations
@@ -100,7 +101,7 @@ class Fixed:
 
     def _bound(self, *operands) -> float:
         largest = max(float(np.abs(X).max(initial=0.0)) for X in operands)
-        return self.tolerance * max(1.0, largest)
+        return self.tolerance * max(1.0, largest) if largest < np.inf else np.nan
 
     def matrix(self, rows) -> np.ndarray:
         return np.array(rows, dtype=float)
@@ -111,15 +112,19 @@ class Fixed:
     def identity(self, n: int) -> np.ndarray:
         return np.eye(n)
 
+    @np.errstate(over="ignore", invalid="ignore")
     def mul(self, A, B):
         return A @ B
 
+    @np.errstate(over="ignore", invalid="ignore")
     def add(self, A, B):
         return A + B
 
+    @np.errstate(over="ignore", invalid="ignore")
     def scale(self, A, c):
         return float(c) * A
 
+    @np.errstate(over="ignore", invalid="ignore")
     def trace(self, A) -> float:
         return float(np.trace(A))
 
@@ -129,6 +134,7 @@ class Fixed:
         out[len(A) :, len(A) :] = B
         return out
 
+    @np.errstate(over="ignore", invalid="ignore")
     def close(self, A, B) -> bool:
         return self.is_zero(A - B, A, B)
 
@@ -137,12 +143,13 @@ class Fixed:
 
     def integer(self, x):
         """The integer nearest x, or None when x is farther from it than the rule allows."""
-        m = round(float(x))
+        m = round(float(x)) if np.isfinite(x) else 0  # the bound refuses a non-finite x
         return m if abs(x - m) <= self._bound(x) else None
 
     def rank(self, A, *operands) -> int:
         return len(self.column_basis(A, *operands))
 
+    @np.errstate(over="ignore", invalid="ignore")
     def column_basis(self, A, *operands) -> list[list[float]]:
         """The pivot columns of A, found by elimination with partial
         pivoting; a pivot within the rule's bound counts as zero."""

@@ -32,7 +32,6 @@ import numpy as np
 
 from .errors import ValidationError, read_json_object
 
-DEFAULT_CLOSURE_CAP = 10_000
 # A closure of n elements on d points stores n permutations of d points and
 # an n x n table: it is refused once n * max(n, d) would pass this many entries.
 CLOSURE_ENTRY_BUDGET = 1_000_000
@@ -338,10 +337,10 @@ def group_from_generators(
             q = _compose(p, g)
             if q not in index:
                 m = len(elements) + 1
-                if m > DEFAULT_CLOSURE_CAP or m * max(m, degree) > CLOSURE_ENTRY_BUDGET:
+                if m * max(m, degree) > CLOSURE_ENTRY_BUDGET:
                     raise ValidationError(
-                        f"closure of {m} elements on {degree} points exceeds the cap of"
-                        f" {DEFAULT_CLOSURE_CAP} elements or {CLOSURE_ENTRY_BUDGET} table entries"
+                        f"closure of {m} elements on {degree} points exceeds the budget"
+                        f" of {CLOSURE_ENTRY_BUDGET} table entries"
                     )
                 index[q] = len(elements)
                 elements.append(q)

@@ -61,25 +61,32 @@ def conjugate_hom(H: FiniteGroup, phi: Sequence[int], h: int) -> tuple[int, ...]
     return tuple(cm[x] for x in phi)
 
 
+@cached("inner_automorphisms")
+def inner_automorphisms(H: FiniteGroup) -> tuple[tuple[int, ...], ...]:
+    """Inn(H): the distinct rows of H.conj_maps(), first seen first."""
+    return tuple(dict.fromkeys(H.conj_maps()))
+
+
 @cached("hom_classes")
 def hom_classes(G: FiniteGroup, H: FiniteGroup) -> list[HomClass]:
-    """Conjugation orbits of Hom(G, H), canonical representative least."""
+    """Inn(H)-orbits of Hom(G, H) on generator images, canonical representative least."""
+    gens, inn = generating_set(G), inner_automorphisms(H)
     homs = enumerate_homs(G, H)
-    remaining = set(homs)
+    keys = [tuple(map(phi.__getitem__, gens)) for phi in homs]
+    remaining = set(keys)
     classes = []
-    for phi in homs:
-        if phi not in remaining:
+    for phi, key in zip(homs, keys):
+        if key not in remaining:
             continue
-        orbit = {conjugate_hom(H, phi, h) for h in range(H.order)}
+        orbit = {tuple(map(a.__getitem__, key)) for a in inn}
         remaining -= orbit
         # enumerate_homs is sorted, so phi is the least member of its orbit.
-        image = set(phi)
         cls = HomClass(
             representative=phi,
-            injective=len(image) == G.order,
+            injective=len(set(phi)) == G.order,
             orbit_size=len(orbit),
-            # |Z_H(im rep)|, counted without building the subgroup class.
-            centralizer_order=sum(all(cm[s] == s for s in image) for cm in H.conj_maps()),
+            # |Z_H(im rep)| = |Z_H(rep(gens))|, without building the subgroup.
+            centralizer_order=sum(tuple(map(cm.__getitem__, key)) == key for cm in H.conj_maps()),
         )
         if cls.orbit_size * cls.centralizer_order != H.order:
             raise InternalCheckError("orbit-stabilizer fails for a hom class")
@@ -89,10 +96,7 @@ def hom_classes(G: FiniteGroup, H: FiniteGroup) -> list[HomClass]:
 
 def class_of_hom(G: FiniteGroup, H: FiniteGroup, phi: Sequence[int]) -> tuple[int, ...]:
     """Canonical representative of the conjugacy class of phi."""
-    phi = tuple(phi)
-    if H.is_abelian():
-        return phi
-    return min(tuple(cm[x] for x in phi) for cm in H.conj_maps())
+    return min(tuple(map(a.__getitem__, phi)) for a in inner_automorphisms(H))
 
 
 def pi1(H: FiniteGroup, phi: HomClass | Sequence[int]):
@@ -143,7 +147,7 @@ def _rep_hom_classes(G: FiniteGroup, H: FiniteGroup, report: bool = False):
         q_inj = [c for c in q_classes if c.injective]
         counts[N] = len(q_inj)
         for c in q_classes:
-            pulled = tuple(c.representative[proj[g]] for g in range(G.order))
+            pulled = tuple(map(c.representative.__getitem__, proj))
             from_quotients.add(class_of_hom(G, H, pulled))
 
     identity_a = set(c.representative for c in injective) == all_reps - from_quotients

@@ -15,7 +15,8 @@ shared across builds; the Smith normal form section keeps the dense
 elimination that ran on whatever the unit pivots left, before the sparse
 elimination took every pivot; the character-table section keeps the
 eigenspace split as it was before eigenvectors were back-substituted on
-the Hessenberg form.
+the Hessenberg form; the homomorphisms section keeps the hom classes as
+they were before orbits were taken under Inn(H) on generator images.
 """
 
 from __future__ import annotations
@@ -520,6 +521,35 @@ def is_real(v):
 
 
 # -- homomorphisms ----------------------------------------------------------------
+
+
+def reference_hom_classes(G, H):
+    """Conjugation orbits of Hom(G, H), each full image tuple conjugated by
+    every element of H."""
+    from orbicalc.errors import InternalCheckError
+    from orbicalc.homs import HomClass, conjugate_hom, enumerate_homs
+
+    homs = enumerate_homs(G, H)
+    remaining = set(homs)
+    classes = []
+    for phi in homs:
+        if phi not in remaining:
+            continue
+        orbit = {conjugate_hom(H, phi, h) for h in range(H.order)}
+        remaining -= orbit
+        # enumerate_homs is sorted, so phi is the least member of its orbit.
+        image = set(phi)
+        cls = HomClass(
+            representative=phi,
+            injective=len(image) == G.order,
+            orbit_size=len(orbit),
+            # |Z_H(im rep)|, counted without building the subgroup class.
+            centralizer_order=sum(all(cm[s] == s for s in image) for cm in H.conj_maps()),
+        )
+        if cls.orbit_size * cls.centralizer_order != H.order:
+            raise InternalCheckError("orbit-stabilizer fails for a hom class")
+        classes.append(cls)
+    return classes
 
 
 def compose_hom_classes(A, B, C, f, g):

@@ -4,6 +4,7 @@ import io
 import json
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -334,10 +335,18 @@ def test_detect_refuses_a_tolerance_that_accepts_anything(tmp_path):
 
 
 def _main(argv):
-    """cli.main in process: (exit code, stderr)."""
+    """cli.main in process: (exit code, stderr), with every warning added to
+    stderr as a run of the command would print it."""
     err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+    with (
+        warnings.catch_warnings(record=True) as caught,
+        contextlib.redirect_stdout(io.StringIO()),
+        contextlib.redirect_stderr(err),
+    ):
+        warnings.simplefilter("always")
         code = cli.main(argv)
+    for w in caught:
+        err.write(warnings.formatwarning(w.message, w.category, w.filename, w.lineno))
     return code, err.getvalue()
 
 
@@ -376,6 +385,9 @@ MALFORMED_INPUTS = {  # name -> (argv, file text, part of the error message)
     "exact Infinity": (DETECT, '{"matrices": [[[1]], [[Infinity]]]}', "finite numbers"),
     "exact 1e400": (DETECT, '{"mode": "exact", "matrices": [[[1]], [[1e400]]]}', "finite numbers"),
     "fixed NaN": (DETECT, '{"mode": "fixed", "matrices": [[[1]], [[NaN]]]}', "finite numbers"),
+    "fixed overflow": (
+        DETECT, '{"mode": "fixed", "matrices": [[[1.0]], [[1e200]]]}', "do not respect the table"
+    ),
     "fixed big integer": (
         DETECT, '{"mode": "fixed", "matrices": [[[1]], [[1%s]]]}' % ("0" * 400), "too large"
     ),
@@ -507,6 +519,51 @@ def test_a_group_file_with_one_mutated_field_exits_0_or_1(tmp_path, data):
     if code == 1:
         record = json.loads(err)
         assert {"error", "message"} <= set(record), record
+
+
+MATRIX_FILES = {  # valid matrix files of both modes, with their groups
+    "exact": ("c2", {"mode": "exact", "matrices": [[[1, 0], [0, 1]], [[0, 1], [1, 0]]]}),
+    "fixed sign": ("c2", {"mode": "fixed", "matrices": [[[1.0]], [[-1.0]]]}),
+    "fixed rotation": ("c3", {"mode": "fixed", "tolerance": 1e-4, "matrices": C3_ROTATION}),
+}
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_a_matrix_file_with_one_mutated_field_exits_0_or_1(tmp_path, data):
+    form = data.draw(st.sampled_from(sorted(MATRIX_FILES)))
+    group, doc = MATRIX_FILES[form]
+    doc = json.loads(json.dumps(doc))
+    path = data.draw(st.sampled_from(_node_paths(doc)))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    value = data.draw(st.one_of(
+        st.integers(-3, 3),
+        st.just(10**400),
+        st.floats(),
+        st.just(1e200),  # squares past the largest float
+        st.sampled_from(["exact", "fixed", ""]),
+        st.none(),
+        st.lists(st.one_of(st.floats(), st.lists(st.floats(), max_size=3)), max_size=3),
+        st.dictionaries(st.sampled_from(["mode", "tolerance", "matrices"]),
+                        st.integers(0, 3), max_size=2),
+        *([st.just(DELETE)] if isinstance(parent, dict) else []),
+    ))
+    if value is DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    f = tmp_path / "m.json"
+    f.write_text(json.dumps(doc))
+    code, err = _main(["detect", group, "--matrix-file", str(f)])
+    assert code in (0, 1)
+    if code == 1:
+        record = json.loads(err)
+        assert {"error", "message"} <= set(record), record
+    else:
+        assert err == ""
 
 
 def test_import_loads_neither_scipy_nor_sympy():

@@ -72,8 +72,8 @@ def test_a_large_degree_alone_allocates_nothing_of_its_size():
 
 def test_a_closure_is_refused_before_its_table_outgrows_the_entry_budget():
     """One long cycle is refused once elements x max(elements, points)
-    would pass the budget, long before the order cap: a 9,999-cycle at 101
-    elements, a 1,000,000-point cycle at its second element."""
+    would pass the budget: a 9,999-cycle at 101 elements, a 1,000,000-point
+    cycle at its second element."""
     group_from_generators(6, [[1, 0, 2, 3, 4, 5], [1, 2, 3, 4, 5, 0]])  # S6 is admitted
     for degree, refused_at in ((9_999, 101), (1_000_000, 2)):
         cycle = [(i + 1) % degree for i in range(degree)]
@@ -132,9 +132,11 @@ def test_rejects_bad_generator():
 
 
 def test_rejects_closure_cap(monkeypatch):
-    # S5 has 120 elements; the cap is read when the closure runs.
-    monkeypatch.setattr(groups, "DEFAULT_CLOSURE_CAP", 30)
-    with pytest.raises(ValidationError, match="cap of 30"):
+    # S5 has 120 elements; the budget is read when the closure runs, and
+    # 900 entries stop it at its 31st element (31 x 31 > 900).
+    monkeypatch.setattr(groups, "CLOSURE_ENTRY_BUDGET", 900)
+    message = "closure of 31 elements on 5 points exceeds the budget of 900 table entries"
+    with pytest.raises(ValidationError, match=message):
         group_from_generators(5, [[1, 2, 3, 4, 0], [1, 0, 2, 3, 4]])
 
 

@@ -3,12 +3,13 @@ import pytest
 from orbicalc import homs
 from orbicalc.characters import character_table
 from orbicalc.corpus import corpus_group, groups_of_order_at_most
-from orbicalc.errors import ValidationError
+from orbicalc.errors import InternalCheckError, ValidationError
 from orbicalc.groups import (
     FiniteGroup,
     group_from_generators,
     is_homomorphism,
     normal_subgroups,
+    subgroup_as_group,
     subgroup_classes,
 )
 from orbicalc.homs import (
@@ -18,7 +19,7 @@ from orbicalc.homs import (
     pi1,
     rep_hom_classes,
 )
-from .helpers import brute_force_homs, compose_hom_classes
+from .helpers import brute_force_homs, compose_hom_classes, reference_hom_classes
 
 
 def test_hom_from_trivial_group():
@@ -90,6 +91,49 @@ def test_pi1_examples():
         c for c in hom_classes(s3, s3) if c.representative == tuple(range(6))
     )
     assert len(pi1(s3, ident).representative) == 1  # s3 is centerless
+
+
+def _oracle_pairs():
+    """The ordered pairs of order <= 12 corpus groups, then the (subgroup,
+    target) pairs of the order <= 8 map groups."""
+    groups, small = groups_of_order_at_most(12), groups_of_order_at_most(8)
+    pairs = [(G, H) for G in groups for H in groups]
+    assert len(pairs) == 576
+    for G in small:
+        for sc in subgroup_classes(G):
+            K, _ = subgroup_as_group(G, sc.representative)
+            pairs += [(K, H) for H in small]
+    return pairs
+
+
+def test_hom_classes_and_class_of_hom_equal_the_whole_group_conjugation():
+    for G, H in _oracle_pairs():
+        assert hom_classes(G, H) == reference_hom_classes(G, H), (G.name, H.name)
+        for phi in enumerate_homs(G, H):
+            least = min(tuple(cm[x] for x in phi) for cm in H.conj_maps())
+            assert class_of_hom(G, H, phi) == least, (G.name, H.name, phi)
+
+
+def test_inner_automorphisms_are_the_distinct_conjugations():
+    for H in groups_of_order_at_most(12):
+        inn = homs.inner_automorphisms(H)
+        assert set(inn) == set(H.conj_maps()) and len(set(inn)) == len(inn)
+        assert len(inn) == H.order // len(H.center())
+        assert inn[0] == H.conj_maps()[0]
+
+
+@pytest.mark.parametrize("drop", range(1, 6))
+def test_a_missing_inner_automorphism_fails_orbit_stabilizer(fresh_groups, monkeypatch, drop):
+    # Inn(S3) acts regularly on the automorphisms of S3, so without one row
+    # the identity's orbit has 5 members against a centralizer of 1.  (Any
+    # five rows still reach all three transpositions, so c2 -> s3 cannot
+    # see the loss.)
+    s3 = corpus_group("s3")
+    inn = homs.inner_automorphisms(s3)
+    assert len(inn) == 6 and inn[0] == tuple(range(6))
+    monkeypatch.setattr(homs, "inner_automorphisms", lambda H: inn[:drop] + inn[drop + 1 :])
+    with pytest.raises(InternalCheckError, match="orbit-stabilizer fails for a hom class"):
+        hom_classes(s3, s3)
 
 
 def test_rep_hom_classes_examples():
