@@ -267,6 +267,19 @@ def test_localize_unknown_object_exits_1(tmp_path):
         assert "zz" in err["message"]
 
 
+def test_localize_unknown_w_arrow_keeps_its_record(tmp_path):
+    f = tmp_path / "cat.json"
+    data = _two_object_category()
+    data["W"].append("zz")
+    f.write_text(json.dumps(data))
+    code, err = _main(["localize", str(f), "--from", "a", "--to", "b"])
+    assert code == 1
+    assert err == (
+        '{\n  "error": "ValidationError",\n'
+        '  "message": "W contains unknown arrows: [\'zz\']"\n}\n'
+    )
+
+
 def test_detect_matrix_file_that_is_not_json_exits_1(tmp_path):
     f = tmp_path / "rep.json"
     f.write_text('{"mode": "exact", "matr')
