@@ -22,10 +22,15 @@ The table owns the arithmetic on its characters: `inner_with` is the one
 inner product of class functions, indicators fold the multiplicities at
 the square classes in one batch reduction mod Phi_e, and a conjugate
 character is found as a row read at the inverse classes.
+
+What is cached: one table per group, through `groups.cached`
+("character_table"); on the table, its indicators, computed on first
+read (`CharacterTable.indicators`, which `frobenius_schur` reads).
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from math import isqrt
 from typing import Sequence
 
@@ -85,7 +90,6 @@ class CharacterTable:
         self.class_sizes = tuple(len(c) for c in self.classes)
         self.num_classes = len(self.classes)
         self.exponent = group.exponent()
-        self._indicators = None  # filled by frobenius_schur
         self._compute()
         self._verify()
 
@@ -246,6 +250,24 @@ class CharacterTable:
             acc = acc + size * (a * b.conjugate())
         return acc.divide_exact(self.group.order)
 
+    @cached_property
+    def indicators(self) -> tuple[int, ...]:
+        """Every character's Frobenius-Schur indicator, computed on first
+        read: the eigenvalue multiplicities at the square classes, weighted
+        by class size, are summed and reduced mod Phi_e in one batch."""
+        G = self.group
+        class_of = class_index_map(G)
+        squares = [class_of[G.table[c[0]][c[0]]] for c in self.classes]
+        sizes = np.array(self.class_sizes, dtype=np.int64)
+        sums = reduce_rows(self.exponent, sizes @ self._mults[:, squares])
+        if sums[:, 1:].any() or (sums[:, 0] % G.order).any():
+            raise InternalCheckError("Frobenius-Schur indicator is not an integer")
+        indicators = tuple(int(nu) for nu in sums[:, 0] // G.order)
+        for nu in indicators:
+            if nu not in (-1, 0, 1):
+                raise InternalCheckError(f"Frobenius-Schur indicator out of range: {nu}")
+        return indicators
+
     def conjugate_partner(self, t: int) -> int:
         """The row of conj(chi_t) = chi_t o inv, found by reading chi_t at
         the inverse classes."""
@@ -296,22 +318,5 @@ def character_table(G: FiniteGroup) -> CharacterTable:
 
 
 def frobenius_schur(table: CharacterTable, t: int) -> int:
-    """The indicator (1/|G|) sum_g chi_t(g^2); must be exactly -1, 0 or 1.
-
-    The first call computes every character's indicator and stores them
-    on the table: the eigenvalue multiplicities at the square classes,
-    weighted by class size, are summed and reduced mod Phi_e in one batch."""
-    if table._indicators is None:
-        G = table.group
-        class_of = class_index_map(G)
-        squares = [class_of[G.table[c[0]][c[0]]] for c in table.classes]
-        sizes = np.array(table.class_sizes, dtype=np.int64)
-        sums = reduce_rows(table.exponent, sizes @ table._mults[:, squares])
-        if sums[:, 1:].any() or (sums[:, 0] % G.order).any():
-            raise InternalCheckError("Frobenius-Schur indicator is not an integer")
-        indicators = tuple(int(nu) for nu in sums[:, 0] // G.order)
-        for nu in indicators:
-            if nu not in (-1, 0, 1):
-                raise InternalCheckError(f"Frobenius-Schur indicator out of range: {nu}")
-        table._indicators = indicators
-    return table._indicators[t]
+    """The indicator (1/|G|) sum_g chi_t(g^2); must be exactly -1, 0 or 1."""
+    return table.indicators[t]

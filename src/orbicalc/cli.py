@@ -30,11 +30,11 @@ def _dump(data: dict) -> str:
 
 def _emit(args, payload: dict, inputs: dict[str, Path | None]) -> None:
     text = _dump(payload)
-    if args.out:
+    if args.out is not None:
         Path(args.out).write_text(text)
     else:
         sys.stdout.write(text)
-    if getattr(args, "manifest", None):
+    if args.manifest is not None:
         import hashlib
 
         digests = {}
@@ -280,7 +280,7 @@ def _is_matrix_list(mats) -> bool:
 
 
 def cmd_detect(args) -> None:
-    if not args.matrix_file and args.char_index is None:
+    if args.matrix_file is None and args.char_index is None:
         raise ValidationError("need --char-index or --matrix-file")
     from .corpus import resolve_group
 
@@ -291,7 +291,7 @@ def cmd_detect(args) -> None:
     from .realreps import MatrixRep
     from .transversality import derived_class_detector
 
-    if args.matrix_file:
+    if args.matrix_file is not None:
         data = read_json(args.matrix_file)
         if not isinstance(data, dict) or not _is_matrix_list(data.get("matrices")):
             raise ValidationError(
@@ -329,7 +329,7 @@ def cmd_detect(args) -> None:
         payload,
         {
             "group": group_file,
-            "matrix": Path(args.matrix_file) if args.matrix_file else None,
+            "matrix": Path(args.matrix_file) if args.matrix_file is not None else None,
         },
     )
 
@@ -337,7 +337,7 @@ def cmd_detect(args) -> None:
 def cmd_corpus(args) -> None:
     from .corpus import corpus_dir, corpus_group, corpus_names
 
-    if args.dump:
+    if args.dump is not None:
         G = corpus_group(args.dump)
         from .groups import group_to_json
 
@@ -417,8 +417,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("detect", help="fixed-point detector for derived classes")
     p.add_argument("group")
-    p.add_argument("--char-index", type=int)
-    p.add_argument("--matrix-file")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--char-index", type=int)
+    source.add_argument("--matrix-file")
     common(p)
     p.set_defaults(func=cmd_detect)
 

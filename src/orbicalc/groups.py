@@ -15,8 +15,12 @@ Computational Group Theory, 2005, section 4.1).  It picks Light's
 generators, generating sets and the subgroup lattice.  `extend_hom` walks
 the same Cayley graph carrying images, checking phi(x g) = phi(x) phi(g).
 
-Derived data kept on a group (classes, subgroups, character tables, hom
-classes, ...) goes through one memo, `cached`, in whichever module derives it.
+Derived data kept on a group goes through one memo, `cached`, in whichever
+module derives it.  This module keeps the table array, inverses,
+conjugation maps, classes, class index map, subgroup classes, quotients,
+generating set and fingerprint; `exponent`, `is_abelian` and
+`all_subgroups` are recomputed per call, as only a memoised caller (the
+character table, `subgroup_classes`) or one CLI call reads them.
 """
 
 from __future__ import annotations
@@ -202,11 +206,9 @@ class FiniteGroup:
             k += 1
         return k
 
-    @cached("exponent")
     def exponent(self) -> int:
         return lcm(*[self.element_order(a) for a in range(self.order)])
 
-    @cached("abelian")
     def is_abelian(self) -> bool:
         t, n = self.table, self.order
         return all(t[a][b] == t[b][a] for a in range(n) for b in range(a + 1, n))
@@ -420,7 +422,6 @@ def centralizer(G: FiniteGroup, S: Iterable[int]) -> SubgroupClass:
     )
 
 
-@cached("all_subgroups")
 def all_subgroups(G: FiniteGroup) -> list[frozenset[int]]:
     """Every subgroup of G, each <H, g> closed from a subgroup H found with
     H's generators plus g; refused above DEFAULT_SUBGROUP_CAP elements."""

@@ -37,7 +37,6 @@ class HomClass:
     centralizer_order: int
 
 
-@cached("homs")
 def enumerate_homs(G: FiniteGroup, H: FiniteGroup) -> list[tuple[int, ...]]:
     """Every homomorphism G -> H as a full image tuple, sorted; refused
     when either group has more than DEFAULT_ORDER_CAP elements.

@@ -165,11 +165,7 @@ def category_from_json(data: dict | str | Path) -> tuple[FiniteCategory, set[str
     arrows = [ArrowData(a["name"], a["src"], a["dst"]) for a in data["arrows"]]
     compose = {(a, b): c for a, b, c in entries}
     cat = FiniteCategory(data["objects"], arrows, compose, name=data.get("name"))
-    W = set(data.get("W", []))
-    unknown = W - set(cat.arrows)
-    if unknown:
-        raise ValidationError(f"W contains unknown arrows: {sorted(unknown)}")
-    return cat, W
+    return cat, set(data.get("W", []))
 
 
 # -- the right multiplicative system checker -------------------------------------

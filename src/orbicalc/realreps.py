@@ -5,6 +5,12 @@ The real classification is read off the complex table via Frobenius-Schur
 indicators: indicator +1 characters stay real (type R), conjugate pairs of
 indicator 0 characters merge into one complex-type entry of doubled real
 dimension, and indicator -1 characters double into quaternionic entries.
+
+What is cached, through `groups.cached`: the real irrep table
+("real_irreps") and the isotypic projector weights ("projector_weights").
+`min_faithful_tensor_power`'s faithfulness and an exact rep's
+multiplicities are read off its genuine character and that character's
+inner products with the complex table, not recomputed from matrices.
 """
 
 from __future__ import annotations
@@ -236,27 +242,19 @@ class MatrixRep:
         return self.kernel_elements() == (self.group.identity,)
 
 
+def _permutation_matrices(perms: Sequence[Sequence[int]]) -> list[list[list[int]]]:
+    """Per permutation p, the 0/1 matrix sending basis vector x to p[x]."""
+    return [[[int(p[x] == y) for x in range(len(p))] for y in range(len(p))] for p in perms]
+
+
 def regular_rep(G: FiniteGroup) -> MatrixRep:
     """Left regular representation by permutation matrices (exact)."""
-    mats = []
-    for g in range(G.order):
-        m = [[Fraction(0)] * G.order for _ in range(G.order)]
-        for x in range(G.order):
-            m[G.table[g][x]][x] = Fraction(1)
-        mats.append(m)
-    return MatrixRep(G, mats, exact=True, validate=False)
+    return MatrixRep(G, _permutation_matrices(G.table), exact=True, validate=False)
 
 
 def permutation_rep(G: FiniteGroup, perms: Sequence[Sequence[int]]) -> MatrixRep:
     """Representation from an action: perms[g] is the permutation of g."""
-    mats = []
-    for g in range(G.order):
-        p = perms[g]
-        m = [[Fraction(0)] * len(p) for _ in range(len(p))]
-        for x in range(len(p)):
-            m[p[x]][x] = Fraction(1)
-        mats.append(m)
-    return MatrixRep(G, mats, exact=True)
+    return MatrixRep(G, _permutation_matrices(perms), exact=True)
 
 
 def one_dim_rep(G: FiniteGroup, values: Sequence) -> MatrixRep:
@@ -283,6 +281,7 @@ class IsotypicPiece:
     projector: object  # Fraction matrix or float ndarray
 
 
+@cached("projector_weights")
 def projector_weights(G: FiniteGroup) -> tuple[list[list], bool]:
     """Per real irrep, the weights w(g) with P = sum_g w(g) rho(g), and
     whether they are all rational.
@@ -424,13 +423,9 @@ def min_faithful_tensor_power(G: FiniteGroup, V) -> int:
     """
     ct = character_table(G)
     chi = genuine_character(G, V)
-    if isinstance(V, MatrixRep):
-        faithful = V.is_faithful()
-    else:
-        deg = chi[ct.identity_class]
-        kernel = [i for i in range(ct.num_classes) if chi[i] == deg]
-        faithful = kernel == [ct.identity_class]
-    if not faithful:
+    # For a genuine character, rho(g) = I exactly when chi(g) = chi(1).
+    deg = chi[ct.identity_class]
+    if [i for i in range(ct.num_classes) if chi[i] == deg] != [ct.identity_class]:
         raise ValidationError("V is not faithful")
 
     power = chi

@@ -16,8 +16,6 @@ from fractions import Fraction
 from typing import Sequence, Union
 
 from ._linalg import EXACT, Fixed
-from .characters import character_table
-from .cyclotomic import CycInt
 from .errors import InternalCheckError, ValidationError
 from .groups import FiniteGroup, generating_set
 from .realreps import (
@@ -161,12 +159,12 @@ def derived_class_detector(G: FiniteGroup, V: Union[MatrixRep, Sequence]) -> Det
         dim = V.dimension
         fixed, _ = fixed_subspace(G, V)
     else:
-        # <chi, 1> is the inner product with the trivial character, already
-        # taken while chi is checked genuine.
-        ct = character_table(G)
+        # <chi, 1> is the inner product with the trivial real irrep's one
+        # constituent, already taken while chi is checked genuine.
         vals, ms = _genuine(G, V)
-        dim = vals[ct.identity_class].as_int()
-        one = CycInt.from_int(ct.exponent, 1)
-        fixed = next(m for m, psi in zip(ms, ct.values) if all(v == one for v in psi))
+        R = real_irreps(G)
+        dim = vals[R.complex_table.identity_class].as_int()
+        [trivial] = R.entries[R.trivial_index].constituents
+        fixed = ms[trivial]
     status = "nonzero_certified" if fixed == 0 else "inconclusive"
     return DetectorVerdict(status=status, degree=-dim, fixed_dim=fixed)

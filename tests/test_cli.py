@@ -440,6 +440,31 @@ def test_a_directory_for_a_path_exits_1_with_a_structured_error(tmp_path, argv):
     }
 
 
+def test_detect_refuses_a_character_and_a_matrix_file_together(tmp_path):
+    f = tmp_path / "rep.json"
+    f.write_text(json.dumps({"mode": "exact", "matrices": [[[1]], [[-1]]]}))
+    proc = run_cli("detect", "c2", "--char-index", "0", "--matrix-file", str(f), expect=2)
+    assert proc.stdout == "" and "not allowed with argument" in proc.stderr
+
+
+EMPTY_VALUES = {  # an empty option value is a path or name, not an absent option
+    "--out": (["group", "c2", "--out", ""], "IsADirectory", "Is a directory: '.'"),
+    "--manifest": (["group", "c2", "--manifest", ""], "IsADirectory", "Is a directory: '.'"),
+    "--dump": (["corpus", "--dump", ""], "ValidationError", "cannot resolve group ''"),
+    "--matrix-file": (
+        ["detect", "c2", "--matrix-file", ""], "FileNotFound", "No such file or directory: ''"
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, error, message", EMPTY_VALUES.values(), ids=EMPTY_VALUES)
+def test_an_empty_option_value_exits_1_with_its_own_error(argv, error, message):
+    code, err = _main(argv)
+    assert code == 1
+    record = json.loads(err)
+    assert record["error"] == error and message in record["message"]
+
+
 def test_a_missing_file_keeps_its_record(tmp_path):
     missing = tmp_path / "missing.json"
     code, err = _main(["detect", "c2", "--matrix-file", str(missing)])

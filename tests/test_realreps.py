@@ -203,6 +203,59 @@ def test_min_faithful_rejects_unfaithful():
         min_faithful_tensor_power(G, [1, 1, 1, 1])
 
 
+def test_the_character_kernel_agrees_with_the_matrix_kernel():
+    # min_faithful_tensor_power reads faithfulness off the character:
+    # rho(g) = I exactly when chi(g) = chi(1).  Its verdict must be the
+    # matrices' own on the regular rep and on every real line; the lines
+    # with a kernel (the trivial one at least) are exact reps it refuses.
+    from orbicalc.groups import class_index_map
+
+    refused = 0
+    for G in groups_of_order_at_most(12):
+        cls = class_index_map(G)
+        lines = [
+            one_dim_rep(G, [e.char[cls[g]].as_int() for g in range(G.order)])
+            for e in real_irreps(G)
+            if e.real_dim == 1
+        ]
+        for rep in [regular_rep(G), *lines]:
+            chi = rep.character()
+            kernel = [cls[g] for g in range(G.order) if chi[cls[g]] == chi[cls[G.identity]]]
+            assert (kernel == [cls[G.identity]]) == rep.is_faithful(), G
+            if rep.is_faithful():
+                assert min_faithful_tensor_power(G, rep) >= 1, G
+            else:
+                with pytest.raises(ValidationError, match="V is not faithful"):
+                    min_faithful_tensor_power(G, rep)
+                refused += 1
+    assert refused > len(groups_of_order_at_most(12))
+
+
+def test_one_surjectivity_report_computes_the_projector_weights_once(monkeypatch):
+    # isotypic_surjectivity reads the weights three times (once per side's
+    # decomposition, once for the mode); the group computes them once.
+    from orbicalc import realreps
+    from orbicalc.groups import FiniteGroup, class_index_map
+    from orbicalc.transversality import LinearChart, isotypic_surjectivity
+
+    for name in ("s3", "c5"):  # rational and irrational weights
+        G = FiniteGroup(corpus_group(name).table, name=name)
+        V = regular_rep(G)
+        identity = [[int(i == j) for j in range(G.order)] for i in range(G.order)]
+        chart = LinearChart(G, V, regular_rep(G), identity)
+        calls = []
+
+        def counting(H):
+            calls.append(H)
+            return class_index_map(H)
+
+        monkeypatch.setattr(realreps, "class_index_map", counting)
+        report = isotypic_surjectivity(chart)
+        monkeypatch.undo()
+        assert report.consistent, name
+        assert calls == [G], name
+
+
 def test_functorial_restriction_composites():
     # Restriction along K -> G -> G must match iterated restriction.
     G = corpus_group("s3")
