@@ -15,6 +15,7 @@ refused without loading numpy, which is most of a cold call's start-up.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -29,32 +30,45 @@ def _dump(data: dict) -> str:
 
 
 def _emit(args, payload: dict, inputs: dict[str, Path | None]) -> None:
+    """Write the payload, then any manifest.  Both files are opened before the
+    payload's first byte, so a path that cannot be written leaves stdout empty.
+    The manifest is written last and cut at its own end, so it is what a file
+    that both options name holds."""
     text = _dump(payload)
-    if args.out is not None:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
-    if args.manifest is not None:
-        import hashlib
+    with contextlib.ExitStack() as files:
+        if args.manifest is not None:
+            manifest = _dump(_manifest(args, text, inputs))
+            manifest_file = files.enter_context(Path(args.manifest).open("w"))
+        if args.out is None:
+            sys.stdout.write(text)
+        else:
+            with Path(args.out).open("w") as out:
+                out.write(text)
+        if args.manifest is not None:
+            manifest_file.write(manifest)
+            manifest_file.truncate()
 
-        digests = {}
-        for label, path in inputs.items():
-            if path is not None and Path(path).exists():
-                digests[label] = hashlib.sha256(Path(path).read_bytes()).hexdigest()
-            else:
-                digests[label] = None
-        manifest = {
-            "command": args.command,
-            "parameters": {
-                k: v
-                for k, v in sorted(vars(args).items())
-                if k not in ("func", "out", "manifest") and v is not None
-            },
-            "inputs": digests,
-            "version": __version__,
-            "output_sha256": hashlib.sha256(text.encode()).hexdigest(),
-        }
-        Path(args.manifest).write_text(_dump(manifest))
+
+def _manifest(args, text: str, inputs: dict[str, Path | None]) -> dict:
+    import hashlib
+
+    digests = {}
+    for label, path in inputs.items():
+        if path is not None and Path(path).exists():
+            digests[label] = hashlib.sha256(Path(path).read_bytes()).hexdigest()
+        else:
+            digests[label] = None
+    return {
+        "command": args.command,
+        "parameters": {
+            k: v
+            for k, v in sorted(vars(args).items())
+            if k not in ("func", "out", "manifest") and v is not None
+        },
+        "inputs": digests,
+        "version": __version__,
+        "output_sha256": hashlib.sha256(text.encode()).hexdigest(),
+    }
 
 
 # -- subcommands --------------------------------------------------------------
@@ -245,7 +259,7 @@ def cmd_rstar(args) -> None:
 
 
 def cmd_localize(args) -> None:
-    from .localize import category_from_json, check_right_multiplicative, localize_hom
+    from .localize import _localize_hom, category_from_json, check_right_multiplicative
 
     cat, W = category_from_json(args.category)
     verdict = check_right_multiplicative(cat, W)
@@ -255,7 +269,7 @@ def cmd_localize(args) -> None:
         "rms_failures": verdict.failures,
     }
     if verdict.ok:
-        loc = localize_hom(cat, W, args.source, args.target)
+        loc = _localize_hom(cat, W, args.source, args.target, verdict)
         payload["from"] = args.source
         payload["to"] = args.target
         payload["classes"] = [

@@ -273,11 +273,16 @@ class LocalizedHom:
 
 def localize_hom(C: FiniteCategory, W: Iterable[str], x: str, y: str) -> LocalizedHom:
     """Morphisms x -> y in the localization, as glued span classes."""
+    return _localize_hom(C, set(W), x, y, None)
+
+
+def _localize_hom(C: FiniteCategory, W: set[str], x: str, y: str, verdict) -> LocalizedHom:
+    """localize_hom, given the RMSVerdict on W when the caller has it already, or None."""
     for obj in (x, y):
         if obj not in C.objects:
             raise ValidationError(f"unknown object {obj!r}")
-    W = set(W)
-    verdict = check_right_multiplicative(C, W)
+    if verdict is None:
+        verdict = check_right_multiplicative(C, W)
     if not verdict.ok:
         raise ValidationError(
             f"W is not a right multiplicative system: {verdict.failures[:3]}"

@@ -14,22 +14,25 @@ that bit (checked for each one).  Each class therefore keeps one
 trivial-bit value, and flipping the bit keeps the order among pairs that
 share it: it carries the least pair of a bit-0 class to the least pair of
 its partner, a larger one.  The group is free abelian on the bit-0
-classes, the only ones enumerated.
+classes, the only ones enumerated.  A class's least pair is found
+without walking its orbit (orbit algorithm with stabilizers,
+Holt-Eick-O'Brien 4.1): its hom class is the least of its orbit under the
+automorphisms, its framing the least under that hom class's stabilizer.
 
 What does not depend on the target is built once per source group and
 cached on it: each subgroup class's K, the inverses of its
-normalizer-induced automorphisms, their moves on the bit-0 framings and
-each bit-0 framing's image under the involution.
-Per target and variant only the hom-class representatives, their moves
-under those automorphisms and the canonical pairs are built, one
-subgroup class at a time; the per-class lists, each sorted, concatenate
-to the global order.
+normalizer-induced automorphisms, their moves on the bit-0 framings
+(None for one that fixes them all) and each bit-0 framing's image under
+the involution.  Per target and variant only the hom-class
+representatives, their moves under those automorphisms and the canonical
+pairs are built, one subgroup class at a time; the per-class lists, each
+sorted, concatenate to the global order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal, NamedTuple, Sequence
+from typing import Iterable, Literal, NamedTuple, Sequence
 
 from .bundles import flip_trivial_bit, framing_bit_permutation, framings, push_bits
 from .errors import InternalCheckError, ValidationError
@@ -45,7 +48,7 @@ from .homs import class_of_hom, enumerate_homs, hom_classes, rep_hom_classes
 from .realreps import real_irreps
 
 Variant = Literal["rep", "orb"]
-Pair = tuple[tuple[int, ...], tuple[int, ...]]  # (hom class representative, framing bits)
+FramedClass = tuple[tuple[int, ...], Iterable[tuple[int, ...]]]  # (hom class, its framings)
 
 
 def _check_variant(variant: str) -> str:
@@ -87,7 +90,7 @@ class _Subgroup(NamedTuple):
 
     K: FiniteGroup
     auto_invs: tuple[tuple[int, ...], ...]  # inverses of the induced automorphisms
-    bit_moves: tuple[dict, ...]  # per automorphism: bits -> bits pushed along it
+    bit_moves: tuple[dict | None, ...]  # per automorphism: bits -> bits pushed along it, or None
     bits0: dict  # each framing with trivial bit 0, in lexicographic order -> its involution image
 
 
@@ -97,9 +100,8 @@ def _subgroups(G: FiniteGroup) -> list[_Subgroup]:
     for sc in subgroup_classes(G):
         K, emb = subgroup_as_group(G, sc.representative)
         pos = {g: i for i, g in enumerate(emb)}
-        autos = sorted(
-            {tuple(pos[G.conj(n, g)] for g in emb) for n in normalizer(G, sc.representative)}
-        )
+        autos = sorted({tuple(pos[G.conj(n, g)] for g in emb)
+                        for n in normalizer(G, sc.representative)})
         t = real_irreps(K).trivial_bit
         bits0 = {fr.bits: flip_trivial_bit(K, fr.bits) for fr in framings(K) if fr.bits[t] == 0}
         bit_moves = []
@@ -107,38 +109,38 @@ def _subgroups(G: FiniteGroup) -> list[_Subgroup]:
             perm = framing_bit_permutation(K, K, a)
             if perm[t] != t:
                 raise InternalCheckError("an automorphism moved the trivial framing bit")
-            bit_moves.append({b: push_bits(perm, b) for b in bits0})
-        out.append(_Subgroup(
-            K=K, auto_invs=tuple(_inverse(a) for a in autos), bit_moves=tuple(bit_moves), bits0=bits0
-        ))
+            moved = perm != tuple(range(len(perm)))
+            bit_moves.append({b: push_bits(perm, b) for b in bits0} if moved else None)
+        auto_invs = tuple(_inverse(a) for a in autos)
+        out.append(_Subgroup(K, auto_invs, tuple(bit_moves), bits0))
     return out
 
 
-def _generator_classes(sub: _Subgroup, H: FiniteGroup, variant: str) -> list[Pair]:
-    """One subgroup class's canonical pairs with trivial bit 0, sorted.
+def _generator_classes(sub: _Subgroup, H: FiniteGroup, variant: str) -> list[FramedClass]:
+    """One subgroup class's canonical pairs with trivial bit 0, sorted, by hom class.
 
     An automorphism a acts coherently: it precomposes the map leg by a^-1
-    while pushing the framing forward along a.  The induced automorphisms
-    form a group, so the pairs are visited in ascending order and the first
-    one of each orbit is its least element, the canonical one.
+    while pushing the framing forward along a.  (g, bits) is the least pair
+    of its orbit exactly when no automorphism moves g lower and none fixing
+    g moves bits lower; the automorphisms form a group, so that is all of it.
     """
     K = sub.K
     classes = rep_hom_classes(K, H) if variant == "rep" else hom_classes(K, H)
-    g_reps = [c.representative for c in classes]
-    g_moves = [
-        {g: class_of_hom(K, H, tuple(g[k] for k in a_inv)) for g in g_reps}
-        for a_inv in sub.auto_invs
-    ]
-    seen: set[Pair] = set()
+    g_reps = [c.representative for c in classes]  # ascending
+    index = {g: i for i, g in enumerate(g_reps)}
+    g_moves = [[index[class_of_hom(K, H, tuple(g[k] for k in a_inv))] for g in g_reps]
+               for a_inv in sub.auto_invs]
     out = []
-    for g in g_reps:
-        moves = [(gm[g], bm) for gm, bm in zip(g_moves, sub.bit_moves)]
-        for bits in sub.bits0:
-            if (g, bits) in seen:
-                continue
-            out.append((g, bits))
-            for g2, bm in moves:
-                seen.add((g2, bm[bits]))
+    for i, g in enumerate(g_reps):
+        moves = []  # the stabilizer's moves on the framings, identities left out
+        for gm, bm in zip(g_moves, sub.bit_moves):
+            if gm[i] < i:
+                break
+            if gm[i] == i and bm is not None:
+                moves.append(bm)
+        else:
+            kept = [b for b in sub.bits0 if all(m[b] >= b for m in moves)] if moves else sub.bits0
+            out.append((g, kept))
     return out
 
 
@@ -148,19 +150,17 @@ def map_group(G: FiniteGroup, H: FiniteGroup, variant: Variant) -> MapGroupPrese
     The basis is the canonical classes with trivial bit 0, each paired with
     its image under the involution."""
     variant = _check_variant(variant)
+    new = tuple.__new__  # MapGenerator's own __new__ is one more Python call per generator
     orbit_table = []
     for i, sub in enumerate(_subgroups(G)):
-        n = sub.K.order
-        for g, bits in _generator_classes(sub, H, variant):
-            partner = MapGenerator(i, n, g, sub.bits0[bits])
-            orbit_table.append((MapGenerator(i, n, g, bits), partner))
+        n, bits0 = sub.K.order, sub.bits0
+        for g, kept in _generator_classes(sub, H, variant):
+            orbit_table += [
+                (new(MapGenerator, (i, n, g, b)), new(MapGenerator, (i, n, g, bits0[b])))
+                for b in kept
+            ]
     basis = tuple(c for c, _ in orbit_table)
-    return MapGroupPresentation(
-        variant=variant,
-        rank=len(basis),
-        basis=basis,
-        orbit_table=tuple(orbit_table),
-    )
+    return MapGroupPresentation(variant, len(basis), basis, tuple(orbit_table))
 
 
 def enumerate_generators(G: FiniteGroup, H: FiniteGroup, variant: Variant) -> list[MapGenerator]:

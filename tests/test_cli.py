@@ -267,6 +267,57 @@ def test_localize_unknown_object_exits_1(tmp_path):
         assert "zz" in err["message"]
 
 
+def _category_file(path, C, W):
+    path.write_text(json.dumps({
+        "name": C.name,
+        "objects": C.objects,
+        "arrows": [{"name": a.name, "src": a.src, "dst": a.dst} for a in C.arrows.values()],
+        "compose": [[a, b, c] for (a, b), c in sorted(C.compose_table.items())],
+        "W": sorted(W),
+    }))
+    return str(path)
+
+
+def test_localize_checks_its_system_once_per_call(tmp_path, monkeypatch):
+    from orbicalc import localize
+
+    from .cat_corpus import ore_counterexample, synthetic_corpus
+
+    cases = [ore_counterexample()]
+    for C in synthetic_corpus():
+        identities = {C.identity(x) for x in C.objects}
+        cases += [(C, identities), (C, set(C.arrows))]
+    check, calls = localize.check_right_multiplicative, []
+
+    def counting(C, W):
+        calls.append(C.name)
+        return check(C, W)
+
+    runs, refused = 0, 0
+    for k, (C, W) in enumerate(cases):
+        f = _category_file(tmp_path / f"cat{k}.json", C, W)
+        verdict = check(C, W)
+        refused += not verdict.ok
+        for x in C.objects:
+            for y in C.objects:
+                # stdout as check_right_multiplicative and localize_hom give it
+                expected = {"category": C.name, "rms_ok": verdict.ok,
+                            "rms_failures": verdict.failures}
+                if verdict.ok:
+                    loc = localize.localize_hom(C, W, x, y)
+                    expected |= {"from": x, "to": y, "count": len(loc.classes), "classes": [
+                        [{"w": s.w, "f": s.f} for s in cls] for cls in loc.classes
+                    ]}
+                out = io.StringIO()
+                with monkeypatch.context() as m, contextlib.redirect_stdout(out):
+                    m.setattr(localize, "check_right_multiplicative", counting)
+                    assert cli.main(["localize", f, "--from", x, "--to", y]) == 0
+                assert out.getvalue() == json.dumps(expected, sort_keys=True, indent=2) + "\n"
+                runs += 1
+    assert len(calls) == runs
+    assert 0 < refused < len(cases)
+
+
 def test_localize_unknown_w_arrow_keeps_its_record(tmp_path):
     f = tmp_path / "cat.json"
     data = _two_object_category()
@@ -438,6 +489,24 @@ def test_a_directory_for_a_path_exits_1_with_a_structured_error(tmp_path, argv):
     assert json.loads(err) == {
         "error": "IsADirectory", "message": f"[Errno 21] Is a directory: '{d}'"
     }
+
+
+def test_a_manifest_that_cannot_be_written_stops_the_payload(tmp_path):
+    d, out, m = tmp_path / "x.json", tmp_path / "out.json", tmp_path / "m.json"
+    d.mkdir()
+    record = {"error": "IsADirectory", "message": f"[Errno 21] Is a directory: '{d}'"}
+    proc = run_cli("group", "c2", "--manifest", str(d), expect=1)
+    assert proc.stdout == "" and json.loads(proc.stderr) == record
+    proc = run_cli("group", "c2", "--out", str(out), "--manifest", str(d), expect=1)
+    assert proc.stdout == "" and json.loads(proc.stderr) == record and not out.exists()
+    # A manifest that can be written changes nothing on stdout.
+    plain = run_cli("group", "c2").stdout
+    assert run_cli("group", "c2", "--manifest", str(m)).stdout == plain
+    manifest = m.read_text()
+    assert json.loads(manifest)["output_sha256"] == hashlib.sha256(plain.encode()).hexdigest()
+    # Named by both options, one file ends up holding the manifest alone.
+    assert run_cli("group", "c2", "--out", str(m), "--manifest", str(m)).stdout == ""
+    assert m.read_text() == manifest
 
 
 def test_detect_refuses_a_character_and_a_matrix_file_together(tmp_path):

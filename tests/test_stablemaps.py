@@ -8,13 +8,14 @@ from orbicalc import bundles, stablemaps
 from orbicalc.corpus import corpus_group, groups_of_order_at_most
 from orbicalc.errors import InternalCheckError, ValidationError
 from orbicalc.groups import FiniteGroup, normalizer, subgroup_as_group, subgroup_classes
+from orbicalc.homs import hom_classes, rep_hom_classes
 from orbicalc.stablemaps import (
     cross_check_abstract_enumeration,
     enumerate_generators,
     map_group,
 )
 
-from .helpers import reference_map_group, relabelled
+from .helpers import _reference_map_subgroups, reference_map_group, relabelled
 
 
 def test_generators_point_to_point():
@@ -254,6 +255,41 @@ def test_map_group_equals_the_canonicalise_and_pair_reference():
                 assert enumerate_generators(G, H, variant) == classes, (G.name, H.name, variant)
                 calls += 1
     assert calls == 392
+
+
+def test_stabilizers_that_move_framings_filter_as_the_reference_does():
+    # Over order <= 8 nearly every induced automorphism fixes each framing
+    # with trivial bit 0, so the stabilizer filter and the least-hom-class
+    # test seldom act there; these sources make both act.
+    calls, moving, filtered, skipped = 0, {}, 0, 0
+    for name in ("a4", "d16", "q16", "f20", "s4", "d24", "c2xa4"):
+        G = corpus_group(name)
+        moving[name] = sum(
+            any(bm[b] != b for b in all_bits if flipped[b] > b)
+            for _, _, bit_moves, all_bits, flipped in _reference_map_subgroups(G)
+            for bm in bit_moves
+        )
+        for target in ("c1", "c2", "c3", "s3"):
+            H = corpus_group(target)
+            for variant in ("rep", "orb"):
+                expected, classes = reference_map_group(G, H, variant)
+                p = map_group(G, H, variant)
+                assert (p.rank, p.basis, p.orbit_table) == (
+                    expected.rank, expected.basis, expected.orbit_table
+                ), (name, target, variant)
+                assert enumerate_generators(G, H, variant) == classes, (name, target, variant)
+                calls += 1
+                # A hom class with no basis pair is not least in its orbit; one
+                # with fewer pairs than bit-0 framings lost some to its stabilizer.
+                per_class = Counter((c.subgroup_index, c.g_class) for c in p.basis)
+                for i, (K, _, _, all_bits, _) in enumerate(_reference_map_subgroups(G)):
+                    homs = rep_hom_classes(K, H) if variant == "rep" else hom_classes(K, H)
+                    counts = [per_class[(i, c.representative)] for c in homs]
+                    skipped += counts.count(0)
+                    filtered += sum(0 < k < len(all_bits) // 2 for k in counts)
+    assert calls == 56
+    assert moving["f20"] == 10
+    assert filtered > 0 and skipped > 0, (filtered, skipped)
 
 
 def test_an_automorphism_moving_the_trivial_bit_is_refused(monkeypatch):
