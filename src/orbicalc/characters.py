@@ -23,14 +23,17 @@ inner product of class functions, indicators fold the multiplicities at
 the square classes in one batch reduction mod Phi_e, and a conjugate
 character is found as a row read at the inverse classes.
 
-What is cached: one table per group, through `groups.cached`
-("character_table"); on the table, its indicators, computed on first
-read (`CharacterTable.indicators`, which `frobenius_schur` reads).
+What is cached: through `groups.cached`, one table per group
+("character_table") and the group's multiplication table as a numpy
+array ("array"), which only the class-sum matrices read; on the table,
+its indicators, computed on first read (`CharacterTable.indicators`,
+which `frobenius_schur` reads).
 """
 
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import chain
 from math import isqrt
 from typing import Sequence
 
@@ -77,6 +80,16 @@ def _primitive_root(p: int) -> int:
     raise InternalCheckError("no primitive root found")
 
 
+@cached("array")
+def _table_array(G: FiniteGroup) -> np.ndarray:
+    """G's table as a read-only int16 array (int32 above 32,767 elements)."""
+    n = G.order
+    dtype = np.int16 if n <= np.iinfo(np.int16).max else np.int32
+    T = np.fromiter(chain.from_iterable(G.table), dtype=dtype, count=n * n).reshape(n, n)
+    T.flags.writeable = False
+    return T
+
+
 class CharacterTable:
     """Exact character table with deterministic row and class ordering.
 
@@ -106,7 +119,7 @@ class CharacterTable:
 
         # Class-sum matrices: (M_i)[j][k] = #{(x, y) in C_i x C_j : xy = z_k},
         # one bincount over the keys (class of y, class of xy) per class i.
-        T = G.array()
+        T = _table_array(G)
         cls = np.array(class_of, dtype=np.int64)
         mats = np.empty((r, r, r), dtype=np.int64)
         for i, C in enumerate(self.classes):

@@ -6,16 +6,16 @@ or an input or output path that cannot be read or written (reported as a
 structured JSON record on stderr), 2 on usage errors.
 
 Each subcommand imports the modules it runs inside its own function, so a
-call loads only those, and a usage error loads none.  A command that
-takes groups resolves them before it imports what computes, so a first
-group argument that is an unknown name or a file that is not JSON is
-refused without loading numpy, which is most of a cold call's start-up.
+call loads only those, and a usage error loads none.  Only `irreps`,
+`bundles`, `stable-maps` and `detect` load numpy, for the character tables
+and real irreps they compute.  A command that takes groups resolves them
+before it imports what computes, so an unknown name or a non-JSON file is
+refused first.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import math
 import sys
@@ -30,23 +30,31 @@ def _dump(data: dict) -> str:
 
 
 def _emit(args, payload: dict, inputs: dict[str, Path | None]) -> None:
-    """Write the payload, then any manifest.  Both files are opened before the
-    payload's first byte, so a path that cannot be written leaves stdout empty.
-    The manifest is written last and cut at its own end, so it is what a file
-    that both options name holds."""
+    """Write the payload, then any manifest.  Both paths are opened, neither
+    truncated, before the payload's first byte, and a file created here is
+    removed if the other path cannot be opened: so a path that cannot be
+    written leaves stdout empty and no new file behind.  The manifest is
+    written last, so it is what a file that both options name holds."""
     text = _dump(payload)
-    with contextlib.ExitStack() as files:
-        if args.manifest is not None:
-            manifest = _dump(_manifest(args, text, inputs))
-            manifest_file = files.enter_context(Path(args.manifest).open("w"))
-        if args.out is None:
-            sys.stdout.write(text)
-        else:
-            with Path(args.out).open("w") as out:
-                out.write(text)
-        if args.manifest is not None:
-            manifest_file.write(manifest)
-            manifest_file.truncate()
+    writes = [(Path(args.out), text)] if args.out is not None else []
+    if args.manifest is not None:
+        writes.append((Path(args.manifest), _dump(_manifest(args, text, inputs))))
+    created = []
+    try:
+        for path, _ in writes:
+            try:
+                path.open("x").close()
+                created.append(path)
+            except FileExistsError:
+                path.open("a").close()
+    except OSError:
+        for path in created:
+            path.unlink()
+        raise
+    if args.out is None:
+        sys.stdout.write(text)
+    for path, data in writes:
+        path.write_text(data)
 
 
 def _manifest(args, text: str, inputs: dict[str, Path | None]) -> dict:

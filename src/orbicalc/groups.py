@@ -3,6 +3,7 @@
 Elements are integers 0..order-1.  Groups built from permutation
 generators get a canonical breadth-first element ordering starting at the
 identity, so identical inputs always produce byte-identical tables.
+Everything here runs on the tuple table and imports no numpy.
 
 Validation is complete at every order, with no sampling and no size
 bound.  Associativity is proved by Light's test (Clifford and Preston,
@@ -16,23 +17,21 @@ generators, generating sets and the subgroup lattice.  `extend_hom` walks
 the same Cayley graph carrying images, checking phi(x g) = phi(x) phi(g).
 
 Derived data kept on a group goes through one memo, `cached`, in whichever
-module derives it.  This module keeps the table array, inverses,
-conjugation maps, classes, class index map, subgroup classes, quotients,
-generating set and fingerprint; `exponent`, `is_abelian` and
-`all_subgroups` are recomputed per call, as only a memoised caller (the
-character table, `subgroup_classes`) or one CLI call reads them.
+module derives it.  This module keeps the inverses, conjugation maps,
+classes, class index map, subgroup classes, quotients, generating set and
+fingerprint; `exponent`, `is_abelian` and `all_subgroups` are recomputed
+per call, as only a memoised caller (the character table,
+`subgroup_classes`) or one CLI call reads them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import wraps
-from itertools import chain
 from math import lcm
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence
-
-import numpy as np
 
 from .errors import ValidationError, read_json_object
 
@@ -128,42 +127,37 @@ class FiniteGroup:
         raise ValidationError("table has no two-sided identity")
 
     def _validate(self) -> None:
-        """Latin square, two-sided inverses and full associativity.
+        """Latin square, two-sided inverses and full associativity, on the
+        tuple table with no numpy.
 
         Associativity is complete at every order by Light's test: the
         elements g with (x g) y = x (g y) for all x, y are closed under
         multiplication, so checking g over a generating set proves it for
-        every element.  Each generator costs two fancy-index compares.
+        every element.  Each generator costs one gather per row: row x g
+        of the table against row x read at the entries of row g.
         """
-        n, e = self.order, self.identity
-        T = self.array()
-        ident = np.arange(n)
-        # Sorted rows and columns minus 0..n-1 vanish exactly on permutations.
-        rows = np.sort(T, axis=1)
-        rows -= ident
-        row_ok = ~rows.any(axis=1)
-        cols = np.sort(T, axis=0)
-        cols -= ident[:, None]
-        col_ok = ~cols.any(axis=0)
-        del rows, cols
-        bad = np.flatnonzero(~(row_ok & col_ok))
-        if bad.size:
-            g = int(bad[0])
-            kind = "row" if not row_ok[g] else "column"
-            raise ValidationError(f"{kind} {g} is not a permutation")
-        inv = np.argmax(T == e, axis=1)  # rows are permutations: one hit each
-        bad = np.flatnonzero(T[inv, ident] != e)
-        if bad.size:
-            raise ValidationError(f"element {int(bad[0])} has no two-sided inverse")
-        # Blocks of rows keep each temporary at 256 x n entries.
-        for g in _right_generators(self.table, e):
-            for lo in range(0, n, 256):
-                x = slice(lo, lo + 256)
-                fails = T[T[x, g]] != T[x][:, T[g]]
-                if fails.any():
-                    a, c = (int(v) for v in np.argwhere(fails)[0])
-                    raise ValidationError(f"associativity fails at {(lo + a, g, c)}")
-        self._cache["inverses"] = tuple(inv.tolist())
+        T, n, e = self.table, self.order, self.identity
+        # Entries are 0..n-1, so n distinct values make a permutation.  No
+        # transpose: zip(*T) holds n iterators at once, which from n = 700 on
+        # starts a garbage collection that ages this group, and an aged group
+        # outlives its last reference once its cached character table, which
+        # points back at it, makes a cycle.
+        rows = [len(set(row)) != n for row in T]
+        cols = [len(set(map(itemgetter(c), T))) != n for c in range(n)]
+        for g, (bad_row, bad_col) in enumerate(zip(rows, cols)):
+            if bad_row or bad_col:
+                kind = "row" if bad_row else "column"
+                raise ValidationError(f"{kind} {g} is not a permutation")
+        for g, h in enumerate(self.inverses()):
+            if T[h][g] != e:
+                raise ValidationError(f"element {g} has no two-sided inverse")
+        for g in _right_generators(T, e):
+            gather = itemgetter(*T[g])
+            for x, row in enumerate(T):
+                xg_y, x_gy = T[row[g]], gather(row)
+                if xg_y != x_gy:
+                    c = next(c for c, (a, b) in enumerate(zip(xg_y, x_gy)) if a != b)
+                    raise ValidationError(f"associativity fails at {(x, g, c)}")
 
     # -- elementary operations ----------------------------------------------
 
@@ -172,16 +166,6 @@ class FiniteGroup:
 
     def inv(self, a: int) -> int:
         return self.inverses()[a]
-
-    @cached("array")
-    def array(self) -> np.ndarray:
-        """The table as a read-only int16 array (int32 above 32,767 elements)."""
-        n = self.order
-        dtype = np.int16 if n <= np.iinfo(np.int16).max else np.int32
-        T = np.fromiter(chain.from_iterable(self.table), dtype=dtype, count=n * n)
-        T = T.reshape(n, n)
-        T.flags.writeable = False
-        return T
 
     @cached("inverses")
     def inverses(self) -> tuple[int, ...]:
@@ -304,9 +288,9 @@ def group_from_generators(
 
     Elements are ordered breadth-first from the identity, multiplying by
     generators in input order, so the element numbering is canonical.
-    The table is filled column by column: element b is its BFS parent
-    times one generator, so column b is that generator's right
-    multiplication applied to the parent's column.
+    The table is filled row by row: element a is its BFS parent times one
+    generator g, so a b = parent (g b), and row a is the parent's row read
+    at the indices of g b.
     """
     if type(degree) is not int:
         raise ValidationError(f"degree must be an integer, not {degree!r}")
@@ -332,9 +316,7 @@ def group_from_generators(
     elements = [ident]
     index = {ident: 0}
     parent, via = [0], [0]
-    # right[k][a] = index of elements[a] * gens[k]; BFS visits 0, 1, 2, ...
-    right: list[list[int]] = [[] for _ in gens]
-    for a, p in enumerate(elements):
+    for a, p in enumerate(elements):  # BFS visits 0, 1, 2, ...
         for k, g in enumerate(gens):
             q = _compose(p, g)
             if q not in index:
@@ -348,20 +330,15 @@ def group_from_generators(
                 elements.append(q)
                 parent.append(a)
                 via.append(k)
-            right[k].append(index[q])
 
-    n = len(elements)
-    dtype = np.int16 if n <= np.iinfo(np.int16).max else np.int32
-    rights = np.array(right, dtype=dtype).reshape(len(gens), n)
-    columns = np.empty((n, n), dtype=dtype)
-    columns[0] = np.arange(n)
-    for b in range(1, n):
-        columns[b] = rights[via[b]][columns[parent[b]]]
-    ints = list(range(n))
-    table = [tuple(map(ints.__getitem__, row.tolist())) for row in columns.T]
-    del columns, rights
+    # reads[k] gathers a row at the indices of gens[k] * elements[b].  Every
+    # row is gathered from row 0, so each element is one int object.
+    reads = [itemgetter(*[index[_compose(g, p)] for p in elements]) for g in gens]
+    rows = [tuple(range(len(elements)))]
+    for a in range(1, len(elements)):
+        rows.append(reads[via[a]](rows[parent[a]]))
     labels = [_cycle_notation(p) for p in elements]
-    return FiniteGroup(table, labels=labels, name=name)
+    return FiniteGroup(rows, labels=labels, name=name)
 
 
 # -- conjugacy ---------------------------------------------------------------

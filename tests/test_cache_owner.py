@@ -1,9 +1,8 @@
 """Every cache kept on a group goes through `groups.cached`.
 
 No module but groups.py mentions `_cache`, and inside groups.py only the
-constructor (which creates it), `_validate` (which fills the inverses it
-has just proved) and `cached` itself do.  Every memo's name is a string
-literal used by no other memo.
+constructor (which creates it) and `cached` itself do.  Every memo's name
+is a string literal used by no other memo.
 """
 
 import ast
@@ -22,17 +21,6 @@ def _mentions(node):
     )
 
 
-def _is_inverses_fill(node, parent):
-    """`<x>._cache["inverses"] = ...`"""
-    return (
-        isinstance(parent, ast.Subscript)
-        and parent.value is node
-        and isinstance(parent.ctx, ast.Store)
-        and isinstance(parent.slice, ast.Constant)
-        and parent.slice.value == "inverses"
-    )
-
-
 def stray_mentions(tree, owner_module):
     """(line, enclosing scope) for every mention of `_cache` outside its
     owners; `owner_module` says whether the tree is groups.py."""
@@ -43,13 +31,8 @@ def stray_mentions(tree, owner_module):
             inner = scope
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 inner = f"{scope}.{child.name}" if scope else child.name
-            if _mentions(child):
-                allowed = owner_module and (
-                    scope in OWNERS
-                    or (scope == "FiniteGroup._validate" and _is_inverses_fill(child, node))
-                )
-                if not allowed:
-                    out.append((child.lineno, scope))
+            if _mentions(child) and not (owner_module and scope in OWNERS):
+                out.append((child.lineno, scope))
             visit(child, inner)
 
     visit(tree, "")
@@ -85,7 +68,9 @@ def test_the_check_sees_a_hand_rolled_cache():
         "        return getattr(G, '_cache')['classes']\n"
     )
     tree = ast.parse(source)
-    assert stray_mentions(tree, True) == [(6, "FiniteGroup._validate"), (14, "classes"), (15, "classes")]
+    assert stray_mentions(tree, True) == [
+        (5, "FiniteGroup._validate"), (6, "FiniteGroup._validate"), (14, "classes"), (15, "classes"),
+    ]
     assert [line for line, _ in stray_mentions(tree, False)] == [3, 5, 6, 10, 14, 15]
 
 

@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 import warnings
@@ -509,6 +510,21 @@ def test_a_manifest_that_cannot_be_written_stops_the_payload(tmp_path):
     assert m.read_text() == manifest
 
 
+def test_a_path_that_cannot_be_opened_leaves_no_new_file(tmp_path):
+    d, new, kept = tmp_path / "x.json", tmp_path / "new.json", tmp_path / "kept.json"
+    d.mkdir()
+    kept.write_text("kept")
+    record = {"error": "IsADirectory", "message": f"[Errno 21] Is a directory: '{d}'"}
+    # --out fails after --manifest could be opened, and the other way round.
+    for out, manifest in ((d, new), (new, d), (d, kept), (kept, d)):
+        proc = run_cli("group", "c2", "--out", str(out), "--manifest", str(manifest), expect=1)
+        assert proc.stdout == "" and json.loads(proc.stderr) == record
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.json", "x.json"]
+        assert kept.read_text() == "kept"
+    # A file that cannot be truncated, such as a device, still takes the manifest.
+    assert run_cli("group", "c2", "--manifest", os.devnull).stdout == run_cli("group", "c2").stdout
+
+
 def test_detect_refuses_a_character_and_a_matrix_file_together(tmp_path):
     f = tmp_path / "rep.json"
     f.write_text(json.dumps({"mode": "exact", "matrices": [[[1]], [[-1]]]}))
@@ -722,9 +738,19 @@ def test_import_and_early_refusals_load_no_numpy(tmp_path):
         assert "numpy" not in loaded_modules(tmp_path, *argv), argv
 
 
-def test_a_group_command_loads_the_group_core(tmp_path):
-    # The check above would pass vacuously if no call loaded anything.
-    assert {"orbicalc.groups", "numpy"} <= loaded_modules(tmp_path, "group", "c2")
+def test_table_commands_load_the_group_core_and_no_numpy(tmp_path):
+    # Hom groupoids, the nerve and the corpus need multiplication tables only.
+    for argv in (
+        ["group", "c2"],
+        ["homs", "c2", "s3"],
+        ["rstar", "--max-order", "4", "--max-dim", "2", "--census"],
+        ["rstar", "--max-order", "4", "--max-dim", "-1"],
+        ["corpus"],
+    ):
+        modules = loaded_modules(tmp_path, *argv)
+        assert "orbicalc.groups" in modules and "numpy" not in modules, argv
+    # A character table does load numpy, so the checks above are not vacuous.
+    assert "numpy" in loaded_modules(tmp_path, "irreps", "c2")
 
 
 def test_package_exports_are_pinned():

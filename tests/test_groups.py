@@ -20,6 +20,7 @@ from orbicalc.groups import (
     trivial_group,
 )
 from .helpers import brute_force_subgroups, conj_orbits, perm_closure, reference_are_isomorphic
+from .test_light import reduced_latin_squares
 
 S3_GENS = [[1, 2, 0], [1, 0, 2]]  # (0 1 2), (0 1)
 C4_GENS = [[1, 2, 3, 0]]
@@ -151,6 +152,35 @@ def test_rejects_non_associative_table():
     ]
     with pytest.raises(ValidationError):
         FiniteGroup(table)
+
+
+def first_light_failure(t):
+    """The first (x, g, c) with (x g) c != x (g c): g over Light's generators
+    in order, then (x, c) in row-major order; None when there is none."""
+    n = len(t)
+    for g in groups._right_generators(t, 0):
+        for x in range(n):
+            for c in range(n):
+                if t[t[x][g]][c] != t[x][t[g][c]]:
+                    return (x, g, c)
+    return None
+
+
+def test_an_associativity_failure_names_the_first_triple_in_row_major_order():
+    named = 0
+    for n in range(1, 7):
+        for sq in reduced_latin_squares(n):
+            first = first_light_failure(sq)
+            try:
+                FiniteGroup(sq)
+            except ValidationError as exc:
+                if "inverse" not in str(exc):
+                    assert str(exc) == f"associativity fails at {first}", sq
+                    named += 1
+            else:
+                assert first is None, sq
+    # Reduced squares with two-sided inverses that are not group tables.
+    assert named == 1730
 
 
 def test_centralizer_examples():

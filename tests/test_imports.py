@@ -1,4 +1,5 @@
-"""Every module of the package uses each name it imports.
+"""Every module of the package uses each name it imports, and only the
+linear-algebra modules import numpy when they are imported.
 
 An import inside a function must be read in that function (nested
 functions included); an import at module level must be read somewhere in
@@ -87,3 +88,48 @@ def test_the_check_sees_an_unused_import():
     )
     # g and h's inner function read dumps; stale's own import of it (line 14) is unused.
     assert unused_imports(tree) == [(2, "Mapping"), (3, "os"), (14, "dumps")]
+
+
+# Where character tables, real irreps and matrix representations are computed.
+NUMPY_MODULES = {"_linalg.py", "_modlinalg.py", "characters.py", "cyclotomic.py"}
+
+
+def eager_imports(tree):
+    """The top-level package of every absolute import outside a function
+    body: what importing the module imports."""
+    found = set()
+
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Import):
+                found.update(a.name.split(".")[0] for a in child.names)
+            elif isinstance(child, ast.ImportFrom) and child.level == 0:
+                found.add(child.module.split(".")[0])
+            if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child)
+
+    visit(tree)
+    return found
+
+
+def test_only_the_linear_algebra_modules_import_numpy():
+    importers = {
+        path.name for path in MODULES
+        if "numpy" in eager_imports(ast.parse(path.read_text(encoding="utf-8")))
+    }
+    assert importers == NUMPY_MODULES
+
+
+def test_the_check_sees_an_eager_numpy_import():
+    tree = ast.parse(
+        "from __future__ import annotations\n"
+        "import numpy.linalg\n"
+        "from .groups import cached\n"
+        "class A:\n"
+        "    from numpy import ndarray\n"
+        "if True:\n"
+        "    import json\n"
+        "def f():\n"
+        "    import scipy\n"
+    )
+    assert eager_imports(tree) == {"__future__", "numpy", "json"}
