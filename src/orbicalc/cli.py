@@ -5,6 +5,11 @@ byte-identical output.  Exit status is 0 on success, 1 on a domain error
 or an input or output path that cannot be read or written (reported as a
 structured JSON record on stderr), 2 on usage errors.
 
+Each subcommand is declared once, by `_command` on its handler, and
+`build_parser` reads its parser off those declarations.  A handler returns
+its payload; `main` gives it the manifest inputs to fill (`_group` resolves
+a group argument and records its file) and alone writes both.
+
 Each subcommand imports the modules it runs inside its own function, so a
 call loads only those, and a usage error loads none.  Only `irreps`,
 `bundles`, `stable-maps` and `detect` load numpy, for the character tables
@@ -71,7 +76,7 @@ def _manifest(args, text: str, inputs: dict[str, Path | None]) -> dict:
         "parameters": {
             k: v
             for k, v in sorted(vars(args).items())
-            if k not in ("func", "out", "manifest") and v is not None
+            if k not in ("out", "manifest") and v is not None
         },
         "inputs": digests,
         "version": __version__,
@@ -81,15 +86,40 @@ def _manifest(args, text: str, inputs: dict[str, Path | None]) -> dict:
 
 # -- subcommands --------------------------------------------------------------
 
+COMMANDS: dict[str, tuple] = {}  # name -> (help, arguments, handler)
 
-def cmd_group(args) -> None:
+
+def _arg(*flags, **options):
+    return flags, options
+
+
+def _command(name: str, help: str, *arguments):
+    """Declare a subcommand; each argument is an `_arg`, or a list of them
+    for a mutually exclusive group.  The handler returns the payload."""
+
+    def register(handler):
+        COMMANDS[name] = (help, arguments, handler)
+        return handler
+
+    return register
+
+
+def _group(args, inputs: dict[str, Path | None], dest: str):
+    """The group that argument `dest` names; its file goes into `inputs`."""
     from .corpus import resolve_group
 
-    G, group_file = resolve_group(args.group)
+    G, inputs[dest] = resolve_group(getattr(args, dest))
+    return G
+
+
+@_command("group", "validate a group and report invariants",
+          _arg("group", help="group JSON file or corpus name"))
+def cmd_group(args, inputs) -> dict:
+    G = _group(args, inputs, "group")
     from .groups import conjugacy_classes, subgroup_classes
 
     classes = conjugacy_classes(G)
-    payload = {
+    return {
         "name": G.name,
         "order": G.order,
         "abelian": G.is_abelian(),
@@ -106,19 +136,17 @@ def cmd_group(args) -> None:
             for sc in subgroup_classes(G)
         ],
     }
-    _emit(args, payload, {"group": group_file})
 
 
-def cmd_irreps(args) -> None:
-    from .corpus import resolve_group
-
-    G, group_file = resolve_group(args.group)
+@_command("irreps", "real irreducible representation table", _arg("group"))
+def cmd_irreps(args, inputs) -> dict:
+    G = _group(args, inputs, "group")
     from .characters import character_table, frobenius_schur
     from .realreps import real_irreps
 
     ct = character_table(G)
     R = real_irreps(G)
-    payload = {
+    return {
         "group": G.name,
         "order": G.order,
         "entries": [
@@ -133,18 +161,16 @@ def cmd_irreps(args) -> None:
         "complex_degrees": list(ct.degrees),
         "character_table_text": ct.text_table(),
     }
-    _emit(args, payload, {"group": group_file})
 
 
-def cmd_homs(args) -> None:
-    from .corpus import resolve_group
-
-    G, source_file = resolve_group(args.source)
-    H, target_file = resolve_group(args.target)
+@_command("homs", "hom classes between two groups", _arg("source"), _arg("target"),
+          _arg("--injective", action="store_true", help="representable classes only"))
+def cmd_homs(args, inputs) -> dict:
+    G, H = _group(args, inputs, "source"), _group(args, inputs, "target")
     from .homs import hom_classes, rep_hom_classes
 
     classes = rep_hom_classes(G, H) if args.injective else hom_classes(G, H)
-    payload = {
+    return {
         "source": G.name,
         "target": H.name,
         "injective_only": bool(args.injective),
@@ -158,19 +184,17 @@ def cmd_homs(args) -> None:
             for c in classes
         ],
     }
-    _emit(args, payload, {"source": source_file, "target": target_file})
 
 
-def cmd_bundles(args) -> None:
-    from .corpus import resolve_group
-
-    G, group_file = resolve_group(args.group)
+@_command("bundles", "stable bundle data over one group", _arg("group"))
+def cmd_bundles(args, inputs) -> dict:
+    G = _group(args, inputs, "group")
     from .bundles import StableBundle, aut_group, framings
     from .realreps import real_irreps
 
     R = real_irreps(G)
     zero = StableBundle(G, tuple([0] * len(R)))
-    payload = {
+    return {
         "group": G.name,
         "real_irreps": [
             {"id": e.index, "dim": e.real_dim, "end_type": e.end_type}
@@ -179,18 +203,16 @@ def cmd_bundles(args) -> None:
         "stable_aut_contributors": list(aut_group(zero).contributors),
         "framing_count": len(framings(G)),
     }
-    _emit(args, payload, {"group": group_file})
 
 
-def cmd_stable_maps(args) -> None:
-    from .corpus import resolve_group
-
-    G, source_file = resolve_group(args.source)
-    H, target_file = resolve_group(args.target)
+@_command("stable-maps", "stable map group between two groups", _arg("source"), _arg("target"),
+          _arg("--variant", choices=["rep", "orb"], default="rep"))
+def cmd_stable_maps(args, inputs) -> dict:
+    G, H = _group(args, inputs, "source"), _group(args, inputs, "target")
     from .stablemaps import map_group
 
     pres = map_group(G, H, args.variant)
-    payload = {
+    return {
         "source": G.name,
         "target": H.name,
         "variant": pres.variant,
@@ -206,10 +228,14 @@ def cmd_stable_maps(args) -> None:
             for b in pres.basis
         ],
     }
-    _emit(args, payload, {"source": source_file, "target": target_file})
 
 
-def cmd_rstar(args) -> None:
+@_command("rstar", "cell census or homology of the terminal model",
+          _arg("--max-order", type=int, required=True), _arg("--max-dim", type=int, required=True),
+          [_arg("--census", action="store_true"), _arg("--homology", action="store_true")],
+          _arg("--include-isos", action="store_true",
+               help="admit chains through automorphism classes"))
+def cmd_rstar(args, inputs) -> dict:
     from .rstar import (
         build_quotient_category,
         cell_census,
@@ -224,14 +250,16 @@ def cmd_rstar(args) -> None:
     check_max_order(args.max_order)
     check_max_dim(args.max_dim)
     cat = build_quotient_category(args.max_order)
+    shared = {
+        "max_order": args.max_order,
+        "max_dim": args.max_dim,
+        "include_isos": bool(args.include_isos),
+    }
     if args.census:
         census = cell_census(
             args.max_order, args.max_dim, args.include_isos, category=cat
         )
-        payload = {
-            "max_order": args.max_order,
-            "max_dim": args.max_dim,
-            "include_isos": bool(args.include_isos),
+        return shared | {
             "objects": cat.object_names,
             "cells": [
                 {
@@ -245,30 +273,29 @@ def cmd_rstar(args) -> None:
                 for d, level in enumerate(census.cells)
             ],
         }
-    else:
-        cc, census = nerve_chain_complex(cat, args.max_dim, args.include_isos)
-        degrees = homology(cc, unreliable_from=args.max_dim)
-        payload = {
-            "max_order": args.max_order,
-            "max_dim": args.max_dim,
-            "include_isos": bool(args.include_isos),
-            "cell_counts": census.counts(),
-            "homology": [
-                {
-                    "degree": d.degree,
-                    "betti": d.betti,
-                    "torsion": list(d.torsion),
-                    "reliable": d.reliable,
-                }
-                for d in degrees
-            ],
-        }
-    _emit(args, payload, {})
+    cc, census = nerve_chain_complex(cat, args.max_dim, args.include_isos)
+    degrees = homology(cc, unreliable_from=args.max_dim)
+    return shared | {
+        "cell_counts": census.counts(),
+        "homology": [
+            {
+                "degree": d.degree,
+                "betti": d.betti,
+                "torsion": list(d.torsion),
+                "reliable": d.reliable,
+            }
+            for d in degrees
+        ],
+    }
 
 
-def cmd_localize(args) -> None:
+@_command("localize", "localized hom-sets of a finite category",
+          _arg("category", help="category JSON file"),
+          _arg("--from", dest="source", required=True), _arg("--to", dest="target", required=True))
+def cmd_localize(args, inputs) -> dict:
     from .localize import _localize_hom, category_from_json, check_right_multiplicative
 
+    inputs["category"] = Path(args.category)
     cat, W = category_from_json(args.category)
     verdict = check_right_multiplicative(cat, W)
     payload = {
@@ -284,7 +311,7 @@ def cmd_localize(args) -> None:
             [{"w": s.w, "f": s.f} for s in cls] for cls in loc.classes
         ]
         payload["count"] = len(loc.classes)
-    _emit(args, payload, {"category": Path(args.category)})
+    return payload
 
 
 def _is_matrix_list(mats) -> bool:
@@ -301,12 +328,13 @@ def _is_matrix_list(mats) -> bool:
     )
 
 
-def cmd_detect(args) -> None:
+@_command("detect", "fixed-point detector for derived classes",
+          _arg("group"), [_arg("--char-index", type=int), _arg("--matrix-file")])
+def cmd_detect(args, inputs) -> dict:
     if args.matrix_file is None and args.char_index is None:
         raise ValidationError("need --char-index or --matrix-file")
-    from .corpus import resolve_group
-
-    G, group_file = resolve_group(args.group)
+    G = _group(args, inputs, "group")
+    inputs["matrix"] = Path(args.matrix_file) if args.matrix_file is not None else None
     from fractions import Fraction
 
     from .characters import character_table
@@ -340,42 +368,43 @@ def cmd_detect(args) -> None:
         if not 0 <= args.char_index < ct.num_classes:
             raise ValidationError("character index out of range")
         verdict = derived_class_detector(G, list(ct.values[args.char_index]))
-    payload = {
+    return {
         "group": G.name,
         "fixed_dim": verdict.fixed_dim,
         "degree": verdict.degree,
         "verdict": verdict.status,
     }
-    _emit(
-        args,
-        payload,
-        {
-            "group": group_file,
-            "matrix": Path(args.matrix_file) if args.matrix_file is not None else None,
-        },
-    )
 
 
-def cmd_corpus(args) -> None:
+@_command("corpus", "list or dump bundled groups",
+          _arg("--dump", help="print one bundled group as JSON"))
+def cmd_corpus(args, inputs) -> dict:
     from .corpus import corpus_dir, corpus_group, corpus_names
 
     if args.dump is not None:
         G = corpus_group(args.dump)
         from .groups import group_to_json
 
-        payload = group_to_json(G)
-    else:
-        payload = {
-            "corpus_dir": str(corpus_dir()),
-            "groups": [
-                {"name": name, "order": corpus_group(name).order}
-                for name in corpus_names()
-            ],
-        }
-    _emit(args, payload, {})
+        return group_to_json(G)
+    return {
+        "corpus_dir": str(corpus_dir()),
+        "groups": [
+            {"name": name, "order": corpus_group(name).order}
+            for name in corpus_names()
+        ],
+    }
 
 
 # -- argument parsing ------------------------------------------------------------
+
+
+def _add_arguments(parser, arguments) -> None:
+    for argument in arguments:
+        if isinstance(argument, list):
+            _add_arguments(parser.add_mutually_exclusive_group(), argument)
+        else:
+            flags, options = argument
+            parser.add_argument(*flags, **options)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -385,79 +414,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for name, (help, arguments, _) in COMMANDS.items():
+        p = sub.add_parser(name, help=help)
+        _add_arguments(p, arguments)
         p.add_argument("--out", help="write JSON here instead of stdout")
         p.add_argument("--manifest", help="write a run manifest to this path")
-
-    p = sub.add_parser("group", help="validate a group and report invariants")
-    p.add_argument("group", help="group JSON file or corpus name")
-    common(p)
-    p.set_defaults(func=cmd_group)
-
-    p = sub.add_parser("irreps", help="real irreducible representation table")
-    p.add_argument("group")
-    common(p)
-    p.set_defaults(func=cmd_irreps)
-
-    p = sub.add_parser("homs", help="hom classes between two groups")
-    p.add_argument("source")
-    p.add_argument("target")
-    p.add_argument("--injective", action="store_true", help="representable classes only")
-    common(p)
-    p.set_defaults(func=cmd_homs)
-
-    p = sub.add_parser("bundles", help="stable bundle data over one group")
-    p.add_argument("group")
-    common(p)
-    p.set_defaults(func=cmd_bundles)
-
-    p = sub.add_parser("stable-maps", help="stable map group between two groups")
-    p.add_argument("source")
-    p.add_argument("target")
-    p.add_argument("--variant", choices=["rep", "orb"], default="rep")
-    common(p)
-    p.set_defaults(func=cmd_stable_maps)
-
-    p = sub.add_parser("rstar", help="cell census or homology of the terminal model")
-    p.add_argument("--max-order", type=int, required=True)
-    p.add_argument("--max-dim", type=int, required=True)
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--census", action="store_true")
-    mode.add_argument("--homology", action="store_true")
-    p.add_argument("--include-isos", action="store_true",
-                   help="admit chains through automorphism classes")
-    common(p)
-    p.set_defaults(func=cmd_rstar)
-
-    p = sub.add_parser("localize", help="localized hom-sets of a finite category")
-    p.add_argument("category", help="category JSON file")
-    p.add_argument("--from", dest="source", required=True)
-    p.add_argument("--to", dest="target", required=True)
-    common(p)
-    p.set_defaults(func=cmd_localize)
-
-    p = sub.add_parser("detect", help="fixed-point detector for derived classes")
-    p.add_argument("group")
-    source = p.add_mutually_exclusive_group()
-    source.add_argument("--char-index", type=int)
-    source.add_argument("--matrix-file")
-    common(p)
-    p.set_defaults(func=cmd_detect)
-
-    p = sub.add_parser("corpus", help="list or dump bundled groups")
-    p.add_argument("--dump", help="print one bundled group as JSON")
-    common(p)
-    p.set_defaults(func=cmd_corpus)
-
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    inputs: dict[str, Path | None] = {}
     try:
-        args.func(args)
+        _emit(args, COMMANDS[args.command][2](args, inputs), inputs)
     except (OrbicalcError, OSError) as exc:
         error = type(exc).__name__
         if isinstance(exc, OSError):

@@ -43,14 +43,15 @@ def corpus_names() -> list[str]:
 
 
 def corpus_group(name: str) -> FiniteGroup:
-    """Load (and cache) a corpus group by name or alias."""
+    """Load (and cache) a corpus group by name or alias.  A name is a bare
+    file stem: one with a directory part names no corpus group."""
     name = ALIASES.get(name, name)
     file = os.path.abspath(os.path.join(corpus_dir(), f"{name}.json"))
+    if Path(name).name != name or not (file in _GROUP_CACHE or os.path.isfile(file)):
+        raise ValidationError(
+            f"cannot resolve group '{name}' (no file, not in corpus)"
+        )
     if file not in _GROUP_CACHE:
-        if not os.path.isfile(file):
-            raise ValidationError(
-                f"cannot resolve group '{name}' (no file, not in corpus)"
-            )
         from .groups import group_from_json
 
         _GROUP_CACHE[file] = group_from_json(file, name=name)
