@@ -8,13 +8,13 @@ rank by one rule: an error counts as zero when it is at most
 operands are the compared values themselves, plus any matrices a caller
 names as the inputs they were computed from.  Nothing counts as zero once
 an error or an operand is not finite, and overflow raises no warning.
+Only ``Fixed`` uses numpy, and imports it when a backend is built, so
+exact work never loads it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-
-import numpy as np
 
 
 class _Exact:
@@ -94,77 +94,87 @@ EXACT = _Exact()
 
 
 class Fixed:
-    """Float arrays under one declared tolerance (see the module rule)."""
+    """Float arrays under one declared tolerance (see the module rule).
+    numpy is imported when a backend is built, and only then."""
 
     def __init__(self, tolerance: float):
+        import numpy
+
+        self.np = numpy
         self.tolerance = tolerance
 
+    def _quiet(self):
+        """Overflow and invalid values warn of nothing: the rule decides."""
+        return self.np.errstate(over="ignore", invalid="ignore")
+
     def _bound(self, *operands) -> float:
+        np = self.np
         largest = max(float(np.abs(X).max(initial=0.0)) for X in operands)
         return self.tolerance * max(1.0, largest) if largest < np.inf else np.nan
 
-    def matrix(self, rows) -> np.ndarray:
-        return np.array(rows, dtype=float)
+    def matrix(self, rows):
+        return self.np.array(rows, dtype=float)
 
-    def zeros(self, m: int, n: int) -> np.ndarray:
-        return np.zeros((m, n))
+    def zeros(self, m: int, n: int):
+        return self.np.zeros((m, n))
 
-    def identity(self, n: int) -> np.ndarray:
-        return np.eye(n)
+    def identity(self, n: int):
+        return self.np.eye(n)
 
-    @np.errstate(over="ignore", invalid="ignore")
     def mul(self, A, B):
-        return A @ B
+        with self._quiet():
+            return A @ B
 
-    @np.errstate(over="ignore", invalid="ignore")
     def add(self, A, B):
-        return A + B
+        with self._quiet():
+            return A + B
 
-    @np.errstate(over="ignore", invalid="ignore")
     def scale(self, A, c):
-        return float(c) * A
+        with self._quiet():
+            return float(c) * A
 
-    @np.errstate(over="ignore", invalid="ignore")
     def trace(self, A) -> float:
-        return float(np.trace(A))
+        with self._quiet():
+            return float(self.np.trace(A))
 
     def block_diag(self, A, B):
-        out = np.zeros((len(A) + len(B),) * 2)
+        out = self.np.zeros((len(A) + len(B),) * 2)
         out[: len(A), : len(A)] = A
         out[len(A) :, len(A) :] = B
         return out
 
-    @np.errstate(over="ignore", invalid="ignore")
     def close(self, A, B) -> bool:
-        return self.is_zero(A - B, A, B)
+        with self._quiet():
+            return self.is_zero(A - B, A, B)
 
     def is_zero(self, A, *operands) -> bool:
-        return bool(np.abs(A).max(initial=0.0) <= self._bound(A, *operands))
+        return bool(self.np.abs(A).max(initial=0.0) <= self._bound(A, *operands))
 
     def integer(self, x):
         """The integer nearest x, or None when x is farther from it than the rule allows."""
-        m = round(float(x)) if np.isfinite(x) else 0  # the bound refuses a non-finite x
+        m = round(float(x)) if self.np.isfinite(x) else 0  # the bound refuses a non-finite x
         return m if abs(x - m) <= self._bound(x) else None
 
     def rank(self, A, *operands) -> int:
         return len(self.column_basis(A, *operands))
 
-    @np.errstate(over="ignore", invalid="ignore")
     def column_basis(self, A, *operands) -> list[list[float]]:
         """The pivot columns of A, found by elimination with partial
         pivoting; a pivot within the rule's bound counts as zero."""
+        np = self.np
         A = np.asarray(A, dtype=float)
         bound = self._bound(A, *operands)
         work = A.copy()
         pivots: list[int] = []
-        for c in range(A.shape[1]):
-            r = len(pivots)
-            if r == A.shape[0]:
-                break
-            p = r + int(np.argmax(np.abs(work[r:, c])))
-            if abs(work[p, c]) <= bound:
-                continue
-            work[[r, p]] = work[[p, r]]
-            work[r + 1 :] -= np.outer(work[r + 1 :, c] / work[r, c], work[r])
-            pivots.append(c)
+        with self._quiet():
+            for c in range(A.shape[1]):
+                r = len(pivots)
+                if r == A.shape[0]:
+                    break
+                p = r + int(np.argmax(np.abs(work[r:, c])))
+                if abs(work[p, c]) <= bound:
+                    continue
+                work[[r, p]] = work[[p, r]]
+                work[r + 1 :] -= np.outer(work[r + 1 :, c] / work[r, c], work[r])
+                pivots.append(c)
         return [A[:, c].tolist() for c in pivots]

@@ -1,143 +1,154 @@
-"""Linear algebra over prime fields GF(p), vectorized with numpy int64.
+"""Linear algebra over prime fields GF(p), on lists of Python ints.
 
-Entries are reduced to [0, p) before they multiply, so sums of k products
-stay below k * p**2 < 2**63: for the character table's prime (the least
-p = 1 mod exp(G) above |G|) and k <= |G| <= 10,000 they stay below
-3 * 10**15 (worst: C9199, p = 496747), so all arithmetic is exact.
+Matrices are lists of rows, vectors are lists, and entries are reduced to
+[0, p).  Python integers are exact at any size, so no bound on p or on
+the dimension is needed.  Every elimination skips zero entries: a pivot
+row costs only its nonzeros, and a row with a zero in the pivot column
+costs nothing.  The character table's class matrices are sparse (an
+abelian group's are permutation matrices), so most of its work is skipped.
+This module imports no numpy, so neither does a character table.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from .errors import InternalCheckError
 
 
-def rref_mod(A: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form mod p; returns (R, pivot column list)."""
-    R = A.astype(np.int64) % p
-    rows, cols = R.shape
-    pivots = []
-    r = 0
-    for c in range(cols):
-        if r >= rows:
-            break
-        nz = np.flatnonzero(R[r:, c])
-        if nz.size == 0:
+def _nonzeros(row: list[int]) -> list[tuple[int, int]]:
+    return [(j, x) for j, x in enumerate(row) if x]
+
+
+def nullspace_mod(A: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
+    """(basis, free): a basis of the kernel of A mod p, as vectors, and
+    the free columns, read off A's reduced row echelon form.  Basis vector
+    c is 1 at free[c] and 0 at the other free columns."""
+    R = [[x % p for x in row] for row in A]
+    pivots: list[int] = []
+    for c in range(len(A[0])):
+        r = len(pivots)
+        i = next((i for i in range(r, len(R)) if R[i][c]), None)
+        if i is None:
             continue
-        i = r + int(nz[0])
-        if i != r:
-            R[[r, i]] = R[[i, r]]
-        R[r] = (R[r] * pow(int(R[r, c]), p - 2, p)) % p
-        # Columns left of c are zero in row r: one outer-product update.
-        f = R[:, c].copy()
-        f[r] = 0
-        R[:, c:] -= np.outer(f, R[r, c:])
-        R[:, c:] %= p
+        R[r], R[i] = R[i], R[r]
+        inv = pow(R[r][c], p - 2, p)
+        R[r] = [x * inv % p for x in R[r]]
+        pivot = _nonzeros(R[r])
+        for i, row in enumerate(R):
+            f = row[c]
+            if f and i != r:
+                for j, x in pivot:
+                    row[j] = (row[j] - f * x) % p
         pivots.append(c)
-        r += 1
-    return R, pivots
+    free = sorted(set(range(len(A[0]))) - set(pivots))
+    basis = []
+    for f in free:
+        v = [0] * len(A[0])
+        v[f] = 1
+        for row, c in zip(R, pivots):
+            v[c] = -row[f] % p
+        basis.append(v)
+    return basis, free
 
 
-def nullspace_mod(A: np.ndarray, p: int) -> np.ndarray:
-    """Columns form a basis of the kernel of A mod p."""
-    R, pivots = rref_mod(A, p)
-    cols = A.shape[1]
-    pivot_set = set(pivots)
-    free = [c for c in range(cols) if c not in pivot_set]
-    basis = np.zeros((cols, len(free)), dtype=np.int64)
-    basis[free, range(len(free))] = 1
-    basis[pivots] = (-R[: len(pivots), free]) % p
-    return basis
-
-
-def solve_columns(B: np.ndarray, C: np.ndarray, p: int) -> np.ndarray:
-    """Solve B @ X = C mod p where B has full column rank and a solution exists."""
-    n, k = B.shape
-    aug = np.concatenate([B, C], axis=1) % p
-    R, pivots = rref_mod(aug, p)
-    if pivots[:k] != list(range(k)) or len(pivots) != k:
-        raise ValueError("solve_columns: no unique solution")
-    return R[:k, k:]
-
-
-def hessenberg_mod(A: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+def hessenberg_mod(A: list[list[int]], p: int) -> tuple[list[list[int]], list[list[int]]]:
     """(H, S) with H upper Hessenberg and A = S H S^-1 mod p, by
     similarity transformations; S collects their column moves."""
-    H = np.array(A, dtype=np.int64) % p
-    k = H.shape[0]
-    S = np.eye(k, dtype=np.int64)
+    H = [[x % p for x in row] for row in A]
+    k = len(H)
+    S = [[int(i == j) for j in range(k)] for i in range(k)]
     for c in range(k - 2):
-        nz = np.flatnonzero(H[c + 1 :, c])
-        if nz.size == 0:
+        i = next((i for i in range(c + 1, k) if H[i][c]), None)
+        if i is None:
             continue
-        i = c + 1 + int(nz[0])
         if i != c + 1:
-            H[[c + 1, i]] = H[[i, c + 1]]
-            H[:, [c + 1, i]] = H[:, [i, c + 1]]
-            S[:, [c + 1, i]] = S[:, [i, c + 1]]
-        u = (H[c + 2 :, c] * pow(int(H[c + 1, c]), p - 2, p)) % p
-        # Rows c+2.. lose u * row c+1; column c+1 gains the inverse move.
-        H[c + 2 :] = (H[c + 2 :] - np.outer(u, H[c + 1])) % p
-        H[:, c + 1] = (H[:, c + 1] + H[:, c + 2 :] @ u) % p
-        S[:, c + 1] = (S[:, c + 1] + S[:, c + 2 :] @ u) % p
+            H[c + 1], H[i] = H[i], H[c + 1]
+            for row in H + S:
+                row[c + 1], row[i] = row[i], row[c + 1]
+        inv = pow(H[c + 1][c], p - 2, p)
+        moves = [(m, H[m][c] * inv % p) for m in range(c + 2, k) if H[m][c]]
+        if not moves:
+            continue
+        # Rows m lose u_m * row c+1; column c+1 gains the inverse moves.
+        pivot = _nonzeros(H[c + 1])
+        for m, u in moves:
+            row = H[m]
+            for j, x in pivot:
+                row[j] = (row[j] - u * x) % p
+        for row in H + S:
+            row[c + 1] = (row[c + 1] + sum(u * row[m] for m, u in moves)) % p
     return H, S
 
 
-def _hessenberg_charpoly(H: np.ndarray, p: int) -> np.ndarray:
-    k = H.shape[0]
-    # P[m] = det(xI - H[:m, :m]), coefficients from x^m down to x^0.
-    P = [np.ones(1, dtype=np.int64)]
+def hessenberg_charpoly(H: list[list[int]], p: int) -> list[int]:
+    """det(xI - H) mod p for H upper Hessenberg, coefficients from x^k
+    down to x^0, by the recurrence over its leading principal blocks
+    (Cohen, A Course in Computational Algebraic Number Theory, Alg. 2.2.9)."""
+    k = len(H)
+    # P[m] = det(xI - H[:m, :m]).
+    P = [[1]]
     for m in range(k):
-        nxt = np.append(P[m], 0)
-        nxt[1:] -= int(H[m, m]) * P[m]
+        nxt = P[m] + [0]
+        h = H[m][m]
+        if h:
+            for j, c in enumerate(P[m], 1):
+                nxt[j] -= h * c
         t = 1
         for i in range(m - 1, -1, -1):
-            t = t * int(H[i + 1, i]) % p
+            t = t * H[i + 1][i] % p
             if t == 0:
                 break
-            nxt[m - i + 1 :] -= (int(H[i, m]) * t % p) * P[i]
-        P.append(nxt % p)
+            f = H[i][m] * t % p
+            if f:
+                for j, c in enumerate(P[i], m - i + 1):
+                    nxt[j] -= f * c
+        P.append([x % p for x in nxt])
     return P[k]
 
 
-def charpoly_mod(A: np.ndarray, p: int) -> np.ndarray:
-    """det(xI - A) mod p, coefficients from x^k down to x^0, by the
-    recurrence over the leading principal blocks of A's Hessenberg form
-    (Cohen, A Course in Computational Algebraic Number Theory, Alg. 2.2.9)."""
-    return _hessenberg_charpoly(hessenberg_mod(A, p)[0], p)
-
-
-def eigenspaces_mod(A: np.ndarray, p: int) -> list[np.ndarray]:
-    """Column bases of A's eigenspaces mod p, one per root in GF(p) of its
-    characteristic polynomial, ascending.  If A = S H S^-1 has no zero on
-    H's subdiagonal, A is non-derogatory: each eigenspace is a line, solved
-    up the rows of H for every root at once and checked exactly in A.
+def eigenspaces_mod(A: list[list[int]], p: int) -> list[tuple[list[list[int]], list[int]]]:
+    """A's eigenspaces mod p, one per root in GF(p) of its characteristic
+    polynomial, ascending, each as (basis, units): basis vector c is 1 at
+    index units[c] and 0 at the other units.  If A = S H S^-1 has no zero
+    on H's subdiagonal, A is non-derogatory: each eigenspace is a line,
+    solved up the rows of H for every root and checked exactly in A.
     Otherwise each root takes a nullspace."""
-    A = np.array(A, dtype=np.int64) % p
-    k = A.shape[0]
+    A = [[x % p for x in row] for row in A]
+    k = len(A)
     H, S = hessenberg_mod(A, p)
-    roots = roots_mod(_hessenberg_charpoly(H, p), p)
-    if not np.diagonal(H, -1).all():
-        return [nullspace_mod((A - lam * np.eye(k, dtype=np.int64)) % p, p) for lam in roots]
-    lam = np.array(roots, dtype=np.int64)
-    V = np.zeros((k, len(roots)), dtype=np.int64)
-    V[k - 1] = 1
-    # Row i of (H - lam) v = 0 gives v[i-1] from v[i:].
-    for i in range(k - 1, 0, -1):
-        t = (H[i, i:] @ V[i:] - lam * V[i]) % p
-        V[i - 1] = (-t * pow(int(H[i, i - 1]), p - 2, p)) % p
-    V = (S @ V) % p
-    if ((A @ V - V * lam) % p).any():
-        raise InternalCheckError("back-substituted eigenvector fails A v = lam v")
-    return [V[:, [j]] for j in range(len(roots))]
+    roots = roots_mod(hessenberg_charpoly(H, p), p)
+    if not all(H[i][i - 1] for i in range(1, k)):
+        return [
+            nullspace_mod([[(x - lam * (i == j)) % p for j, x in enumerate(row)]
+                           for i, row in enumerate(A)], p)
+            for lam in roots
+        ]
+    # Row i of (H - lam) w = 0 gives w[i-1] from w[i:].
+    steps = [
+        (pow(H[i][i - 1], p - 2, p), [(j, x) for j, x in enumerate(H[i][i:], i) if x])
+        for i in range(1, k)
+    ]
+    A_rows, S_rows = [_nonzeros(row) for row in A], [_nonzeros(row) for row in S]
+    spaces = []
+    for lam in roots:
+        w = [0] * k
+        w[k - 1] = 1
+        for i in range(k - 1, 0, -1):
+            inv, row = steps[i - 1]
+            w[i - 1] = (lam * w[i] - sum(x * w[j] for j, x in row)) * inv % p
+        v = [sum(x * w[j] for j, x in row) % p for row in S_rows]
+        if any((sum(x * v[j] for j, x in row) - lam * y) % p for row, y in zip(A_rows, v)):
+            raise InternalCheckError("back-substituted eigenvector fails A v = lam v")
+        unit = next(j for j, x in enumerate(v) if x)
+        inv = pow(v[unit], p - 2, p)
+        spaces.append(([[x * inv % p for x in v]], [unit]))
+    return spaces
 
 
-def roots_mod(coeffs: np.ndarray, p: int) -> list[int]:
+def roots_mod(coeffs: list[int], p: int) -> list[int]:
     """The roots in GF(p), ascending, of a polynomial given from its
     leading coefficient down: Horner's rule at every x in 0..p-1 at once."""
-    x = np.arange(p, dtype=np.int64)
-    val = np.zeros(p, dtype=np.int64)
+    xs = range(p)
+    val = [0] * p
     for c in coeffs:
-        val = (val * x + int(c)) % p
-    return np.flatnonzero(val == 0).tolist()
+        val = [(v * x + c) % p for v, x in zip(val, xs)]
+    return [x for x, v in enumerate(val) if not v]

@@ -2,21 +2,30 @@
 
 Method (Dixon, "High speed computation of group characters", Numer.
 Math. 10, 1967): class-sum matrices are simultaneously diagonalized over a
-prime field GF(p) with p = 1 mod exp(G) and p > |G|.  Each class matrix
-splits the current invariant subspaces along its eigenspaces, restricted
-to each subspace (Schneider, "Dixon's character table algorithm
-revisited", J. Symb. Comp. 9, 1990).  The restriction is reduced once to
-Hessenberg form H mod p; its eigenvalues are the roots in GF(p) of the
-characteristic polynomial read off H (Horner's rule at every element of
-GF(p)).  With no zero on H's subdiagonal every eigenspace is a line, and
-one back-substitution up H finds them all; only a reduced H takes a
-nullspace per root.  The joint eigenvectors are the central characters
-mod p; degrees are recovered from the second orthogonality relation, and
-the character values are lifted to exact cyclotomic integers through
-eigenvalue multiplicities obtained by a discrete Fourier inversion mod p.
-Both orthogonality relations are then re-verified for every pair with
-exact integer arithmetic, folding only the nonzero multiplicities;
-nothing in the public output depends on the internal prime.
+prime field GF(p) with p = 1 mod exp(G) and p > |G|.  The class constants
+a_ijk = #{x in C_i : x^-1 z_k in C_j} are counted at the class
+representatives z_k, once the class map is seen to be invariant under
+conjugation by a generating set.  Each class matrix splits the current
+invariant subspaces along its eigenspaces, restricted to each subspace
+(Schneider, "Dixon's character table algorithm revisited", J. Symb.
+Comp. 9, 1990); the first splits the class matrix itself.  The
+restriction is reduced once to Hessenberg form H mod p; its eigenvalues
+are the roots in GF(p) of the characteristic polynomial read off H
+(Horner's rule at every element of GF(p)).  With no zero on H's
+subdiagonal every eigenspace is a line, and one back-substitution up H
+finds them all; only a reduced H takes a nullspace per root.  The joint
+eigenvectors are the central characters mod p; degrees are recovered
+from the second orthogonality relation.  The character values are lifted
+to exact cyclotomic integers through the eigenvalues of rho(z): Newton's
+identities turn the power sums chi(z^j), j <= deg chi, into rho(z)'s
+characteristic polynomial mod p, whose roots are found among the o-th
+roots of unity, o the order of z.  Both orthogonality relations are then
+re-verified for every pair with exact integer arithmetic, folding only
+the nonzero multiplicities; nothing in the public output depends on the
+internal prime.
+
+Everything runs on lists of Python ints (`_modlinalg`, `cyclotomic`), so
+a character table loads no numpy.
 
 The table owns the arithmetic on its characters: `inner_with` is the one
 inner product of class functions, indicators fold the multiplicities at
@@ -24,25 +33,20 @@ the square classes in one batch reduction mod Phi_e, and a conjugate
 character is found as a row read at the inverse classes.
 
 What is cached: through `groups.cached`, one table per group
-("character_table") and the group's multiplication table as a numpy
-array ("array"), which only the class-sum matrices read; on the table,
-its indicators, computed on first read (`CharacterTable.indicators`,
-which `frobenius_schur` reads).
+("character_table"); on the table, its indicators, computed on first
+read (`CharacterTable.indicators`, which `frobenius_schur` reads).
 """
-
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import chain
 from math import isqrt
+from operator import mul, sub
 from typing import Sequence
 
-import numpy as np
-
-from ._modlinalg import eigenspaces_mod, solve_columns
-from .cyclotomic import CycInt, reduce_rows
+from ._modlinalg import eigenspaces_mod
+from .cyclotomic import CycInt, cyclotomic_polynomial, power_sum, reduce_blocks
 from .errors import InternalCheckError
-from .groups import FiniteGroup, cached, class_index_map, conjugacy_classes
+from .groups import FiniteGroup, _right_generators, cached, class_index_map, conjugacy_classes
 
 
 def _find_prime(e: int, bound: int) -> int:
@@ -80,16 +84,6 @@ def _primitive_root(p: int) -> int:
     raise InternalCheckError("no primitive root found")
 
 
-@cached("array")
-def _table_array(G: FiniteGroup) -> np.ndarray:
-    """G's table as a read-only int16 array (int32 above 32,767 elements)."""
-    n = G.order
-    dtype = np.int16 if n <= np.iinfo(np.int16).max else np.int32
-    T = np.fromiter(chain.from_iterable(G.table), dtype=dtype, count=n * n).reshape(n, n)
-    T.flags.writeable = False
-    return T
-
-
 class CharacterTable:
     """Exact character table with deterministic row and class ordering.
 
@@ -110,114 +104,96 @@ class CharacterTable:
 
     def _compute(self) -> None:
         G, r = self.group, self.num_classes
-        n, e = G.order, self.exponent
-        class_of = class_index_map(G)
+        n, e, T = G.order, self.exponent, G.table
+        class_of, inv = class_index_map(G), G.inverses()
+        # The class constants are counted at one element per class, which
+        # is sound only if the class map is constant on conjugacy classes.
+        for g in _right_generators(T, G.identity):
+            h = inv[g]
+            if any(class_of[T[y][h]] != c for y, c in zip(T[g], class_of)):
+                raise InternalCheckError("class map is not invariant under conjugation")
         reps = [c[0] for c in self.classes]
         self.identity_class = class_of[G.identity]
-        inv_class = [class_of[G.inv(z)] for z in reps]
+        inv_class = [class_of[inv[z]] for z in reps]
         p = _find_prime(e, n)
 
-        # Class-sum matrices: (M_i)[j][k] = #{(x, y) in C_i x C_j : xy = z_k},
-        # one bincount over the keys (class of y, class of xy) per class i.
-        T = _table_array(G)
-        cls = np.array(class_of, dtype=np.int64)
-        mats = np.empty((r, r, r), dtype=np.int64)
-        for i, C in enumerate(self.classes):
-            keys = cls * r + cls[T[list(C)]]
-            mats[i] = np.bincount(keys.ravel(), minlength=r * r).reshape(r, r)
-        sizes = np.array(self.class_sizes, dtype=np.int64)
-        if np.any(mats % sizes):
-            raise InternalCheckError("class constants not integral")
-        mats //= sizes
-        mats %= p
-
-        # Joint eigenvectors over GF(p): iteratively split invariant subspaces
-        # along the eigenspaces of each class matrix M_i restricted to each
-        # subspace B, as X with M_i B = B X.
-        subspaces = [np.eye(r, dtype=np.int64)]
+        # Joint eigenvectors over GF(p): the invariant subspaces are split
+        # along the eigenspaces of each class matrix M in turn.  A subspace
+        # is (B, units): basis vector c is 1 at row units[c] and 0 at the
+        # other units, so M restricted to it, X with M B = B X, is read off
+        # at the unit rows.  The whole space keeps its identity basis, where
+        # M is its own restriction: the first split is on M itself.
+        subspaces = [([[int(j == c) for j in range(r)] for c in range(r)], list(range(r)))]
         for i in range(r):
+            if all(len(B) == 1 for B, _ in subspaces):
+                break
             if i == self.identity_class:
                 continue
-            if all(B.shape[1] == 1 for B in subspaces):
-                break
+            M = class_matrix(G, i)
             nxt = []
-            for B in subspaces:
-                k = B.shape[1]
+            for B, units in subspaces:
+                k = len(B)
                 if k == 1:
-                    nxt.append(B)
+                    nxt.append((B, units))
                     continue
-                X = solve_columns(B, (mats[i] @ B) % p, p)
-                spaces = eigenspaces_mod(X, p)
-                if sum(K.shape[1] for K in spaces) != k:
+                if k == r:
+                    pieces = eigenspaces_mod(M, p)
+                else:
+                    rows = [[(j, m) for j, m in enumerate(M[u]) if m] for u in units]
+                    X = [[sum(m * b[j] for j, m in row) % p for b in B] for row in rows]
+                    pieces = [
+                        ([[sum(map(mul, v, col)) % p for col in zip(*B)] for v in K],
+                         [units[f] for f in free])
+                        for K, free in eigenspaces_mod(X, p)
+                    ]
+                if sum(len(K) for K, _ in pieces) != k:
                     raise InternalCheckError("class matrix not diagonalizable")
-                nxt.extend((B @ K) % p for K in spaces)
+                nxt += pieces
             subspaces = nxt
-        if any(B.shape[1] != 1 for B in subspaces):
+        if any(len(B) != 1 for B, _ in subspaces):
             raise InternalCheckError("joint eigenspaces are not one-dimensional")
-        del mats, keys
-
-        sizes_inv = [pow(s, p - 2, p) for s in self.class_sizes]
-        omegas = []
-        for B in subspaces:
-            v = B[:, 0] % p
-            scale = pow(int(v[self.identity_class]), p - 2, p)
-            omegas.append((v * scale) % p)
 
         # Degrees from sum_i omega(i) omega(i*) / |C_i| = |G| / d^2 (mod p).
+        sizes_inv = [pow(s, p - 2, p) for s in self.class_sizes]
         degrees, chi_mod = [], []
-        for v in omegas:
-            s = 0
-            for i in range(r):
-                s += int(v[i]) * int(v[inv_class[i]]) * sizes_inv[i]
-            s %= p
-            d2 = (n * pow(s, p - 2, p)) % p
+        for [v], _ in subspaces:
+            scale = pow(v[self.identity_class], p - 2, p)
+            omega = [x * scale % p for x in v]
+            s = sum(x * omega[j] * y for x, j, y in zip(omega, inv_class, sizes_inv)) % p
+            d2 = n * pow(s, p - 2, p) % p
             d = isqrt(d2)
             if d * d != d2 or d == 0:
                 raise InternalCheckError("degree recovery failed")
             degrees.append(d)
-            chi_mod.append([(d * int(v[i]) * sizes_inv[i]) % p for i in range(r)])
+            chi_mod.append([d * x * y % p for x, y in zip(omega, sizes_inv)])
 
-        # Power map: class of z_i^j for j = 0..e-1.
-        power_class = np.zeros((r, e), dtype=np.int64)
-        for i in range(r):
-            x = G.identity
-            for j in range(e):
-                power_class[i, j] = class_of[x]
-                x = G.table[x][reps[i]]
-
-        # Multiplicity of zeta^k among the eigenvalues of rho(z_i):
-        # m_k = (1/e) sum_j chi(z_i^j) z^(-jk) mod p, lifted to [0, p).
-        z = 1 if e == 1 else pow(_primitive_root(p), (p - 1) // e, p)
-        e_inv = pow(e, p - 2, p)
-        Zmat = np.array(
-            [[pow(z, (-j * k) % (p - 1), p) for k in range(e)] for j in range(e)],
-            dtype=np.int64,
-        )
-        mults = np.zeros((len(omegas), r, e), dtype=np.int32)  # each <= degree
-        for t, cm in enumerate(chi_mod):
-            cm = np.array(cm, dtype=np.int64)
-            A = cm[power_class]  # r x e, value of chi_t at z_i^j
-            M = (A @ Zmat) % p
-            M = (M * e_inv) % p
-            if np.any(M > max(degrees)):
-                raise InternalCheckError("eigenvalue multiplicity out of range")
-            mults[t] = M
-        for t in range(len(omegas)):
-            if not np.all(mults[t].sum(axis=1) == degrees[t]):
-                raise InternalCheckError("multiplicities do not sum to the degree")
+        # The eigenvalues of rho_t(z_i), from the values of chi_t at the
+        # powers of z_i: seq[j] is the class of z_i^j, j < the order of z_i.
+        powers = []
+        for z in reps:
+            seq, x = [self.identity_class], z
+            while x != G.identity:
+                seq.append(class_of[x])
+                x = T[x][z]
+            powers.append(seq)
+        zeta = 1 if e == 1 else pow(_primitive_root(p), (p - 1) // e, p)
+        roots = [pow(zeta, k, p) for k in range(e)]
+        log = {w: k for k, w in enumerate(roots)}
+        mults = [
+            [eigenvalue_multiplicities([cm[seq[j % len(seq)]] for j in range(1, d + 1)],
+                                       e // len(seq), roots, log, p) for seq in powers]
+            for d, cm in zip(degrees, chi_mod)
+        ]
 
         # Exact values and deterministic ordering.
-        values = [
-            [CycInt(e, tuple(c), _reduced=True) for c in reduce_rows(e, m).tolist()]
-            for m in mults
-        ]
+        values = [[power_sum(e, terms) for terms in row] for row in mults]
         order = sorted(
             range(len(values)),
             key=lambda t: (degrees[t], [v.sort_key() for v in values[t]]),
         )
         self.degrees = tuple(degrees[t] for t in order)
         self.values = [values[t] for t in order]
-        self._mults = mults[order]
+        self._mults = [mults[t] for t in order]
         self._inv_class = inv_class
 
     # -- verification ------------------------------------------------------
@@ -228,22 +204,18 @@ class CharacterTable:
             raise InternalCheckError("character count differs from class count")
         if sum(d * d for d in self.degrees) != n:
             raise InternalCheckError("sum of squared degrees is not |G|")
-        sizes = np.array(self.class_sizes, dtype=np.int64)
-        diag = np.arange(r)
-        V = self._mults
-        # Each relation for every pair, reduced mod Phi_e in one batch:
+        # Each relation for every pair s <= t, reduced mod Phi_e in one batch:
         # sum_i |C_i| chi_s(i) conj(chi_t(i)) = delta_st |G| and
-        # sum_t chi_t(i) conj(chi_t(j)) = delta_ij |G| / |C_i|.
-        relations = (
-            ("row", V.transpose(1, 0, 2), sizes, n),
-            ("column", V, np.ones(r, dtype=np.int64), n // sizes),
-        )
-        for word, W, weights, expect in relations:
-            reduced = reduce_rows(e, orthogonality_fold(W, weights))
-            reduced[diag, diag, 0] -= expect
-            if reduced.any():
-                raise InternalCheckError(f"{word} orthogonality fails exactly")
-            del reduced  # r x r x e: free it before the next fold
+        # sum_u chi_u(s) conj(chi_u(t)) = delta_st |G| / |C_s|.
+        acc = reduce_blocks(e, orthogonality_fold(self._mults, self.class_sizes, e))
+        deg = len(cyclotomic_polynomial(e)) - 1
+        pairs = [(s, t) for s in range(r) for t in range(s, r)]
+        centralizers = [n // c for c in self.class_sizes]
+        for word, offset, diagonal in (("row", 0, [n] * r), ("column", e, centralizers)):
+            for q, (s, t) in enumerate(pairs):
+                start = 2 * e * q + offset
+                if acc[start : start + deg] != [diagonal[s] if s == t else 0] + [0] * (deg - 1):
+                    raise InternalCheckError(f"{word} orthogonality fails exactly")
 
     # -- queries -----------------------------------------------------------
 
@@ -268,14 +240,20 @@ class CharacterTable:
         """Every character's Frobenius-Schur indicator, computed on first
         read: the eigenvalue multiplicities at the square classes, weighted
         by class size, are summed and reduced mod Phi_e in one batch."""
-        G = self.group
+        G, r, e = self.group, self.num_classes, self.exponent
         class_of = class_index_map(G)
         squares = [class_of[G.table[c[0]][c[0]]] for c in self.classes]
-        sizes = np.array(self.class_sizes, dtype=np.int64)
-        sums = reduce_rows(self.exponent, sizes @ self._mults[:, squares])
-        if sums[:, 1:].any() or (sums[:, 0] % G.order).any():
+        flat = [0] * (r * e)
+        for t, row in enumerate(self._mults):
+            for size, i in zip(self.class_sizes, squares):
+                for a, m in row[i]:
+                    flat[t * e + a] += size * m
+        reduce_blocks(e, flat)
+        deg = len(cyclotomic_polynomial(e)) - 1
+        sums = [flat[t * e : t * e + deg] for t in range(r)]
+        if any(any(s[1:]) or s[0] % G.order for s in sums):
             raise InternalCheckError("Frobenius-Schur indicator is not an integer")
-        indicators = tuple(int(nu) for nu in sums[:, 0] // G.order)
+        indicators = tuple(s[0] // G.order for s in sums)
         for nu in indicators:
             if nu not in (-1, 0, 1):
                 raise InternalCheckError(f"Frobenius-Schur indicator out of range: {nu}")
@@ -303,26 +281,91 @@ class CharacterTable:
         return "\n".join(lines)
 
 
-def orthogonality_fold(W: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """acc[x, y] = sum_g weights[g] sum_{a, b} W[g, x, a] W[g, y, b] zeta^(a - b),
-    as r x r coefficient vectors mod x^e - 1 (int64, exact).
+def class_matrix(G: FiniteGroup, i: int) -> list[list[int]]:
+    """The class constants a_ijk = #{x in C_i : x^-1 z_k in C_j}, rows j and
+    columns k, z_k the least element of C_k: |C_i| r table lookups."""
+    classes, class_of, T, inv = conjugacy_classes(G), class_index_map(G), G.table, G.inverses()
+    M = [[0] * len(classes) for _ in classes]
+    for x in classes[i]:
+        row = T[inv[x]]
+        for k, c in enumerate(classes):
+            M[class_of[row[c[0]]]][k] += 1
+    return M
 
-    W holds eigenvalue multiplicities: W[t, i, a] is the multiplicity of
-    zeta^a in rho_t(z_i).  With W indexed (class, character) and class
-    sizes as weights this is the row orthogonality sum of every pair of
-    characters; indexed (character, class) with unit weights, the column
-    sum of every pair of classes.  Only the nonzero multiplicities enter.
+
+def eigenvalue_multiplicities(
+    sums: list[int], step: int, roots: list[int], log: dict[int, int], p: int
+) -> tuple[tuple[int, int], ...]:
+    """The eigenvalues of rho(z) as ascending (k, multiplicity) pairs for
+    zeta^k, from the power sums sums[j - 1] = chi(z^j) mod p, j <= deg rho.
+
+    Newton's identities give rho(z)'s characteristic polynomial mod p.  Its
+    roots are divided out among the o-th roots of unity, roots[k] = zeta^k
+    for k = 0, step, 2 step, ... (o the order of z), until a linear factor
+    is left.  The discrete-log table `log` (zeta^k -> k) reads its root,
+    which must be an o-th root of unity too.
     """
-    r, _, e = W.shape
-    acc = np.zeros(r * r * e, dtype=np.int64)
-    g, x, a = np.nonzero(W)
-    v = W[g, x, a]
-    bounds = np.searchsorted(g, np.arange(r + 1))
-    for k in range(r):
-        xs, as_, vs = (u[bounds[k] : bounds[k + 1]] for u in (x, a, v))
-        keys = (xs[:, None] * r + xs) * e + (as_[:, None] - as_) % e
-        np.add.at(acc, keys.ravel(), (weights[k] * vs[:, None] * vs).ravel())
-    return acc.reshape(r, r, e)
+    f = [1]  # x^d + c_1 x^(d-1) + ... + c_d, with j c_j = -sum_{m <= j} c_(j-m) s_m
+    for j in range(1, len(sums) + 1):
+        f.append(-sum(f[j - m] * sums[m - 1] for m in range(1, j + 1)) * pow(j, p - 2, p) % p)
+    found: dict[int, int] = {}
+    k = 0
+    while len(f) > 2 and k < len(roots):
+        q = [1]  # f = (x - zeta^k) q + q[-1], by synthetic division
+        for c in f[1:]:
+            q.append((q[-1] * roots[k] + c) % p)
+        if q[-1]:
+            k += step
+        else:
+            f = q[:-1]
+            found[k] = found.get(k, 0) + 1
+    if len(f) > 2:
+        raise InternalCheckError("multiplicities do not sum to the degree")
+    k = log.get(-f[1] % p)
+    if k is None or k % step:
+        raise InternalCheckError("eigenvalue multiplicity out of range")
+    found[k] = found.get(k, 0) + 1
+    return tuple(sorted(found.items()))
+
+
+def orthogonality_fold(
+    W: list[list[tuple[tuple[int, int], ...]]], sizes: tuple[int, ...], e: int
+) -> list[int]:
+    """Both orthogonality sums of every pair s <= t, in one flat list with
+    2e slots per pair, pairs in row-major order: slots 0..e-1 hold
+    sum_i |C_i| chi_s(i) conj(chi_t(i)) and slots e..2e-1 hold
+    sum_u chi_u(s) conj(chi_u(t)), as coefficients of 1, zeta, ...,
+    zeta^(e-1).  The pairs t < s would be their complex conjugates.
+
+    W[t][i] lists the (k, m) with zeta^k an eigenvalue of rho_t(z_i) of
+    multiplicity m.  A row of W is folded in layers: layer l holds each
+    entry's l-th pair, or (0, 0) past its end, so a linear character is
+    one layer, and two layers fold in one pass over their entries.
+    """
+
+    def layers(row, weights):
+        return [
+            ([x[l][0] if l < len(x) else 0 for x in row],
+             list(map(mul, weights, [x[l][1] if l < len(x) else 0 for x in row])))
+            for l in range(max(map(len, row)))
+        ]
+
+    def fold(xs, ys):
+        slots = [0] * e  # indexed by a - b in (-e, e), which wraps mod e
+        for a, m in xs:
+            for b, n in ys:
+                for k, c in zip(map(sub, a, b), map(mul, m, n)):
+                    slots[k] += c
+        return slots
+
+    ones = [1] * len(W)
+    rows, weighted = [layers(row, ones) for row in W], [layers(row, sizes) for row in W]
+    columns = [layers(col, ones) for col in zip(*W)]
+    acc: list[int] = []
+    for s in range(len(W)):
+        for t in range(s, len(W)):
+            acc += fold(weighted[s], rows[t]) + fold(columns[s], columns[t])
+    return acc
 
 
 @cached("character_table")

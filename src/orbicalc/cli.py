@@ -11,11 +11,13 @@ its payload; `main` gives it the manifest inputs to fill (`_group` resolves
 a group argument and records its file) and alone writes both.
 
 Each subcommand imports the modules it runs inside its own function, so a
-call loads only those, and a usage error loads none.  Only `irreps`,
-`bundles`, `stable-maps` and `detect` load numpy, for the character tables
-and real irreps they compute.  A command that takes groups resolves them
-before it imports what computes, so an unknown name or a non-JSON file is
-refused first.
+call loads only those, and a usage error loads none.  Character tables
+and real irreps run on Python integers, so no subcommand loads numpy but
+`detect --matrix-file` with a fixed-precision ("mode": "fixed") matrix
+file.  A command that takes groups resolves them before it imports what
+computes, so an unknown name or a non-JSON file is refused first, and
+`detect` refuses a character index past the number of classes before it
+builds a table.
 """
 
 from __future__ import annotations
@@ -335,13 +337,22 @@ def cmd_detect(args, inputs) -> dict:
         raise ValidationError("need --char-index or --matrix-file")
     G = _group(args, inputs, "group")
     inputs["matrix"] = Path(args.matrix_file) if args.matrix_file is not None else None
-    from fractions import Fraction
+    if args.matrix_file is None:
+        from .groups import conjugacy_classes
 
-    from .characters import character_table
-    from .realreps import MatrixRep
-    from .transversality import derived_class_detector
+        # One character per class: an index is refused before a table is built.
+        if not 0 <= args.char_index < len(conjugacy_classes(G)):
+            raise ValidationError("character index out of range")
+        from .characters import character_table
+        from .transversality import derived_class_detector
 
-    if args.matrix_file is not None:
+        verdict = derived_class_detector(G, list(character_table(G).values[args.char_index]))
+    else:
+        from fractions import Fraction
+
+        from .realreps import MatrixRep
+        from .transversality import derived_class_detector
+
         data = read_json(args.matrix_file)
         if not isinstance(data, dict) or not _is_matrix_list(data.get("matrices")):
             raise ValidationError(
@@ -363,11 +374,6 @@ def cmd_detect(args, inputs) -> dict:
                 raise ValidationError("a matrix entry is too large for fixed mode") from None
         rep = MatrixRep(G, mats, exact=exact, tolerance=data.get("tolerance", 1e-9))
         verdict = derived_class_detector(G, rep)
-    else:
-        ct = character_table(G)
-        if not 0 <= args.char_index < ct.num_classes:
-            raise ValidationError("character index out of range")
-        verdict = derived_class_detector(G, list(ct.values[args.char_index]))
     return {
         "group": G.name,
         "fixed_dim": verdict.fixed_dim,

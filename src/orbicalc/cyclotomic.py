@@ -5,18 +5,18 @@ Values are stored as integer coordinate vectors over the power basis
 polynomial.  All operations are exact integer arithmetic; there is no
 floating point anywhere in this module.
 
-The one reduction mod Phi_n multiplies a coefficient vector by the rows
-of reduced powers zeta^k, k = 0..n-1 (exponents fold mod n): `CycInt`
-for one vector, `reduce_rows` for the character table's batches.
-Polynomial division only finds the cyclotomic polynomials themselves.
+A vector is reduced mod Phi_n by the rows of reduced powers zeta^k,
+k = 0..n-1 (exponents fold mod n): `CycInt` for one vector and
+`power_sum` for a sum of powers of zeta.  The character table's batches
+go through `reduce_blocks`, one synthetic division by Phi_n over whole
+exponent columns.  Everything runs on Python integers, with no numpy.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable
-
-import numpy as np
+from operator import sub
+from typing import Iterable, Sequence
 
 
 def divisors(n: int) -> list[int]:
@@ -55,40 +55,41 @@ def _reduced_powers(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-@lru_cache(maxsize=None)
-def _reduction_matrix(n: int) -> np.ndarray:
-    """`_reduced_powers(n)` as a read-only object array, for `reduce_rows`."""
-    R = np.array(_reduced_powers(n), dtype=object)
-    R.flags.writeable = False
-    return R
-
-
 def _reduce(order: int, raw: Iterable[int]) -> tuple[int, ...]:
     """Reduce a coefficient vector over 1, zeta, zeta^2, ... (any length)
-    mod Phi_order: the sum of each coefficient times the reduced power of
-    zeta at its exponent mod order."""
+    mod Phi_order."""
+    return power_sum(order, [(k % order, c) for k, c in enumerate(raw) if c]).coeffs
+
+
+def power_sum(order: int, terms: Sequence[tuple[int, int]]) -> "CycInt":
+    """sum m zeta^a over the (a, m) in terms, 0 <= a < order: the sum of
+    the reduced powers of zeta, each times its multiplicity."""
     rows = _reduced_powers(order)
+    if len(terms) == 1 and terms[0][1] == 1:
+        return CycInt(order, rows[terms[0][0]], _reduced=True)
     out = [0] * len(rows[0])
-    for k, c in enumerate(raw):
-        if c:
-            out = [a + c * b for a, b in zip(out, rows[k % order])]
-    return tuple(out)
+    for a, m in terms:
+        out = [x + m * y for x, y in zip(out, rows[a])]
+    return CycInt(order, tuple(out), _reduced=True)
 
 
-def reduce_rows(order: int, raw: np.ndarray) -> np.ndarray:
-    """Reduce every coefficient vector over 1, zeta, ..., zeta^(order-1)
-    (the last axis of an integer array) mod Phi_order, all at once, as one
-    product with the matrix of the reduced powers of zeta; returns the
-    reduced coordinates, as `CycInt` stores them.
-
-    Exact: the product runs in int64 when no sum can leave its range, and
-    on Python integers otherwise.
-    """
-    R = _reduction_matrix(order)
-    largest = max(int(raw.max()), -int(raw.min()), 1) if raw.size else 1
-    if largest * order * int(np.abs(R).max()) < 2**63:
-        return raw.astype(np.int64, copy=False) @ R.astype(np.int64)
-    return raw.astype(object) @ R
+def reduce_blocks(order: int, flat: list[int]) -> list[int]:
+    """Reduce mod Phi_order, in place, every block of `order` coefficients
+    over 1, zeta, ..., zeta^(order-1) in a flat list, and return the list.
+    One synthetic division serves every block: each exponent column from
+    the top down is folded into the columns below it.  The first
+    phi(order) slots of each block then hold its reduced coordinates, as
+    `CycInt` stores them."""
+    phi = cyclotomic_polynomial(order)
+    deg = len(phi) - 1
+    for a in range(order - 1, deg - 1, -1):
+        top = flat[a::order]
+        multiples = {f: top if f == 1 else [f * c for c in top] for f in set(phi[:-1]) if f}
+        # zeta^a = -zeta^(a - deg) (phi_0 + phi_1 zeta + ... + phi_(deg-1) zeta^(deg-1)).
+        for b, f in enumerate(phi[:-1], a - deg):
+            if f:
+                flat[b::order] = map(sub, flat[b::order], multiples[f])
+    return flat
 
 
 class CycInt:

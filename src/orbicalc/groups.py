@@ -98,26 +98,34 @@ class FiniteGroup:
         if self.order == 0:
             raise ValidationError("empty multiplication table")
         if validate:
-            self._check_entries()
+            bad_rows = self._check_entries()
         self.identity = self._find_identity()
         if validate:
-            self._validate()
+            self._validate(bad_rows)
 
     # -- construction checks ------------------------------------------------
 
-    def _check_entries(self) -> None:
-        """Square, and every entry a Python int in 0..n-1 (before any cast)."""
+    def _check_entries(self) -> list[bool]:
+        """Square, and every entry a Python int in 0..n-1 (before any cast).
+        Returns, for `_validate`, which rows are not permutations: one set
+        of each row's entries serves both checks."""
         n = self.order
+        elements = set(range(n))
+        bad_rows = []
         for g, row in enumerate(self.table):
             if len(row) != n:
                 raise ValidationError("table is not square")
-            if set(map(type, row)) != {int} or min(row) < 0 or max(row) >= n:
-                h = next(
-                    h for h, x in enumerate(row) if type(x) is not int or not 0 <= x < n
-                )
-                raise ValidationError(
-                    f"table entry {row[h]!r} at ({g}, {h}) is not an element 0..{n - 1}"
-                )
+            # Types first: a set of the entries hashes them.
+            if set(map(type, row)) == {int}:
+                entries = set(row)
+                bad_rows.append(entries != elements)
+                if not bad_rows[-1] or 0 <= min(entries) and max(entries) < n:
+                    continue
+            h = next(h for h, x in enumerate(row) if type(x) is not int or not 0 <= x < n)
+            raise ValidationError(
+                f"table entry {row[h]!r} at ({g}, {h}) is not an element 0..{n - 1}"
+            )
+        return bad_rows
 
     def _find_identity(self) -> int:
         ident = tuple(range(self.order))
@@ -126,9 +134,9 @@ class FiniteGroup:
                 return e
         raise ValidationError("table has no two-sided identity")
 
-    def _validate(self) -> None:
+    def _validate(self, bad_rows: list[bool]) -> None:
         """Latin square, two-sided inverses and full associativity, on the
-        tuple table with no numpy.
+        tuple table with no numpy; `bad_rows` comes from `_check_entries`.
 
         Associativity is complete at every order by Light's test: the
         elements g with (x g) y = x (g y) for all x, y are closed under
@@ -142,9 +150,8 @@ class FiniteGroup:
         # starts a garbage collection that ages this group, and an aged group
         # outlives its last reference once its cached character table, which
         # points back at it, makes a cycle.
-        rows = [len(set(row)) != n for row in T]
         cols = [len(set(map(itemgetter(c), T))) != n for c in range(n)]
-        for g, (bad_row, bad_col) in enumerate(zip(rows, cols)):
+        for g, (bad_row, bad_col) in enumerate(zip(bad_rows, cols)):
             if bad_row or bad_col:
                 kind = "row" if bad_row else "column"
                 raise ValidationError(f"{kind} {g} is not a permutation")

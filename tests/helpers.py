@@ -14,14 +14,17 @@ each build made it before the pair data and the composition checks were
 shared across builds; the Smith normal form section keeps the dense
 elimination that ran on whatever the unit pivots left, before the sparse
 elimination took every pivot; the character-table section keeps the
-eigenspace split as it was before eigenvectors were back-substituted on
-the Hessenberg form; the homomorphisms section keeps the hom classes as
+whole table as it ran on numpy arrays, with the eigenspace split as it
+was before eigenvectors were back-substituted on the Hessenberg form;
+the homomorphisms section keeps the hom classes as
 they were before orbits were taken under Inn(H) on generator images.
 """
 
 from __future__ import annotations
 
 from itertools import compress, product
+
+import numpy as np
 
 
 def perm_compose(p, q):
@@ -222,19 +225,221 @@ def reference_smith_normal_form(A):
     return diag
 
 
-# -- character tables: one nullspace per eigenvalue -------------------------------
+# -- character tables: the numpy pipeline -------------------------------------------
+#
+# The Dixon-Schneider table as it ran on numpy int64 arrays: class-sum
+# matrices by one bincount per class over the whole multiplication table,
+# eigenspaces mod p vectorized, eigenvalue multiplicities by a discrete
+# Fourier inversion mod p, and the orthogonality folds and reductions mod
+# Phi_e as array products.  Matrices are arrays here, columns are vectors.
+
+
+def np_rref_mod(A, p):
+    """Reduced row echelon form mod p; returns (R, pivot column list)."""
+    R = np.array(A, dtype=np.int64) % p
+    rows, cols = R.shape
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r >= rows:
+            break
+        nz = np.flatnonzero(R[r:, c])
+        if nz.size == 0:
+            continue
+        i = r + int(nz[0])
+        if i != r:
+            R[[r, i]] = R[[i, r]]
+        R[r] = (R[r] * pow(int(R[r, c]), p - 2, p)) % p
+        f = R[:, c].copy()
+        f[r] = 0
+        R[:, c:] -= np.outer(f, R[r, c:])
+        R[:, c:] %= p
+        pivots.append(c)
+        r += 1
+    return R, pivots
+
+
+def np_nullspace_mod(A, p):
+    """Columns form a basis of the kernel of A mod p."""
+    A = np.asarray(A)
+    R, pivots = np_rref_mod(A, p)
+    cols = A.shape[1]
+    pivot_set = set(pivots)
+    free = [c for c in range(cols) if c not in pivot_set]
+    basis = np.zeros((cols, len(free)), dtype=np.int64)
+    basis[free, range(len(free))] = 1
+    basis[pivots] = (-R[: len(pivots), free]) % p
+    return basis
+
+
+def np_solve_columns(B, C, p):
+    """Solve B @ X = C mod p where B has full column rank and a solution exists."""
+    k = B.shape[1]
+    R, pivots = np_rref_mod(np.concatenate([B, C], axis=1) % p, p)
+    if pivots[:k] != list(range(k)) or len(pivots) != k:
+        raise ValueError("np_solve_columns: no unique solution")
+    return R[:k, k:]
+
+
+def np_hessenberg_mod(A, p):
+    """(H, S) with H upper Hessenberg and A = S H S^-1 mod p."""
+    H = np.array(A, dtype=np.int64) % p
+    k = H.shape[0]
+    S = np.eye(k, dtype=np.int64)
+    for c in range(k - 2):
+        nz = np.flatnonzero(H[c + 1 :, c])
+        if nz.size == 0:
+            continue
+        i = c + 1 + int(nz[0])
+        if i != c + 1:
+            H[[c + 1, i]] = H[[i, c + 1]]
+            H[:, [c + 1, i]] = H[:, [i, c + 1]]
+            S[:, [c + 1, i]] = S[:, [i, c + 1]]
+        u = (H[c + 2 :, c] * pow(int(H[c + 1, c]), p - 2, p)) % p
+        H[c + 2 :] = (H[c + 2 :] - np.outer(u, H[c + 1])) % p
+        H[:, c + 1] = (H[:, c + 1] + H[:, c + 2 :] @ u) % p
+        S[:, c + 1] = (S[:, c + 1] + S[:, c + 2 :] @ u) % p
+    return H, S
+
+
+def np_charpoly_mod(A, p):
+    """det(xI - A) mod p, coefficients from x^k down to x^0, by the
+    recurrence over the leading principal blocks of A's Hessenberg form."""
+    H = np_hessenberg_mod(A, p)[0]
+    k = H.shape[0]
+    P = [np.ones(1, dtype=np.int64)]
+    for m in range(k):
+        nxt = np.append(P[m], 0)
+        nxt[1:] -= int(H[m, m]) * P[m]
+        t = 1
+        for i in range(m - 1, -1, -1):
+            t = t * int(H[i + 1, i]) % p
+            if t == 0:
+                break
+            nxt[m - i + 1 :] -= (int(H[i, m]) * t % p) * P[i]
+        P.append(nxt % p)
+    return P[k]
+
+
+def np_roots_mod(coeffs, p):
+    """The roots in GF(p), ascending: Horner's rule at every x at once."""
+    x = np.arange(p, dtype=np.int64)
+    val = np.zeros(p, dtype=np.int64)
+    for c in coeffs:
+        val = (val * x + int(c)) % p
+    return np.flatnonzero(val == 0).tolist()
 
 
 def reference_eigenspaces(A, p):
-    """Bases of the eigenspaces of A mod p as the character table split
-    them before back-substitution: one nullspace per root of the
-    characteristic polynomial, roots ascending."""
-    import numpy as np
-
-    from orbicalc._modlinalg import charpoly_mod, nullspace_mod, roots_mod
-
+    """Bases of the eigenspaces of A mod p as columns: one nullspace per
+    root of the characteristic polynomial, roots ascending."""
+    A = np.array(A, dtype=np.int64) % p
     eye = np.eye(len(A), dtype=np.int64)
-    return [nullspace_mod((A - lam * eye) % p, p) for lam in roots_mod(charpoly_mod(A, p), p)]
+    return [np_nullspace_mod((A - lam * eye) % p, p) for lam in np_roots_mod(np_charpoly_mod(A, p), p)]
+
+
+def np_reduce_rows(order, raw):
+    """Reduce every coefficient vector over 1, zeta, ..., zeta^(order-1)
+    (the last axis of an integer array) mod Phi_order, as one product with
+    the matrix of the reduced powers of zeta, on Python integers."""
+    from orbicalc.cyclotomic import _reduced_powers
+
+    R = np.array(_reduced_powers(order), dtype=object)
+    return np.asarray(raw).astype(object) @ R
+
+
+def np_orthogonality_fold(W, weights):
+    """acc[x, y] = sum_g weights[g] sum_{a, b} W[g, x, a] W[g, y, b] zeta^(a - b),
+    as r x r coefficient vectors mod x^e - 1, one rolled einsum per power
+    of zeta.  W indexed (class, character) with class sizes as weights
+    gives the row sums; (character, class) with unit weights the column sums."""
+    r, _, e = W.shape
+    Wc = W[:, :, (-np.arange(e)) % e]
+    Ww = W * np.asarray(weights)[:, None, None]
+    acc = np.zeros((r, r, e), dtype=np.int64)
+    for a in range(e):
+        acc += np.roll(np.einsum("gx,gyb->xyb", Ww[:, :, a], Wc), a, axis=2)
+    return acc
+
+
+def reference_table(G):
+    """(degrees, values as coefficient tuples, indicators, multiplicities)
+    of G's character table, rows in the library's order, computed the way
+    the numpy pipeline did; multiplicities[t, i, k] is that of zeta^k in
+    rho_t(z_i)."""
+    from math import isqrt
+
+    from orbicalc.characters import _find_prime, _primitive_root
+    from orbicalc.groups import class_index_map, conjugacy_classes
+
+    classes, class_of = conjugacy_classes(G), class_index_map(G)
+    r, n, e = len(classes), G.order, G.exponent()
+    reps = [c[0] for c in classes]
+    sizes = np.array([len(c) for c in classes], dtype=np.int64)
+    ident = class_of[G.identity]
+    inv_class = [class_of[G.inv(z)] for z in reps]
+    p = _find_prime(e, n)
+
+    T = np.array(G.table, dtype=np.int64)
+    cls = np.array(class_of, dtype=np.int64)
+    mats = np.empty((r, r, r), dtype=np.int64)
+    for i, C in enumerate(classes):
+        keys = cls * r + cls[T[list(C)]]
+        mats[i] = np.bincount(keys.ravel(), minlength=r * r).reshape(r, r)
+    assert not np.any(mats % sizes)
+    mats = (mats // sizes) % p
+
+    subspaces = [np.eye(r, dtype=np.int64)]
+    for i in range(r):
+        if i == ident or all(B.shape[1] == 1 for B in subspaces):
+            continue
+        nxt = []
+        for B in subspaces:
+            if B.shape[1] == 1:
+                nxt.append(B)
+                continue
+            X = np_solve_columns(B, (mats[i] @ B) % p, p)
+            spaces = reference_eigenspaces(X, p)
+            assert sum(K.shape[1] for K in spaces) == B.shape[1]
+            nxt.extend((B @ K) % p for K in spaces)
+        subspaces = nxt
+    assert all(B.shape[1] == 1 for B in subspaces)
+
+    sizes_inv = [pow(int(s), p - 2, p) for s in sizes]
+    degrees, chi_mod = [], []
+    for B in subspaces:
+        v = B[:, 0] % p
+        v = (v * pow(int(v[ident]), p - 2, p)) % p
+        s = sum(int(v[i]) * int(v[inv_class[i]]) * sizes_inv[i] for i in range(r)) % p
+        d2 = n * pow(s, p - 2, p) % p
+        d = isqrt(d2)
+        assert d * d == d2 and d > 0
+        degrees.append(d)
+        chi_mod.append([d * int(v[i]) * sizes_inv[i] % p for i in range(r)])
+
+    power_class = np.zeros((r, e), dtype=np.int64)
+    for i in range(r):
+        x = G.identity
+        for j in range(e):
+            power_class[i, j] = class_of[x]
+            x = G.table[x][reps[i]]
+    z = 1 if e == 1 else pow(_primitive_root(p), (p - 1) // e, p)
+    Z = np.array([[pow(z, (-j * k) % (p - 1), p) for k in range(e)] for j in range(e)],
+                 dtype=np.int64)
+    mults = np.zeros((r, r, e), dtype=np.int64)
+    for t, cm in enumerate(chi_mod):
+        M = (np.array(cm, dtype=np.int64)[power_class] @ Z) % p * pow(e, p - 2, p) % p
+        assert M.max() <= max(degrees) and (M.sum(axis=1) == degrees[t]).all()
+        mults[t] = M
+
+    values = [tuple(tuple(c) for c in np_reduce_rows(e, m).tolist()) for m in mults]
+    order = sorted(range(r), key=lambda t: (degrees[t], values[t]))
+    mults = mults[order]
+    squares = [class_of[G.table[z][z]] for z in reps]
+    sums = np_reduce_rows(e, sizes @ mults[:, squares])
+    assert not sums[:, 1:].any() and not (sums[:, 0] % n).any()
+    indicators = tuple(int(nu) // n for nu in sums[:, 0])
+    return tuple(degrees[t] for t in order), [values[t] for t in order], indicators, mults
 
 
 # -- the group core before one closure ---------------------------------------------

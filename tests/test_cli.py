@@ -736,6 +736,10 @@ def test_import_and_early_refusals_load_no_numpy(tmp_path):
         ["detect", "c2"],
     ):
         assert "numpy" not in loaded_modules(tmp_path, *argv), argv
+    # An index past the classes is refused before a character table is built.
+    modules = loaded_modules(tmp_path, "detect", "s3", "--char-index", "3")
+    assert "orbicalc.groups" in modules
+    assert "orbicalc.characters" not in modules and "numpy" not in modules
 
 
 def test_table_commands_load_the_group_core_and_no_numpy(tmp_path):
@@ -749,8 +753,19 @@ def test_table_commands_load_the_group_core_and_no_numpy(tmp_path):
     ):
         modules = loaded_modules(tmp_path, *argv)
         assert "orbicalc.groups" in modules and "numpy" not in modules, argv
-    # A character table does load numpy, so the checks above are not vacuous.
-    assert "numpy" in loaded_modules(tmp_path, "irreps", "c2")
+    # Character tables and real irreps run on Python integers.
+    for argv in (
+        ["irreps", "s3"],
+        ["bundles", "c4"],
+        ["stable-maps", "c2", "s3"],
+        ["detect", "c2", "--char-index", "1"],
+    ):
+        modules = loaded_modules(tmp_path, *argv)
+        assert "orbicalc.characters" in modules and "numpy" not in modules, argv
+    # A fixed-precision matrix does load numpy, so the checks above are not vacuous.
+    matrices = tmp_path / "c3.json"
+    matrices.write_text(json.dumps({"matrices": C3_ROTATION, "mode": "fixed", "tolerance": 1e-4}))
+    assert "numpy" in loaded_modules(tmp_path, "detect", "c3", "--matrix-file", str(matrices))
 
 
 def test_package_exports_are_pinned():

@@ -1,8 +1,10 @@
 """Eigenspaces mod p read off one Hessenberg form: back-substitution when
 the form is unreduced, one nullspace per root otherwise.  Both routes must
-span what the per-root nullspaces spanned (the oracle in helpers), a
-matrix that is not diagonalizable must still stop the character table,
-and the exact check must catch a wrong eigenvector."""
+span what the per-root nullspaces of the numpy pipeline spanned (the
+oracle in helpers), a matrix that is not diagonalizable must still stop
+the character table, and the exact check must catch a wrong eigenvector."""
+
+import random
 
 import numpy as np
 import pytest
@@ -10,20 +12,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orbicalc import _modlinalg, characters
-from orbicalc._modlinalg import eigenspaces_mod, hessenberg_mod, rref_mod, solve_columns
+from orbicalc._modlinalg import eigenspaces_mod, hessenberg_mod
 from orbicalc.errors import InternalCheckError
 from orbicalc.groups import group_from_generators
 
-from .helpers import reference_eigenspaces
+from .helpers import np_rref_mod, np_solve_columns, reference_eigenspaces
 from .test_table_core import PRIMES, _matrices
 
 
 def assert_same_eigenspaces(A, p):
     new, old = eigenspaces_mod(A, p), reference_eigenspaces(A, p)
     assert len(new) == len(old)
-    for K, L in zip(new, old):
-        assert K.shape == L.shape
-        assert np.array_equal(rref_mod(K.T, p)[0], rref_mod(L.T, p)[0])
+    for (basis, units), L in zip(new, old):
+        assert len(basis) == L.shape[1]
+        for c, v in enumerate(basis):
+            assert [v[u] for u in units] == [int(c == j) for j in range(len(units))]
+        assert np.array_equal(np_rref_mod(basis, p)[0], np_rref_mod(L.T, p)[0])
     return new
 
 
@@ -41,9 +45,9 @@ def _spy_nullspaces(monkeypatch):
 
 @pytest.mark.parametrize("p", PRIMES)
 def test_eigenspaces_equal_the_per_root_nullspaces(p):
-    rng = np.random.default_rng(p)
+    rng = random.Random(p)
     for A in _matrices(rng, p):
-        assert_same_eigenspaces(A % p, p)
+        assert_same_eigenspaces(A, p)
 
 
 @settings(max_examples=80, deadline=None)
@@ -65,35 +69,36 @@ def test_conjugated_diagonal_matrices_split_into_their_eigenspaces(p, k, repeate
     while True:
         S = rng.integers(0, p, size=(k, k))
         try:
-            S_inv = solve_columns(S, eye, p)
+            S_inv = np_solve_columns(S, eye, p)
             break
         except ValueError:
             continue
-    A = (S @ np.diag(eigenvalues) % p @ S_inv) % p
+    A = ((S @ np.diag(eigenvalues) % p @ S_inv) % p).tolist()
     spaces = assert_same_eigenspaces(A, p)
-    assert sum(K.shape[1] for K in spaces) == k
+    assert sum(len(basis) for basis, _ in spaces) == k
     assert len(spaces) == len(set(eigenvalues.tolist()))
 
 
 def test_hessenberg_form_is_similar_to_its_input():
     p = 61
-    rng = np.random.default_rng(7)
-    for A in _matrices(rng, p):
+    for A in _matrices(random.Random(7), p):
+        k = len(A)
         H, S = hessenberg_mod(A, p)
-        assert not np.tril(H, -2).any()
-        assert np.array_equal((A @ S) % p, (S @ H) % p)
-        assert S[:, 0].tolist() == [1] + [0] * (len(A) - 1)
+        assert not any(H[i][j] for i in range(k) for j in range(i - 1))
+        A_, S_, H_ = (np.array(M, dtype=np.int64) for M in (A, S, H))
+        assert np.array_equal((A_ @ S_) % p, (S_ @ H_) % p)
+        assert [row[0] for row in S] == [1] + [0] * (k - 1)
 
 
 def test_a_reduced_hessenberg_form_takes_one_nullspace_per_root(monkeypatch):
     p = 13
-    A = np.diag([1, 2, 2, 5])  # derogatory: H is A itself, with a zero subdiagonal
-    assert not np.diagonal(hessenberg_mod(A, p)[0], -1).all()
-    expected = [K.copy() for K in reference_eigenspaces(A, p)]
+    A = [[1, 0, 0, 0], [0, 2, 0, 0], [0, 0, 2, 0], [0, 0, 0, 5]]  # derogatory: H is A itself
+    assert not all(hessenberg_mod(A, p)[0][i][i - 1] for i in range(1, 4))
+    expected = [K.T.tolist() for K in reference_eigenspaces(A, p)]
     calls = _spy_nullspaces(monkeypatch)
     spaces = eigenspaces_mod(A, p)
     assert len(calls) == 3
-    assert [K.tolist() for K in spaces] == [K.tolist() for K in expected]
+    assert [basis for basis, _ in spaces] == expected
 
 
 def test_c59s_first_split_is_back_substituted(monkeypatch):
@@ -104,7 +109,7 @@ def test_c59s_first_split_is_back_substituted(monkeypatch):
     eigenspaces = characters.eigenspaces_mod
 
     def recorded(X, p):
-        splits.append((X.copy(), p))
+        splits.append(([list(row) for row in X], p))
         return eigenspaces(X, p)
 
     monkeypatch.setattr(characters, "eigenspaces_mod", recorded)
@@ -113,7 +118,7 @@ def test_c59s_first_split_is_back_substituted(monkeypatch):
     assert ct.degrees == (1,) * 59
     assert calls == [] and len(splits) == 1
     X, p = splits[0]
-    assert X.shape == (59, 59) and np.diagonal(hessenberg_mod(X, p)[0], -1).all()
+    assert len(X) == 59 and all(hessenberg_mod(X, p)[0][i][i - 1] for i in range(1, 59))
     monkeypatch.undo()
     assert len(assert_same_eigenspaces(X, p)) == 59
 
@@ -123,12 +128,12 @@ def test_a_jordan_block_still_stops_the_table(monkeypatch, transpose):
     """A Jordan block has one eigenline; the upper one is already a reduced
     Hessenberg form, the lower one an unreduced one."""
 
-    def jordan(B, C, p):
-        k = B.shape[1]
-        J = 3 * np.eye(k, dtype=np.int64) + np.eye(k, k, 1, dtype=np.int64)
-        return J.T if transpose else J
+    def jordan(G, i):
+        k = len(characters.conjugacy_classes(G))
+        J = [[3 * (a == b) + (b == a + 1) for b in range(k)] for a in range(k)]
+        return [list(row) for row in zip(*J)] if transpose else J
 
-    monkeypatch.setattr(characters, "solve_columns", jordan)
+    monkeypatch.setattr(characters, "class_matrix", jordan)
     C3 = group_from_generators(3, [[1, 2, 0]])
     with pytest.raises(InternalCheckError, match="class matrix not diagonalizable"):
         characters.CharacterTable(C3)
@@ -139,11 +144,10 @@ def test_the_exact_check_rejects_a_wrong_transform(monkeypatch):
 
     def skewed(A, p):
         H, S = hessenberg(A, p)
-        S = S.copy()
-        S[0, -1] = (S[0, -1] + 1) % p
+        S[0][-1] = (S[0][-1] + 1) % p
         return H, S
 
-    A = np.roll(np.eye(5, dtype=np.int64), 1, axis=0)  # unreduced, 5 distinct roots mod 61
+    A = [[int(i == (j + 1) % 5) for j in range(5)] for i in range(5)]  # unreduced, 5 distinct roots mod 61
     assert len(eigenspaces_mod(A, 61)) == 5
     monkeypatch.setattr(_modlinalg, "hessenberg_mod", skewed)
     with pytest.raises(InternalCheckError, match="back-substituted"):

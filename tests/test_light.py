@@ -1,5 +1,5 @@
 """Complete group-table validation by Light's associativity test, and the
-entry checks that run before the table is cast to numpy."""
+entry checks that run before any row is read as a permutation."""
 
 import re
 
@@ -90,10 +90,14 @@ def test_accepts_exactly_the_associative_latin_squares(n):
         ([[0, 1, 2], [1, 1, 0], [2, 0, 1]], "row 1 is not a permutation"),
         ([[0, 1, 2], [1, 0, 1], [2, 2, 0]], "row 1 is not a permutation"),
         ([[1, 1], [1, 1]], "table has no two-sided identity"),
+        # Every entry is checked before any row is read as a permutation.
+        ([[0, 0, 2], [1, 2, 0], [2, 0, 3]], "table entry 3 at (2, 2) is not an element 0..2"),
+        ([[0, 1, 2], [1, 2, 0], [2, 0, 1.0]], "table entry 1.0 at (2, 2) is not an element 0..2"),
+        ([[0, 1, 2], [1, 2, 0], [2, 0, True]], "table entry True at (2, 2) is not an element 0..2"),
     ],
 )
 def test_names_the_first_failing_check(table, message):
-    with pytest.raises(ValidationError, match=f"^{message}$"):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
         FiniteGroup(table)
 
 
