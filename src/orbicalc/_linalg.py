@@ -9,7 +9,8 @@ operands are the compared values themselves, plus any matrices a caller
 names as the inputs they were computed from.  Nothing counts as zero once
 an error or an operand is not finite, and overflow raises no warning.
 Only ``Fixed`` uses numpy, and imports it when a backend is built, so
-exact work never loads it.
+exact work never loads it.  Other modules import this one, and
+``fractions``, only inside the functions that build a matrix.
 """
 
 from __future__ import annotations

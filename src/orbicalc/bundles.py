@@ -11,23 +11,36 @@ trivial-isotypic coordinate of the framing torsor).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import InternalCheckError, ValidationError
 from .groups import FiniteGroup, class_index_map, conjugacy_classes, is_homomorphism
 from .realreps import real_irreps, restriction_matrix
 
 
-@dataclass(frozen=True)
 class StableBundle:
-    base: FiniteGroup
-    coords: tuple[int, ...]
+    """Integer coordinates over the real irrep table of the base; immutable."""
 
-    def __post_init__(self):
-        if len(self.coords) != len(real_irreps(self.base)):
+    __slots__ = ("base", "coords")
+
+    def __init__(self, base: FiniteGroup, coords: tuple[int, ...]):
+        if len(coords) != len(real_irreps(base)):
             raise ValidationError("coordinate length must match the irrep table")
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "coords", coords)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other):
+        return type(other) is StableBundle and (self.base, self.coords) == (other.base, other.coords)
+
+    def __hash__(self):
+        return hash((self.base, self.coords))
+
+    def __repr__(self) -> str:
+        return f"StableBundle(base={self.base!r}, coords={self.coords!r})"
 
     def virtual_rank(self) -> int:
         R = real_irreps(self.base)
@@ -42,18 +55,33 @@ class StableBundle:
         return StableBundle(self.base, tuple(-a for a in self.coords))
 
 
-@dataclass(frozen=True)
 class CoarseStableBundle:
-    base: FiniteGroup
-    trivial_part: int
-    coords: tuple[int, ...]  # indexed by nontrivial irreps, in table order
+    """A free trivial part and nonnegative coordinates, indexed by the
+    nontrivial irreps in table order; immutable."""
 
-    def __post_init__(self):
-        R = real_irreps(self.base)
-        if len(self.coords) != len(R) - 1:
+    __slots__ = ("base", "trivial_part", "coords")
+
+    def __init__(self, base: FiniteGroup, trivial_part: int, coords: tuple[int, ...]):
+        if len(coords) != len(real_irreps(base)) - 1:
             raise ValidationError("need one coordinate per nontrivial irrep")
-        if any(c < 0 for c in self.coords):
+        if any(c < 0 for c in coords):
             raise ValidationError("coarsely stable coordinates must be nonnegative")
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "trivial_part", trivial_part)
+        object.__setattr__(self, "coords", coords)
+
+    __setattr__ = StableBundle.__setattr__
+
+    def __eq__(self, other):
+        return type(other) is CoarseStableBundle and (self.base, self.trivial_part, self.coords) == (
+            other.base, other.trivial_part, other.coords)
+
+    def __hash__(self):
+        return hash((self.base, self.trivial_part, self.coords))
+
+    def __repr__(self) -> str:
+        return (f"CoarseStableBundle(base={self.base!r}, trivial_part={self.trivial_part!r}, "
+                f"coords={self.coords!r})")
 
     def nontrivial_indices(self) -> tuple[int, ...]:
         R = real_irreps(self.base)
@@ -61,8 +89,7 @@ class CoarseStableBundle:
         return tuple(i for i in range(len(R)) if i != triv)
 
 
-@dataclass(frozen=True)
-class AutGroupDescriptor:
+class AutGroupDescriptor(NamedTuple):
     """An elementary abelian 2-group, recorded by its contributing irreps."""
 
     contributors: tuple[int, ...]
@@ -108,19 +135,29 @@ def restrict_bundle(b: StableBundle, K: FiniteGroup, phi: Sequence[int]) -> Stab
     return out
 
 
-@dataclass(frozen=True)
 class Framing:
-    """A stable framing: one bit per R-type irrep of the base."""
+    """A stable framing: one bit per R-type irrep of the base; immutable."""
 
-    base: FiniteGroup
-    bits: tuple[int, ...]
+    __slots__ = ("base", "bits")
 
-    def __post_init__(self):
-        R = real_irreps(self.base)
-        if len(self.bits) != len(R.r_type_indices()):
+    def __init__(self, base: FiniteGroup, bits: tuple[int, ...]):
+        if len(bits) != len(real_irreps(base).r_type_indices()):
             raise ValidationError("need one bit per R-type irrep")
-        if any(b not in (0, 1) for b in self.bits):
+        if any(b not in (0, 1) for b in bits):
             raise ValidationError("framing bits live in Z/2")
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "bits", bits)
+
+    __setattr__ = StableBundle.__setattr__
+
+    def __eq__(self, other):
+        return type(other) is Framing and (self.base, self.bits) == (other.base, other.bits)
+
+    def __hash__(self):
+        return hash((self.base, self.bits))
+
+    def __repr__(self) -> str:
+        return f"Framing(base={self.base!r}, bits={self.bits!r})"
 
 
 def framings(K: FiniteGroup) -> list[Framing]:

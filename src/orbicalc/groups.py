@@ -26,12 +26,11 @@ per call, as only a memoised caller (the character table,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import wraps
 from math import lcm
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import ValidationError, read_json_object
 
@@ -61,8 +60,7 @@ def cached(name: str):
     return decorate
 
 
-@dataclass(frozen=True)
-class SubgroupClass:
+class SubgroupClass(NamedTuple):
     """A conjugacy class of subgroups, stored via one representative."""
 
     representative: tuple[int, ...]

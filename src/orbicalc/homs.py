@@ -10,8 +10,7 @@ if they break.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import InternalCheckError, ValidationError
 from .groups import (
@@ -27,8 +26,7 @@ from .groups import (
 DEFAULT_ORDER_CAP = 48
 
 
-@dataclass(frozen=True)
-class HomClass:
+class HomClass(NamedTuple):
     """An H-conjugacy class of homomorphisms G -> H."""
 
     representative: tuple[int, ...]  # image of every element of G
@@ -104,8 +102,7 @@ def pi1(H: FiniteGroup, phi: HomClass | Sequence[int]):
     return centralizer(H, set(rep) | {H.identity})
 
 
-@dataclass
-class RepRecoveryReport:
+class RepRecoveryReport(NamedTuple):
     total_classes: int
     injective_classes: int
     classes_by_normal: dict[tuple[int, ...], int]

@@ -14,10 +14,9 @@ filtered, making these classes the expected filtered colimit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import product
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import ValidationError, read_json
 
@@ -26,8 +25,7 @@ from .errors import ValidationError, read_json
 MAX_PROBE_ARROWS = 12
 
 
-@dataclass(frozen=True)
-class ArrowData:
+class ArrowData(NamedTuple):
     name: str
     src: str
     dst: str
@@ -171,10 +169,9 @@ def category_from_json(data: dict | str | Path) -> tuple[FiniteCategory, set[str
 # -- the right multiplicative system checker -------------------------------------
 
 
-@dataclass
-class RMSVerdict:
+class RMSVerdict(NamedTuple):
     ok: bool
-    failures: list[dict] = field(default_factory=list)
+    failures: list[dict]
 
     def __bool__(self) -> bool:
         return self.ok
@@ -256,16 +253,14 @@ def check_right_multiplicative(C: FiniteCategory, W: Iterable[str]) -> RMSVerdic
 # -- localized hom-sets ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Span:
+class Span(NamedTuple):
     """(w: Z -> X in W, f: Z -> Y), one candidate localized arrow X -> Y."""
 
     w: str
     f: str
 
 
-@dataclass
-class LocalizedHom:
+class LocalizedHom(NamedTuple):
     source: str
     target: str
     classes: list[list[Span]]  # each class sorted, classes sorted by min

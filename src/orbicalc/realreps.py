@@ -11,16 +11,14 @@ What is cached, through `groups.cached`: the real irrep table
 `min_faithful_tensor_power`'s faithfulness and an exact rep's
 multiplicities are read off its genuine character and that character's
 inner products with the complex table, not recomputed from matrices.
+`_linalg` and `fractions` are imported where a matrix or Fraction is built.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from math import lcm
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
-from ._linalg import EXACT, Fixed
 from .characters import character_table, frobenius_schur
 from .cyclotomic import CycInt
 from .errors import InternalCheckError, ValidationError
@@ -31,8 +29,7 @@ from .groups import (
 END_DIM = {"R": 1, "C": 2, "H": 4}
 
 
-@dataclass(frozen=True)
-class RealIrrep:
+class RealIrrep(NamedTuple):
     """One isomorphism class of real irreducible representations."""
 
     index: int
@@ -204,6 +201,8 @@ class MatrixRep:
         d = len(matrices[0])
         if d == 0 or any(len(m) != d or any(len(row) != d for row in m) for m in matrices):
             raise ValidationError("matrices must be square of equal size")
+        from ._linalg import EXACT, Fixed
+
         self.group = group
         self.exact = exact
         self.tolerance = tolerance
@@ -258,6 +257,8 @@ def permutation_rep(G: FiniteGroup, perms: Sequence[Sequence[int]]) -> MatrixRep
 
 
 def one_dim_rep(G: FiniteGroup, values: Sequence) -> MatrixRep:
+    from fractions import Fraction
+
     return MatrixRep(G, [[[Fraction(v)]] for v in values], exact=True)
 
 
@@ -265,6 +266,8 @@ def direct_sum(a: MatrixRep, b: MatrixRep) -> MatrixRep:
     """Block sum; exact only when both summands are."""
     if a.group is not b.group:
         raise ValidationError("direct sum needs representations of one group")
+    from ._linalg import EXACT, Fixed
+
     tolerance = max(a.tolerance, b.tolerance)
     la = EXACT if a.exact and b.exact else Fixed(tolerance)
     mats = [la.block_diag(la.matrix(x), la.matrix(y)) for x, y in zip(a.matrices, b.matrices)]
@@ -274,8 +277,7 @@ def direct_sum(a: MatrixRep, b: MatrixRep) -> MatrixRep:
 # -- isotypic decomposition ------------------------------------------------------
 
 
-@dataclass
-class IsotypicPiece:
+class IsotypicPiece(NamedTuple):
     irrep_index: int
     multiplicity: int
     projector: object  # Fraction matrix or float ndarray
@@ -291,6 +293,8 @@ def projector_weights(G: FiniteGroup) -> tuple[list[list], bool]:
     exactly when it is an integer.  The weights are Fractions when all are
     rational and floats otherwise.
     """
+    from fractions import Fraction
+
     R = real_irreps(G)
     ct = R.complex_table
     cls = class_index_map(G)

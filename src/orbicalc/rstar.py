@@ -29,8 +29,7 @@ nerve, since the trivial group is initial either way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .corpus import groups_of_order_at_most
 from .errors import InternalCheckError, ValidationError
@@ -59,8 +58,7 @@ def check_max_dim(max_dim: int) -> None:
         raise ValidationError(f"max dim must lie in 0..{MAX_CELLS - 1}")
 
 
-@dataclass(frozen=True)
-class Arrow:
+class Arrow(NamedTuple):
     src: int
     dst: int
     rep: tuple[int, ...]
@@ -173,8 +171,7 @@ def build_quotient_category(max_order: int) -> QuotientCategory:
     return QuotientCategory(max_order)
 
 
-@dataclass(frozen=True)
-class Cell:
+class Cell(NamedTuple):
     """A chain of composable non-identity arrow classes, by name and rep."""
 
     object_names: tuple[str, ...]
@@ -193,13 +190,16 @@ class Cell:
 Chain = tuple[tuple[int, ...], tuple[int, ...]]
 
 
-@dataclass
-class CellCensus:
+class CellCensus(NamedTuple):
     max_order: int
     max_dim: int
     include_isos: bool
-    category: QuotientCategory = field(repr=False)
+    category: QuotientCategory
     chains: list[list[Chain]]  # by dimension, each level in Cell.key order
+
+    def __repr__(self) -> str:
+        return (f"CellCensus(max_order={self.max_order!r}, max_dim={self.max_dim!r}, "
+                f"include_isos={self.include_isos!r}, chains={self.chains!r})")
 
     def counts(self) -> list[int]:
         return [len(c) for c in self.chains]

@@ -23,9 +23,8 @@ Mrozek, Computational Homology (2004), chapter 3.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, lcm
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .errors import ValidationError
 
@@ -113,7 +112,6 @@ def _eliminate(cols: dict, rows: dict, r: int, c: int) -> None:
             del cols[j]
 
 
-@dataclass
 class ChainComplex:
     """Boundary data: columns[p] maps degree p to degree p-1, p >= 1.
 
@@ -122,10 +120,8 @@ class ChainComplex:
     is None.  Construction checks the shapes and that d∘d = 0.
     """
 
-    ranks: tuple[int, ...]
-    columns: list
-
-    def __post_init__(self):
+    def __init__(self, ranks: tuple[int, ...], columns: list):
+        self.ranks, self.columns = ranks, columns
         if len(self.columns) != len(self.ranks):
             raise ValidationError(f"{len(self.columns)} boundaries for {len(self.ranks)} degrees")
         for p in range(1, len(self.ranks)):
@@ -138,6 +134,12 @@ class ChainComplex:
                 if not all(col.values()):
                     raise ValidationError(f"boundary {p} stores a zero coefficient")
         self.verify_square_zero()
+
+    def __eq__(self, other):
+        return type(other) is ChainComplex and (self.ranks, self.columns) == (other.ranks, other.columns)
+
+    def __repr__(self) -> str:
+        return f"ChainComplex(ranks={self.ranks!r}, columns={self.columns!r})"
 
     @property
     def boundaries(self) -> list:
@@ -160,8 +162,7 @@ class ChainComplex:
                     raise ValidationError("boundary squared is nonzero")
 
 
-@dataclass
-class HomologyDegree:
+class HomologyDegree(NamedTuple):
     degree: int
     betti: int
     torsion: tuple[int, ...]
@@ -185,33 +186,3 @@ def homology(cc: ChainComplex, unreliable_from: int | None = None) -> list[Homol
         out.append(HomologyDegree(degree=p, betti=betti, torsion=torsion, reliable=reliable))
     return out
 
-
-def complex_from_simplices(simplices: Sequence[Sequence[int]]) -> ChainComplex:
-    """Chain complex of a simplicial complex given by its maximal (or all)
-    simplices on integer vertices; faces are closed over automatically."""
-    by_dim: dict[int, set[tuple[int, ...]]] = {}
-
-    def add(s: tuple[int, ...]):
-        d = len(s) - 1
-        if s in by_dim.setdefault(d, set()):
-            return
-        by_dim[d].add(s)
-        if d > 0:
-            for i in range(len(s)):
-                add(s[:i] + s[i + 1 :])
-
-    for s in simplices:
-        add(tuple(sorted(set(s))))
-    top = max(by_dim)
-    ordered = [sorted(by_dim.get(d, ())) for d in range(top + 1)]
-    index = [{s: i for i, s in enumerate(level)} for level in ordered]
-    ranks = tuple(len(level) for level in ordered)
-    columns: list = [None]
-    for p in range(1, top + 1):
-        at = index[p - 1]
-        # The faces of a simplex are distinct, so no coefficient cancels.
-        columns.append([
-            {at[s[:i] + s[i + 1 :]]: (-1) ** i for i in range(len(s))}
-            for s in ordered[p]
-        ])
-    return ChainComplex(ranks=ranks, columns=columns)

@@ -31,7 +31,6 @@ sorted, concatenate to the global order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Literal, NamedTuple, Sequence
 
 from .bundles import flip_trivial_bit, framing_bit_permutation, framings, push_bits
@@ -69,8 +68,7 @@ class MapGenerator(NamedTuple):
     framing_bits: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class MapGroupPresentation:
+class MapGroupPresentation(NamedTuple):
     variant: str
     rank: int
     basis: tuple[MapGenerator, ...]
@@ -176,8 +174,7 @@ def _automorphisms(K: FiniteGroup) -> list[tuple[int, ...]]:
     return [phi for phi in enumerate_homs(K, K) if len(set(phi)) == K.order]
 
 
-@dataclass
-class CrossCheckReport:
+class CrossCheckReport(NamedTuple):
     main_count: int
     abstract_count: int
     per_iso_class: list[tuple[int, int]]  # (abstract group order, orbit count)

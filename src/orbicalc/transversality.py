@@ -11,11 +11,8 @@ vanishes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
-from ._linalg import EXACT, Fixed
 from .errors import InternalCheckError, ValidationError
 from .groups import FiniteGroup, generating_set
 from .realreps import (
@@ -36,6 +33,8 @@ def fixed_subspace(G: FiniteGroup, V: MatrixRep) -> tuple[int, list]:
     multiplicity of the trivial irrep; disagreement is a hard failure, not
     a tolerance issue.
     """
+    from fractions import Fraction
+
     la, n, d = V.la, G.order, V.dimension
     P = la.zeros(d, d)
     for m in V.matrices:
@@ -50,26 +49,28 @@ def fixed_subspace(G: FiniteGroup, V: MatrixRep) -> tuple[int, list]:
     return len(basis), basis
 
 
-@dataclass
 class LinearChart:
-    """Equivariant linear data (V, E, alpha) with alpha: V -> E."""
+    """Equivariant linear data (V, E, alpha) with alpha: V -> E, |E| x |V|."""
 
-    group: FiniteGroup
-    V: MatrixRep
-    E: MatrixRep
-    alpha: object  # matrix, |E| x |V|
+    def __init__(self, group: FiniteGroup, V: MatrixRep, E: MatrixRep, alpha):
+        from ._linalg import EXACT, Fixed
 
-    def __post_init__(self):
-        G = self.group
-        if self.V.group is not G or self.E.group is not G:
+        if V.group is not group or E.group is not group:
             raise ValidationError("chart pieces must share one group")
-        self.tolerance = max(self.V.tolerance, self.E.tolerance)
-        self.la = EXACT if self.V.exact and self.E.exact else Fixed(self.tolerance)
-        rows, cols = self.E.dimension, self.V.dimension
-        if len(self.alpha) != rows or any(len(r) != cols for r in self.alpha):
+        self.group, self.V, self.E = group, V, E
+        self.tolerance = max(V.tolerance, E.tolerance)
+        self.la = EXACT if V.exact and E.exact else Fixed(self.tolerance)
+        if len(alpha) != E.dimension or any(len(r) != V.dimension for r in alpha):
             raise ValidationError("alpha has the wrong shape")
-        self.alpha = self.la.matrix(self.alpha)
+        self.alpha = self.la.matrix(alpha)
         self._check_equivariance()
+
+    def __eq__(self, other):
+        return type(other) is LinearChart and (self.group, self.V, self.E, self.alpha) == (
+            other.group, other.V, other.E, other.alpha)
+
+    def __repr__(self) -> str:
+        return f"LinearChart(group={self.group!r}, V={self.V!r}, E={self.E!r}, alpha={self.alpha!r})"
 
     def _check_equivariance(self):
         la, alpha = self.la, self.alpha
@@ -80,8 +81,7 @@ class LinearChart:
                 raise ValidationError("alpha is not equivariant")
 
 
-@dataclass
-class IsotypicBlockReport:
+class IsotypicBlockReport(NamedTuple):
     irrep_index: int
     dim_v: int
     dim_e: int
@@ -89,8 +89,7 @@ class IsotypicBlockReport:
     surjective: bool
 
 
-@dataclass
-class SurjectivityReport:
+class SurjectivityReport(NamedTuple):
     consistent: bool  # all nontrivial blocks surjective
     blocks: list[IsotypicBlockReport]
     trivial_index: int
@@ -106,6 +105,8 @@ def isotypic_surjectivity(chart: LinearChart) -> SurjectivityReport:
     R = real_irreps(G)
     pieces_v = isotypic_decomposition(chart.V)
     pieces_e = isotypic_decomposition(chart.E)
+    from ._linalg import Fixed
+
     # The projectors are exact only when the group's coefficients are rational.
     la = chart.la if projector_weights(G)[1] else Fixed(chart.tolerance)
     alpha = la.matrix(chart.alpha)
@@ -136,8 +137,7 @@ def isotypic_surjectivity(chart: LinearChart) -> SurjectivityReport:
     )
 
 
-@dataclass
-class DetectorVerdict:
+class DetectorVerdict(NamedTuple):
     status: str  # "nonzero_certified" | "inconclusive"
     degree: int
     fixed_dim: int

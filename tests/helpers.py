@@ -147,6 +147,39 @@ def sparse_columns(A, cols):
     return out
 
 
+def complex_from_simplices(simplices):
+    """Chain complex of a simplicial complex given by its maximal (or all)
+    simplices on integer vertices; faces are closed over automatically."""
+    from orbicalc.snf import ChainComplex
+
+    by_dim = {}
+
+    def add(s):
+        d = len(s) - 1
+        if s in by_dim.setdefault(d, set()):
+            return
+        by_dim[d].add(s)
+        if d > 0:
+            for i in range(len(s)):
+                add(s[:i] + s[i + 1 :])
+
+    for s in simplices:
+        add(tuple(sorted(set(s))))
+    top = max(by_dim)
+    ordered = [sorted(by_dim.get(d, ())) for d in range(top + 1)]
+    index = [{s: i for i, s in enumerate(level)} for level in ordered]
+    ranks = tuple(len(level) for level in ordered)
+    columns = [None]
+    for p in range(1, top + 1):
+        at = index[p - 1]
+        # The faces of a simplex are distinct, so no coefficient cancels.
+        columns.append([
+            {at[s[:i] + s[i + 1 :]]: (-1) ** i for i in range(len(s))}
+            for s in ordered[p]
+        ])
+    return ChainComplex(ranks=ranks, columns=columns)
+
+
 # -- Smith normal form by the dense loop ---------------------------------------------
 
 

@@ -21,12 +21,12 @@ from orbicalc.homs import enumerate_homs, hom_classes, rep_hom_classes
 from orbicalc.localize import check_right_multiplicative, localize_hom, verify_universal_property
 from orbicalc.realreps import one_dim_rep, real_irreps, regular_rep
 from orbicalc.rstar import build_quotient_category, nerve_chain_complex
-from orbicalc.snf import complex_from_simplices, homology
+from orbicalc.snf import homology
 from orbicalc.stablemaps import cross_check_abstract_enumeration, map_group
 from orbicalc.transversality import LinearChart, derived_class_detector, fixed_subspace, isotypic_surjectivity
 
 from .cat_corpus import ore_counterexample, single_inversion, synthetic_corpus
-from .helpers import brute_force_homs
+from .helpers import brute_force_homs, complex_from_simplices
 from .test_snf import RP2_TRIANGLES
 
 

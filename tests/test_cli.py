@@ -715,13 +715,20 @@ def loaded_modules(tmp_path, *argv):
     return set(json.loads(listing.read_text()))
 
 
+# No call loads `dataclasses`, or `inspect`, which it would bring; numpy does
+# load `inspect`.
+RECORD_MACHINERY = {"dataclasses", "inspect"}
+# Exact matrices: only a matrix file needs the backend and its Fractions.
+EXACT_BACKEND = {"fractions", "orbicalc._linalg"}
+
+
 def test_import_and_early_refusals_load_no_numpy(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-c", "import json, sys, orbicalc; print(json.dumps(sorted(sys.modules)))"],
         capture_output=True, text=True, check=True,
     )
     modules = set(json.loads(proc.stdout))
-    assert "numpy" not in modules
+    assert "numpy" not in modules and not modules & RECORD_MACHINERY
     assert {m for m in modules if m.startswith("orbicalc")} == {"orbicalc"}
     category = tmp_path / "cat.json"
     category.write_text(json.dumps(_two_object_category()))
@@ -735,11 +742,13 @@ def test_import_and_early_refusals_load_no_numpy(tmp_path):
         ["group", str(not_json)],
         ["detect", "c2"],
     ):
-        assert "numpy" not in loaded_modules(tmp_path, *argv), argv
+        modules = loaded_modules(tmp_path, *argv)
+        assert "numpy" not in modules and not modules & RECORD_MACHINERY, argv
     # An index past the classes is refused before a character table is built.
     modules = loaded_modules(tmp_path, "detect", "s3", "--char-index", "3")
     assert "orbicalc.groups" in modules
     assert "orbicalc.characters" not in modules and "numpy" not in modules
+    assert not modules & RECORD_MACHINERY
 
 
 def test_table_commands_load_the_group_core_and_no_numpy(tmp_path):
@@ -753,19 +762,32 @@ def test_table_commands_load_the_group_core_and_no_numpy(tmp_path):
     ):
         modules = loaded_modules(tmp_path, *argv)
         assert "orbicalc.groups" in modules and "numpy" not in modules, argv
-    # Character tables and real irreps run on Python integers.
+        assert not modules & RECORD_MACHINERY, argv
+    # Character tables and real irreps run on Python integers, and build no
+    # exact matrix.
     for argv in (
         ["irreps", "s3"],
+        ["irreps", "s4"],
         ["bundles", "c4"],
+        ["bundles", "q8"],
         ["stable-maps", "c2", "s3"],
+        ["stable-maps", "c4", "c2", "--variant", "orb"],
         ["detect", "c2", "--char-index", "1"],
+        ["detect", "c12", "--char-index", "3"],
     ):
         modules = loaded_modules(tmp_path, *argv)
         assert "orbicalc.characters" in modules and "numpy" not in modules, argv
-    # A fixed-precision matrix does load numpy, so the checks above are not vacuous.
+        assert not modules & (RECORD_MACHINERY | EXACT_BACKEND), argv
+    # A matrix file loads the backend in both modes, and numpy in fixed
+    # precision, so the checks above are not vacuous.
     matrices = tmp_path / "c3.json"
+    matrices.write_text(json.dumps({"matrices": [[[1]]] * 3}))
+    modules = loaded_modules(tmp_path, "detect", "c3", "--matrix-file", str(matrices))
+    assert EXACT_BACKEND <= modules and "numpy" not in modules
+    assert not modules & RECORD_MACHINERY
     matrices.write_text(json.dumps({"matrices": C3_ROTATION, "mode": "fixed", "tolerance": 1e-4}))
-    assert "numpy" in loaded_modules(tmp_path, "detect", "c3", "--matrix-file", str(matrices))
+    modules = loaded_modules(tmp_path, "detect", "c3", "--matrix-file", str(matrices))
+    assert {"numpy", "orbicalc._linalg"} <= modules and "dataclasses" not in modules
 
 
 def test_package_exports_are_pinned():

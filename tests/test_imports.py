@@ -1,5 +1,7 @@
-"""Every module of the package uses each name it imports, and none imports
-numpy when it is imported.
+"""Every module of the package uses each name it imports; none imports
+numpy when it is imported, and none imports `dataclasses` at all; only
+`_linalg` imports `fractions`, and no module imports `_linalg`, when it is
+imported.
 
 An import inside a function must be read in that function (nested
 functions included); an import at module level must be read somewhere in
@@ -96,15 +98,20 @@ NUMPY_MODULES: set[str] = set()
 
 
 def eager_imports(tree):
-    """The top-level package of every absolute import outside a function
-    body: what importing the module imports."""
+    """The top-level package of every absolute import, and the module of
+    every relative one (as `.name`), outside a function body: what importing
+    the module imports."""
     found = set()
 
     def visit(node):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.Import):
                 found.update(a.name.split(".")[0] for a in child.names)
-            elif isinstance(child, ast.ImportFrom) and child.level == 0:
+            elif isinstance(child, ast.ImportFrom) and child.level:
+                # `from . import x` names x in the package: a submodule, if there is one.
+                dots = "." * child.level
+                found.update([dots + child.module] if child.module else (dots + a.name for a in child.names))
+            elif isinstance(child, ast.ImportFrom):
                 found.add(child.module.split(".")[0])
             if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child)
@@ -133,4 +140,50 @@ def test_the_check_sees_an_eager_numpy_import():
         "def f():\n"
         "    import scipy\n"
     )
-    assert eager_imports(tree) == {"__future__", "numpy", "json"}
+    assert eager_imports(tree) == {"__future__", "numpy", ".groups", "json"}
+
+
+def all_imports(tree):
+    """The top-level package of every absolute import, function bodies included."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+def test_no_module_imports_dataclasses():
+    importers = {
+        path.name for path in MODULES
+        if "dataclasses" in all_imports(ast.parse(path.read_text(encoding="utf-8")))
+    }
+    assert not importers
+
+
+# Exact matrices and their Fractions are built only by the functions that
+# need them: `MatrixRep`, `LinearChart` and a few others import the backend
+# when they run.
+def test_only_the_backend_imports_fractions_when_imported():
+    importers = {
+        path.name for path in MODULES
+        if {"fractions", "._linalg"} & eager_imports(ast.parse(path.read_text(encoding="utf-8")))
+    }
+    assert importers == {"_linalg.py"}
+
+
+def test_the_check_sees_an_eager_backend_import():
+    tree = ast.parse(
+        "from __future__ import annotations\n"
+        "from typing import NamedTuple\n"
+        "from ._linalg import EXACT\n"
+        "from . import realreps\n"
+        "class A(NamedTuple):\n"
+        "    from fractions import Fraction\n"
+        "def f():\n"
+        "    from dataclasses import dataclass\n"
+        "    from .realreps import MatrixRep\n"
+    )
+    assert eager_imports(tree) == {"__future__", "typing", "._linalg", ".realreps", "fractions"}
+    assert all_imports(tree) == {"__future__", "typing", "fractions", "dataclasses"}

@@ -1,14 +1,9 @@
 import pytest
 
 from orbicalc.errors import ValidationError
-from orbicalc.snf import (
-    ChainComplex,
-    complex_from_simplices,
-    homology,
-    smith_normal_form,
-)
+from orbicalc.snf import ChainComplex, homology, smith_normal_form
 
-from .helpers import sparse_columns
+from .helpers import complex_from_simplices, sparse_columns
 
 # Minimal 6-vertex triangulation of the real projective plane (faces of
 # an icosahedron with antipodes identified): every edge lies in exactly

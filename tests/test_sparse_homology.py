@@ -11,13 +11,12 @@ from orbicalc.errors import ValidationError
 from orbicalc.rstar import build_quotient_category, nerve_chain_complex
 from orbicalc.snf import (
     ChainComplex,
-    complex_from_simplices,
     homology,
     invariant_factors,
     smith_normal_form,
 )
 
-from .helpers import reference_smith_normal_form, sparse_columns
+from .helpers import complex_from_simplices, reference_smith_normal_form, sparse_columns
 from .test_snf import RP2_TRIANGLES
 
 # Units, zeros and non-units in about equal measure.
