@@ -6,7 +6,6 @@ the dimension is needed.  Every elimination skips zero entries: a pivot
 row costs only its nonzeros, and a row with a zero in the pivot column
 costs nothing.  The character table's class matrices are sparse (an
 abelian group's are permutation matrices), so most of its work is skipped.
-This module imports no numpy, so neither does a character table.
 """
 
 from __future__ import annotations

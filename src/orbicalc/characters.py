@@ -24,8 +24,7 @@ re-verified for every pair with exact integer arithmetic, folding only
 the nonzero multiplicities; nothing in the public output depends on the
 internal prime.
 
-Everything runs on lists of Python ints (`_modlinalg`, `cyclotomic`), so
-a character table loads no numpy.
+Everything runs on lists of Python ints (`_modlinalg`, `cyclotomic`).
 
 The table owns the arithmetic on its characters: `inner_with` is the one
 inner product of class functions, indicators fold the multiplicities at

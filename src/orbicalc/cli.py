@@ -11,13 +11,13 @@ its payload; `main` gives it the manifest inputs to fill (`_group` resolves
 a group argument and records its file) and alone writes both.
 
 Each subcommand imports the modules it runs inside its own function, so a
-call loads only those, and a usage error loads none.  Character tables
-and real irreps run on Python integers, so no subcommand loads numpy but
-`detect --matrix-file` with a fixed-precision ("mode": "fixed") matrix
-file.  A command that takes groups resolves them before it imports what
-computes, so an unknown name or a non-JSON file is refused first, and
-`detect` refuses a character index past the number of classes before it
-builds a table.
+call loads only those, and a usage error loads none.  Nothing loads
+numpy: character tables and real irreps run on Python integers, and
+`detect --matrix-file` runs either mode on lists of Python numbers.  A
+command that takes groups resolves them before it imports what computes,
+so an unknown name or a non-JSON file is refused first, and `detect`
+refuses a character index past the number of classes before it builds a
+table.
 """
 
 from __future__ import annotations

@@ -8,8 +8,7 @@ Every lookup (`corpus_names`, `corpus_group`, `groups_of_order_at_most`,
 `resolve_group`, `load_group`) reads that directory, and `resolve_group`
 alone decides whether a command-line argument is a file or a corpus name.
 The group module is imported only when a group is built: an unknown name
-or a file that is not JSON is refused first.  It imports no numpy, so
-listing or dumping the corpus never loads it.
+or a file that is not JSON is refused first.
 """
 
 from __future__ import annotations

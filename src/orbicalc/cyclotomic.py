@@ -9,7 +9,7 @@ A vector is reduced mod Phi_n by the rows of reduced powers zeta^k,
 k = 0..n-1 (exponents fold mod n): `CycInt` for one vector and
 `power_sum` for a sum of powers of zeta.  The character table's batches
 go through `reduce_blocks`, one synthetic division by Phi_n over whole
-exponent columns.  Everything runs on Python integers, with no numpy.
+exponent columns.  Everything runs on Python integers.
 """
 
 from __future__ import annotations

@@ -3,7 +3,7 @@
 Elements are integers 0..order-1.  Groups built from permutation
 generators get a canonical breadth-first element ordering starting at the
 identity, so identical inputs always produce byte-identical tables.
-Everything here runs on the tuple table and imports no numpy.
+Everything here runs on the tuple table.
 
 Validation is complete at every order, with no sampling and no size
 bound.  Associativity is proved by Light's test (Clifford and Preston,
@@ -134,7 +134,7 @@ class FiniteGroup:
 
     def _validate(self, bad_rows: list[bool]) -> None:
         """Latin square, two-sided inverses and full associativity, on the
-        tuple table with no numpy; `bad_rows` comes from `_check_entries`.
+        tuple table; `bad_rows` comes from `_check_entries`.
 
         Associativity is complete at every order by Light's test: the
         elements g with (x g) y = x (g y) for all x, y are closed under

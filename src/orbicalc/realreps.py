@@ -181,9 +181,10 @@ def restriction_matrix(K: FiniteGroup, G: FiniteGroup, phi: Sequence[int]) -> li
 class MatrixRep:
     """A representation by explicit matrices, exact or fixed precision.
 
-    Exact mode stores Fractions; fixed-precision mode stores float arrays.
-    ``la`` is the backend (``_linalg``) that does all matrix arithmetic and
-    decides every comparison, under the declared tolerance in fixed mode.
+    Both modes store lists of rows: of Fractions in exact mode, of floats
+    in fixed precision.  ``la`` is the backend (``_linalg``) that does all
+    matrix arithmetic and decides every comparison, under the declared
+    tolerance in fixed mode.
     """
 
     def __init__(
@@ -280,7 +281,7 @@ def direct_sum(a: MatrixRep, b: MatrixRep) -> MatrixRep:
 class IsotypicPiece(NamedTuple):
     irrep_index: int
     multiplicity: int
-    projector: object  # Fraction matrix or float ndarray
+    projector: list  # rows of Fractions or of floats
 
 
 @cached("projector_weights")

@@ -16,7 +16,9 @@ elimination that ran on whatever the unit pivots left, before the sparse
 elimination took every pivot; the character-table section keeps the
 whole table as it ran on numpy arrays, with the eigenspace split as it
 was before eigenvectors were back-substituted on the Hessenberg form;
-the homomorphisms section keeps the hom classes as
+the fixed-precision section keeps the deciding half of the matrix backend
+as it ran on numpy float arrays, before one class on lists of rows served
+both modes; the homomorphisms section keeps the hom classes as
 they were before orbits were taken under Inn(H) on generator images.
 """
 
@@ -473,6 +475,70 @@ def reference_table(G):
     assert not sums[:, 1:].any() and not (sums[:, 0] % n).any()
     indicators = tuple(int(nu) // n for nu in sums[:, 0])
     return tuple(degrees[t] for t in order), [values[t] for t in order], indicators, mults
+
+
+# -- fixed-precision matrices on numpy arrays -----------------------------------------
+
+
+class ReferenceFixed:
+    """The fixed-precision backend as it ran on float arrays: the same rule
+    (an error counts as zero when it is at most tolerance * max(1, largest
+    absolute entry of the operands)), with numpy's overflow and invalid
+    warnings silenced.  Only the methods that decide are kept.  Its bound
+    takes the largest entry of each operand with `max`, which keeps a NaN
+    only when it comes first."""
+
+    def __init__(self, tolerance: float):
+        self.np = np
+        self.tolerance = tolerance
+
+    def _quiet(self):
+        """Overflow and invalid values warn of nothing: the rule decides."""
+        return self.np.errstate(over="ignore", invalid="ignore")
+
+    def _bound(self, *operands) -> float:
+        np = self.np
+        largest = max(float(np.abs(X).max(initial=0.0)) for X in operands)
+        return self.tolerance * max(1.0, largest) if largest < np.inf else np.nan
+
+    def matrix(self, rows):
+        return self.np.array(rows, dtype=float)
+
+    def close(self, A, B) -> bool:
+        with self._quiet():
+            return self.is_zero(A - B, A, B)
+
+    def is_zero(self, A, *operands) -> bool:
+        return bool(self.np.abs(A).max(initial=0.0) <= self._bound(A, *operands))
+
+    def integer(self, x):
+        """The integer nearest x, or None when x is farther from it than the rule allows."""
+        m = round(float(x)) if self.np.isfinite(x) else 0  # the bound refuses a non-finite x
+        return m if abs(x - m) <= self._bound(x) else None
+
+    def rank(self, A, *operands) -> int:
+        return len(self.column_basis(A, *operands))
+
+    def column_basis(self, A, *operands) -> list[list[float]]:
+        """The pivot columns of A, found by elimination with partial
+        pivoting; a pivot within the rule's bound counts as zero."""
+        np = self.np
+        A = np.asarray(A, dtype=float)
+        bound = self._bound(A, *operands)
+        work = A.copy()
+        pivots: list[int] = []
+        with self._quiet():
+            for c in range(A.shape[1]):
+                r = len(pivots)
+                if r == A.shape[0]:
+                    break
+                p = r + int(np.argmax(np.abs(work[r:, c])))
+                if abs(work[p, c]) <= bound:
+                    continue
+                work[[r, p]] = work[[p, r]]
+                work[r + 1 :] -= np.outer(work[r + 1 :, c] / work[r, c], work[r])
+                pivots.append(c)
+        return [A[:, c].tolist() for c in pivots]
 
 
 # -- the group core before one closure ---------------------------------------------

@@ -456,6 +456,10 @@ MALFORMED_INPUTS = {  # name -> (argv, file text, part of the error message)
     "fixed big integer": (
         DETECT, '{"mode": "fixed", "matrices": [[[1]], [[1%s]]]}' % ("0" * 400), "too large"
     ),
+    "exact big integer": (
+        DETECT, '{"mode": "exact", "matrices": [[[1]], [[1%s]]]}' % ("0" * 400),
+        "do not respect the table"
+    ),
     "deep matrix file": (DETECT, DEEP, "nested too deeply"),
     "deep category": (LOCALIZE, DEEP, "nested too deeply"),
     "deep group file": (["group", FILE], DEEP, "nested too deeply"),
@@ -718,7 +722,7 @@ def loaded_modules(tmp_path, *argv):
 # No call loads `dataclasses`, or `inspect`, which it would bring; numpy does
 # load `inspect`.
 RECORD_MACHINERY = {"dataclasses", "inspect"}
-# Exact matrices: only a matrix file needs the backend and its Fractions.
+# Matrices of either mode: only a matrix file needs the backend and its Fractions.
 EXACT_BACKEND = {"fractions", "orbicalc._linalg"}
 
 
@@ -778,8 +782,9 @@ def test_table_commands_load_the_group_core_and_no_numpy(tmp_path):
         modules = loaded_modules(tmp_path, *argv)
         assert "orbicalc.characters" in modules and "numpy" not in modules, argv
         assert not modules & (RECORD_MACHINERY | EXACT_BACKEND), argv
-    # A matrix file loads the backend in both modes, and numpy in fixed
-    # precision, so the checks above are not vacuous.
+    # A matrix file loads the backend and its Fractions in both modes, so
+    # the checks above are not vacuous; fixed precision runs on Python
+    # floats and loads no numpy either.
     matrices = tmp_path / "c3.json"
     matrices.write_text(json.dumps({"matrices": [[[1]]] * 3}))
     modules = loaded_modules(tmp_path, "detect", "c3", "--matrix-file", str(matrices))
@@ -787,7 +792,8 @@ def test_table_commands_load_the_group_core_and_no_numpy(tmp_path):
     assert not modules & RECORD_MACHINERY
     matrices.write_text(json.dumps({"matrices": C3_ROTATION, "mode": "fixed", "tolerance": 1e-4}))
     modules = loaded_modules(tmp_path, "detect", "c3", "--matrix-file", str(matrices))
-    assert {"numpy", "orbicalc._linalg"} <= modules and "dataclasses" not in modules
+    assert EXACT_BACKEND <= modules and "numpy" not in modules
+    assert not modules & RECORD_MACHINERY
 
 
 def test_package_exports_are_pinned():

@@ -58,7 +58,6 @@ def test_a_large_degree_alone_allocates_nothing_of_its_size():
     """The degree of a group file sets no memory by itself: no generators
     give the trivial group and a short one is refused, each in under 1 MB
     at degree 2,000,000."""
-    group_from_json({"degree": 1, "generators": []})  # numpy's first-call setup
     trivial = {"degree": 2_000_000, "generators": []}
     assert _peak_bytes(lambda: group_from_json(trivial)) < 1 << 20
     G = group_from_json(trivial)

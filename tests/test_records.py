@@ -16,7 +16,7 @@ from orbicalc.errors import ValidationError
 from orbicalc.groups import SubgroupClass
 from orbicalc.homs import HomClass, RepRecoveryReport
 from orbicalc.localize import ArrowData, LocalizedHom, RMSVerdict, Span
-from orbicalc.realreps import IsotypicPiece, RealIrrep, one_dim_rep
+from orbicalc.realreps import IsotypicPiece, RealIrrep, isotypic_decomposition, one_dim_rep
 from orbicalc.rstar import Arrow, Cell, CellCensus, build_quotient_category
 from orbicalc.snf import ChainComplex, HomologyDegree
 from orbicalc.stablemaps import CrossCheckReport, MapGenerator, MapGroupPresentation
@@ -26,6 +26,8 @@ from orbicalc.transversality import (
     LinearChart,
     SurjectivityReport,
 )
+
+from .test_linalg import c3_rotation
 
 C2 = corpus_group("c2")
 S3 = corpus_group("s3")
@@ -160,6 +162,14 @@ def test_a_linear_chart_keeps_its_backend_and_tolerance():
     assert chart.tolerance == 1e-9
     assert chart.la.matrix([[2]]) == chart.alpha
     assert chart.alpha == [[2]]
+
+
+def test_fixed_mode_records_compare_by_their_entries():
+    # Built separately, so equality reads the float entries themselves.
+    C3, V = corpus_group("c3"), c3_rotation()
+    assert LinearChart(C3, V, V, [[1, 0], [0, 1]]) == LinearChart(C3, V, V, [[1, 0], [0, 1]])
+    assert LinearChart(C3, V, V, [[1, 0], [0, 1]]) != LinearChart(C3, V, V, [[2, 0], [0, 2]])
+    assert isotypic_decomposition(V) == isotypic_decomposition(V)
 
 
 PLAIN = {StableBundle, CoarseStableBundle, Framing, ChainComplex, LinearChart}
