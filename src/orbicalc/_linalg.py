@@ -18,6 +18,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from .errors import ValidationError
+
 
 class Fixed:
     """Lists of rows under one declared tolerance (see the module rule);
@@ -38,7 +40,10 @@ class Fixed:
         return self.tolerance * largest
 
     def matrix(self, rows):
-        return [[self.scalar(x) for x in row] for row in rows]
+        try:
+            return [[self.scalar(x) for x in row] for row in rows]
+        except OverflowError:  # float() of an int or Fraction beyond the float range
+            raise ValidationError("a matrix entry is too large for fixed mode") from None
 
     def zeros(self, m: int, n: int):
         return [[self.scalar(0)] * n for _ in range(m)]

@@ -362,16 +362,9 @@ def cmd_detect(args, inputs) -> dict:
         if mode not in ("exact", "fixed"):
             raise ValidationError("'mode' must be \"exact\" or \"fixed\"")
         exact = mode == "exact"
+        mats = data["matrices"]
         if exact:
-            mats = [
-                [[Fraction(str(x)) for x in row] for row in m]
-                for m in data["matrices"]
-            ]
-        else:
-            try:
-                mats = [[[float(x) for x in row] for row in m] for m in data["matrices"]]
-            except OverflowError:
-                raise ValidationError("a matrix entry is too large for fixed mode") from None
+            mats = [[[Fraction(str(x)) for x in row] for row in m] for m in mats]
         rep = MatrixRep(G, mats, exact=exact, tolerance=data.get("tolerance", 1e-9))
         verdict = derived_class_detector(G, rep)
     return {

@@ -17,11 +17,11 @@ generators, generating sets and the subgroup lattice.  `extend_hom` walks
 the same Cayley graph carrying images, checking phi(x g) = phi(x) phi(g).
 
 Derived data kept on a group goes through one memo, `cached`, in whichever
-module derives it.  This module keeps the inverses, conjugation maps,
-classes, class index map, subgroup classes, quotients, generating set and
-fingerprint; `exponent`, `is_abelian` and `all_subgroups` are recomputed
-per call, as only a memoised caller (the character table,
-`subgroup_classes`) or one CLI call reads them.
+module derives it.  This module keeps the table key, inverses,
+conjugation maps, classes, class index map, subgroup classes, quotients,
+generating set and fingerprint; `exponent`, `is_abelian` and
+`all_subgroups` are recomputed per call, as only a memoised caller (the
+character table, `subgroup_classes`) or one CLI call reads them.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ DEFAULT_SUBGROUP_CAP = 48
 def cached(name: str):
     """Memoise fn(G, *args) on G: computed once and kept in G._cache under
     `name`, or under (name, *args) with each group argument keyed by its
-    table.  A call that raises stores nothing."""
+    `table_key()`.  A call that raises stores nothing."""
 
     def decorate(fn):
         @wraps(fn)
@@ -58,6 +58,26 @@ def cached(name: str):
         return memo
 
     return decorate
+
+
+class TableKey:
+    """A multiplication table as a dict key: hashed once, when built, and
+    equal to another key with an equal table.  A tuple of tuples would be
+    hashed again, entry by entry, on every lookup."""
+
+    __slots__ = ("table", "_hash")
+
+    def __init__(self, table: tuple[tuple[int, ...], ...]):
+        self.table = table
+        self._hash = hash(table)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, TableKey):
+            return NotImplemented
+        return self.table == other.table
 
 
 class SubgroupClass(NamedTuple):
@@ -210,8 +230,9 @@ class FiniteGroup:
     def center(self) -> tuple[int, ...]:
         return centralizer(self, range(self.order)).representative
 
-    def table_key(self) -> tuple:
-        return self.table
+    @cached("table_key")
+    def table_key(self) -> TableKey:
+        return TableKey(self.table)
 
     def __repr__(self) -> str:
         nm = self.name or "?"
@@ -452,7 +473,7 @@ def normal_subgroups(G: FiniteGroup) -> list[tuple[int, ...]]:
     return [sc.representative for sc in subgroup_classes(G) if sc.conjugates_count == 1]
 
 
-_CANONICAL_INSTANCES: dict[tuple, "FiniteGroup"] = {}
+_CANONICAL_INSTANCES: dict[TableKey, "FiniteGroup"] = {}
 
 
 def canonical_instance(G: FiniteGroup) -> FiniteGroup:
@@ -577,19 +598,27 @@ def hom_search(
     candidates[i], as a complete map, by backtracking: a prefix of images
     is kept when `extend_hom` extends it.  Images are tried in the order
     given."""
-    gens = generating_set(G)
+    return _backtrack(G, H, generating_set(G), candidates, (), {G.identity: H.identity})
 
-    def backtrack(images: tuple[int, ...], phi: dict[int, int]) -> Iterator[dict[int, int]]:
-        i = len(images)
-        if i == len(gens):
-            yield phi
-            return
-        for h in candidates[i]:
-            nxt = extend_hom(G, H, gens[: i + 1], images + (h,))
-            if nxt is not None:
-                yield from backtrack(images + (h,), nxt)
 
-    return backtrack((), {G.identity: H.identity})
+def _backtrack(
+    G: FiniteGroup,
+    H: FiniteGroup,
+    gens: Sequence[int],
+    candidates: Sequence[Sequence[int]],
+    images: tuple[int, ...],
+    phi: dict[int, int],
+) -> Iterator[dict[int, int]]:
+    # Module level, not a closure: a recursive closure reaches itself through
+    # its own cell, a cycle only the cyclic collector frees.
+    i = len(images)
+    if i == len(gens):
+        yield phi
+        return
+    for h in candidates[i]:
+        nxt = extend_hom(G, H, gens[: i + 1], images + (h,))
+        if nxt is not None:
+            yield from _backtrack(G, H, gens, candidates, images + (h,), nxt)
 
 
 def are_isomorphic(G: FiniteGroup, H: FiniteGroup) -> Optional[tuple[int, ...]]:

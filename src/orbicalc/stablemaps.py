@@ -27,10 +27,19 @@ the involution.  Per target and variant only the hom-class
 representatives, their moves under those automorphisms and the canonical
 pairs are built, one subgroup class at a time; the per-class lists, each
 sorted, concatenate to the global order.
+
+`map_group` builds its presentation with CPython's cyclic garbage
+collector paused.  Its output holds no reference cycle, yet every
+generator and pair stays tracked (CPython untracks only exact tuples, and
+`MapGenerator` is a tuple subclass), so each collector pass during the
+build would walk all of them again and free nothing.  The collector's
+state is put back as it was found, also when the build raises.  The pause
+is process-wide: a thread running at the same time sees it too.
 """
 
 from __future__ import annotations
 
+import gc
 from typing import Iterable, Literal, NamedTuple, Sequence
 
 from .bundles import flip_trivial_bit, framing_bit_permutation, framings, push_bits
@@ -146,19 +155,32 @@ def map_group(G: FiniteGroup, H: FiniteGroup, variant: Variant) -> MapGroupPrese
     """Free abelian presentation: generators modulo q + involution(q) = 0.
 
     The basis is the canonical classes with trivial bit 0, each paired with
-    its image under the involution."""
+    its image under the involution.
+
+    Runs with the cyclic garbage collector paused: the presentation is
+    acyclic, but the collector never untracks a tuple subclass or a tuple
+    holding one, so each pass would walk every generator and pair again
+    and free nothing.  The collector is re-enabled on the way out, also
+    when this raises, only if it was enabled on the way in.  The pause is
+    process-wide, so a thread running meanwhile sees it too."""
     variant = _check_variant(variant)
-    new = tuple.__new__  # MapGenerator's own __new__ is one more Python call per generator
-    orbit_table = []
-    for i, sub in enumerate(_subgroups(G)):
-        n, bits0 = sub.K.order, sub.bits0
-        for g, kept in _generator_classes(sub, H, variant):
-            orbit_table += [
-                (new(MapGenerator, (i, n, g, b)), new(MapGenerator, (i, n, g, bits0[b])))
-                for b in kept
-            ]
-    basis = tuple(c for c, _ in orbit_table)
-    return MapGroupPresentation(variant, len(basis), basis, tuple(orbit_table))
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        new = tuple.__new__  # MapGenerator's own __new__ is one more Python call per generator
+        orbit_table = []
+        for i, sub in enumerate(_subgroups(G)):
+            n, bits0 = sub.K.order, sub.bits0
+            for g, kept in _generator_classes(sub, H, variant):
+                orbit_table += [
+                    (new(MapGenerator, (i, n, g, b)), new(MapGenerator, (i, n, g, bits0[b])))
+                    for b in kept
+                ]
+        basis = tuple(c for c, _ in orbit_table)
+        return MapGroupPresentation(variant, len(basis), basis, tuple(orbit_table))
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def enumerate_generators(G: FiniteGroup, H: FiniteGroup, variant: Variant) -> list[MapGenerator]:

@@ -390,3 +390,27 @@ def test_are_isomorphic_returns_the_reference_search_result():
         assert phi == _reference_are_isomorphic(A, B) == reference_are_isomorphic(A, B)
         found += phi is not None
     assert found == 300  # 54 diagonal pairs and 246 through subgroups
+
+
+class _CountingTable(tuple):
+    """A table that counts how often it is hashed."""
+
+    hashes = 0
+
+    def __hash__(self):
+        _CountingTable.hashes += 1
+        return tuple.__hash__(self)
+
+
+def test_memo_keys_hash_a_group_table_once(monkeypatch):
+    from orbicalc.homs import hom_classes
+
+    A, B = s3(), c4()
+    monkeypatch.setattr(_CountingTable, "hashes", 0)
+    B.table = _CountingTable(B.table)
+    first = hom_classes(A, B)
+    assert hom_classes(A, B) is first
+    assert _CountingTable.hashes <= 1
+    # The key still compares tables: an equal table built apart is the same key.
+    assert c4().table_key() == B.table_key() != v4().table_key()
+    assert hash(c4().table_key()) == hash(B.table_key())

@@ -1,6 +1,7 @@
 """Every module of the package uses each name it imports; none imports
 numpy or `dataclasses` at all, function bodies included; only `_linalg`
-imports `fractions`, and no module imports `_linalg`, when it is imported.
+imports `fractions`, and no module imports `_linalg`, when it is imported;
+only `stablemaps` imports `gc`, and only `map_group` uses it.
 
 An import inside a function must be read in that function (nested
 functions included); an import at module level must be read somewhere in
@@ -182,3 +183,41 @@ def test_the_check_sees_an_eager_backend_import():
     )
     assert eager_imports(tree) == {"__future__", "typing", "._linalg", ".realreps", "fractions"}
     assert all_imports(tree) == {"__future__", "typing", "fractions", "dataclasses"}
+
+
+def gc_mentions(tree):
+    """(line, enclosing function) for every use of the name `gc`."""
+    out = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else scope
+            if isinstance(child, ast.Name) and child.id == "gc":
+                out.append((child.lineno, scope))
+            visit(child, inner)
+
+    visit(tree, None)
+    return out
+
+
+# Pausing the collector is process-wide; it is done in one place only,
+# around `map_group`'s acyclic output.
+def test_only_map_group_pauses_the_collector():
+    importers = {
+        path.name for path in MODULES
+        if "gc" in all_imports(ast.parse(path.read_text(encoding="utf-8")))
+    }
+    assert importers == {"stablemaps.py"}
+    tree = ast.parse((PACKAGE / "stablemaps.py").read_text(encoding="utf-8"))
+    assert {scope for _, scope in gc_mentions(tree)} == {"map_group"}
+
+
+def test_the_check_sees_a_stray_collector_pause():
+    tree = ast.parse(
+        "import gc\n"
+        "def map_group():\n"
+        "    gc.disable()\n"
+        "def other():\n"
+        "    gc.freeze()\n"
+    )
+    assert gc_mentions(tree) == [(3, "map_group"), (5, "other")]

@@ -401,3 +401,24 @@ def test_exact_and_fixed_multiplicities_agree_with_types_r_c_and_h():
             for mode in (rep, rep.to_float()):
                 assert character_multiplicities(mode, R.entries) == [k * m for m in expect], name
     assert types == {"R", "C", "H"}
+
+
+def test_an_entry_beyond_the_float_range_is_refused_when_decomposing():
+    # C5's rational 4-dimensional rep, the companion matrix of Phi_5,
+    # conjugated by the shear I + 10^200 E_12: its entries have up to 401
+    # digits, and its projector weights are irrational, so the
+    # decomposition goes through fixed precision.
+    from orbicalc._linalg import EXACT
+
+    G = corpus_group("c5")
+    a = next(x for x in range(G.order) if G.element_order(x) == 5)
+    C = [[0, 0, 0, -1], [1, 0, 0, -1], [0, 1, 0, -1], [0, 0, 1, -1]]
+    S, S_inv, M = EXACT.identity(4), EXACT.identity(4), EXACT.identity(4)
+    S[0][1], S_inv[0][1] = 10**200, -(10**200)
+    mats, x = [None] * G.order, G.identity
+    for _ in range(G.order):
+        mats[x] = EXACT.mul(EXACT.mul(S, M), S_inv)
+        x, M = G.table[x][a], EXACT.mul(M, C)
+    rep = MatrixRep(G, mats)
+    with pytest.raises(ValidationError, match="^a matrix entry is too large for fixed mode$"):
+        isotypic_decomposition(rep)
