@@ -15,6 +15,7 @@ multiplication with generators (Holt, Eick and O'Brien, Handbook of
 Computational Group Theory, 2005, section 4.1).  It picks Light's
 generators, generating sets and the subgroup lattice.  `extend_hom` walks
 the same Cayley graph carrying images, checking phi(x g) = phi(x) phi(g).
+One kernel, `gather`, composes maps stored as image tuples, in C.
 
 Derived data kept on a group goes through one memo, `cached`, in whichever
 module derives it.  This module keeps the table key, inverses,
@@ -30,7 +31,7 @@ from functools import wraps
 from math import lcm
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import ValidationError, read_json_object
 
@@ -58,6 +59,18 @@ def cached(name: str):
         return memo
 
     return decorate
+
+
+def gather(idx: Sequence[int]) -> Callable[[Sequence[int]], tuple[int, ...]]:
+    """p -> tuple(p[i] for i in idx), for a sequence or dict p: the one
+    composition of maps stored as image tuples.  itemgetter runs it in C;
+    one index or none still gives a tuple."""
+    if len(idx) > 1:
+        return itemgetter(*idx)
+    if idx:
+        (i,) = idx
+        return lambda p: (p[i],)
+    return lambda p: ()
 
 
 class TableKey:
@@ -177,9 +190,9 @@ class FiniteGroup:
             if T[h][g] != e:
                 raise ValidationError(f"element {g} has no two-sided inverse")
         for g in _right_generators(T, e):
-            gather = itemgetter(*T[g])
+            times_g = gather(T[g])
             for x, row in enumerate(T):
-                xg_y, x_gy = T[row[g]], gather(row)
+                xg_y, x_gy = T[row[g]], times_g(row)
                 if xg_y != x_gy:
                     c = next(c for c, (a, b) in enumerate(zip(xg_y, x_gy)) if a != b)
                     raise ValidationError(f"associativity fails at {(x, g, c)}")
@@ -359,7 +372,7 @@ def group_from_generators(
 
     # reads[k] gathers a row at the indices of gens[k] * elements[b].  Every
     # row is gathered from row 0, so each element is one int object.
-    reads = [itemgetter(*[index[_compose(g, p)] for p in elements]) for g in gens]
+    reads = [gather([index[_compose(g, p)] for p in elements]) for g in gens]
     rows = [tuple(range(len(elements)))]
     for a in range(1, len(elements)):
         rows.append(reads[via[a]](rows[parent[a]]))
@@ -427,18 +440,24 @@ def centralizer(G: FiniteGroup, S: Iterable[int]) -> SubgroupClass:
 
 def all_subgroups(G: FiniteGroup) -> list[frozenset[int]]:
     """Every subgroup of G, each <H, g> closed from a subgroup H found with
-    H's generators plus g; refused above DEFAULT_SUBGROUP_CAP elements."""
+    H's generators plus g; refused above DEFAULT_SUBGROUP_CAP elements.
+
+    <H, h g> = <H, g> for h in H, so g is tried once per right coset H g,
+    as its least element."""
     if G.order > DEFAULT_SUBGROUP_CAP:
         raise ValidationError(
             f"group order {G.order} exceeds subgroup cap {DEFAULT_SUBGROUP_CAP}"
         )
+    T = G.table
     found: dict[frozenset[int], list[int]] = {frozenset({G.identity}): []}
     frontier = list(found)
     for H in frontier:
+        tried = set(H)
         for g in range(G.order):
-            if g not in H:
+            if g not in tried:
+                tried.update([T[h][g] for h in H])
                 gens = found[H] + [g]
-                K = frozenset(_closure(G.table, gens, H))
+                K = frozenset(_closure(T, gens, H))
                 if K not in found:
                     found[K] = gens
                     frontier.append(K)
@@ -447,20 +466,22 @@ def all_subgroups(G: FiniteGroup) -> list[frozenset[int]]:
 
 @cached("subgroup_classes")
 def subgroup_classes(G: FiniteGroup) -> list[SubgroupClass]:
-    """Conjugacy classes of subgroups; representative is the least member."""
+    """Conjugacy classes of subgroups; representative is the least member.
+    The conjugation maps are read only once all_subgroups has capped G."""
     subs = all_subgroups(G)
+    cms = G.conj_maps()
     remaining = set(subs)
     classes = []
     for H in subs:
         if H not in remaining:
             continue
-        orbit = {frozenset(G.conj(g, x) for x in H) for g in range(G.order)}
+        conjugates = [frozenset(m) for m in map(gather(tuple(H)), cms)]
+        orbit = set(conjugates)
         remaining -= orbit
         # all_subgroups is sorted, so H is the least member of its orbit.
-        norm = normalizer(G, H)
         sc = SubgroupClass(
             representative=tuple(sorted(H)),
-            normalizer_order=len(norm),
+            normalizer_order=conjugates.count(H),
             conjugates_count=len(orbit),
         )
         if sc.conjugates_count * sc.normalizer_order != G.order:
@@ -635,7 +656,7 @@ def are_isomorphic(G: FiniteGroup, H: FiniteGroup) -> Optional[tuple[int, ...]]:
     ]
     for phi in hom_search(G, H, cand):
         if len(set(phi.values())) == G.order:
-            return tuple(phi[a] for a in range(G.order))
+            return gather(range(G.order))(phi)
     return None
 
 

@@ -6,6 +6,10 @@ representable ones.  The two recovery identities tying all classes to the
 injective classes of the quotients G/N are verified before the injective
 classes are first returned for a pair of groups, and are a hard failure
 if they break.
+
+Every composition of maps stored as image tuples (a hom after an inner
+automorphism, a hom read at the generators, a pull-back along a quotient)
+is one `groups.gather`, run in C.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from .groups import (
     FiniteGroup,
     cached,
     centralizer,
+    gather,
     generating_set,
     hom_search,
     normal_subgroups,
@@ -48,14 +53,7 @@ def enumerate_homs(G: FiniteGroup, H: FiniteGroup) -> list[tuple[int, ...]]:
     candidates = [
         [h for h in range(H.order) if k % H.element_order(h) == 0] for k in gen_orders
     ]
-    return sorted(
-        tuple(phi[a] for a in range(G.order)) for phi in hom_search(G, H, candidates)
-    )
-
-
-def conjugate_hom(H: FiniteGroup, phi: Sequence[int], h: int) -> tuple[int, ...]:
-    cm = H.conj_maps()[h]
-    return tuple(cm[x] for x in phi)
+    return sorted(map(gather(range(G.order)), hom_search(G, H, candidates)))
 
 
 @cached("inner_automorphisms")
@@ -69,13 +67,14 @@ def hom_classes(G: FiniteGroup, H: FiniteGroup) -> list[HomClass]:
     """Inn(H)-orbits of Hom(G, H) on generator images, canonical representative least."""
     gens, inn = generating_set(G), inner_automorphisms(H)
     homs = enumerate_homs(G, H)
-    keys = [tuple(map(phi.__getitem__, gens)) for phi in homs]
+    keys = list(map(gather(gens), homs))
     remaining = set(keys)
     classes = []
     for phi, key in zip(homs, keys):
         if key not in remaining:
             continue
-        orbit = {tuple(map(a.__getitem__, key)) for a in inn}
+        move = gather(key)
+        orbit = set(map(move, inn))
         remaining -= orbit
         # enumerate_homs is sorted, so phi is the least member of its orbit.
         cls = HomClass(
@@ -83,7 +82,7 @@ def hom_classes(G: FiniteGroup, H: FiniteGroup) -> list[HomClass]:
             injective=len(set(phi)) == G.order,
             orbit_size=len(orbit),
             # |Z_H(im rep)| = |Z_H(rep(gens))|, without building the subgroup.
-            centralizer_order=sum(tuple(map(cm.__getitem__, key)) == key for cm in H.conj_maps()),
+            centralizer_order=sum(map(key.__eq__, map(move, H.conj_maps()))),
         )
         if cls.orbit_size * cls.centralizer_order != H.order:
             raise InternalCheckError("orbit-stabilizer fails for a hom class")
@@ -93,7 +92,7 @@ def hom_classes(G: FiniteGroup, H: FiniteGroup) -> list[HomClass]:
 
 def class_of_hom(G: FiniteGroup, H: FiniteGroup, phi: Sequence[int]) -> tuple[int, ...]:
     """Canonical representative of the conjugacy class of phi."""
-    return min(tuple(map(a.__getitem__, phi)) for a in inner_automorphisms(H))
+    return min(map(gather(phi), inner_automorphisms(H)))
 
 
 def pi1(H: FiniteGroup, phi: HomClass | Sequence[int]):
@@ -142,9 +141,9 @@ def _rep_hom_classes(G: FiniteGroup, H: FiniteGroup, report: bool = False):
         q_classes = hom_classes(Q, H)
         q_inj = [c for c in q_classes if c.injective]
         counts[N] = len(q_inj)
+        pull = gather(proj)
         for c in q_classes:
-            pulled = tuple(map(c.representative.__getitem__, proj))
-            from_quotients.add(class_of_hom(G, H, pulled))
+            from_quotients.add(class_of_hom(G, H, pull(c.representative)))
 
     identity_a = set(c.representative for c in injective) == all_reps - from_quotients
     identity_b = sum(counts.values()) == len(classes)

@@ -6,14 +6,16 @@ order <= N; an arrow is a conjugacy class of injective homomorphisms.
 Each pair of groups gets its arrows, their conjugation orbits and one
 class table from every orbit member to its arrow (the orbit tables of
 Holt, Eick and O'Brien, Handbook of Computational Group Theory, 2005,
-section 4.1), so composing classes is one lookup.  This pair data is
-built once per process, cached on the source group and shared by every
-category; building it checks that class_of_hom names each orbit member's
-own arrow.  The first category holding a triple A -> B -> C with arrows
-on both legs checks that composition there is representative-independent
-(the composite of every member of both orbits of every pair of classes
-lies in one class).  So each check runs once per pair or triple, before
-any category containing it is returned.
+section 4.1), so composing classes is one lookup.  Every composite of
+maps stored as image tuples, orbit members included, is one
+`groups.gather`, run in C.  This pair data is built once per process,
+cached on the source group and shared by every category; building it
+checks that class_of_hom names each orbit member's own arrow.  The first
+category holding a triple A -> B -> C with arrows on both legs checks
+that composition there is representative-independent (the composite of
+every member of both orbits of every pair of classes lies in one class).
+So each check runs once per pair or triple, before any category
+containing it is returned.
 A cell of dimension p is a chain of p composable arrows, carrying its
 source group as the isotropy label.  The census stores each cell once, as
 integers (object indices, arrow indices); the nerve's boundaries are
@@ -33,8 +35,8 @@ from typing import NamedTuple, Optional
 
 from .corpus import groups_of_order_at_most
 from .errors import InternalCheckError, ValidationError
-from .groups import FiniteGroup, are_isomorphic, cached
-from .homs import class_of_hom, conjugate_hom, rep_hom_classes
+from .groups import FiniteGroup, are_isomorphic, cached, gather
+from .homs import class_of_hom, rep_hom_classes
 from .snf import ChainComplex, HomologyDegree, homology
 
 MAX_ORDER_CAP = 12
@@ -102,7 +104,7 @@ class QuotientCategory:
         """b after a, for a: X -> Y and b: Y -> Z."""
         if a.dst != b.src:
             raise ValidationError("arrows are not composable")
-        phi = tuple(map(b.rep.__getitem__, a.rep))
+        phi = gather(a.rep)(b.rep)
         return self.homs[(a.src, b.dst)][self.arrow_index(a.src, b.dst, phi)]
 
     def _verify(self) -> None:
@@ -135,7 +137,7 @@ def _arrows(A: FiniteGroup, B: FiniteGroup) -> tuple[list, list, dict]:
     index = {rep: t for t, rep in enumerate(reps)}
     orbits, table = [], {}
     for t, rep in enumerate(reps):
-        orbit = frozenset(conjugate_hom(B, rep, h) for h in range(B.order))
+        orbit = frozenset(map(gather(rep), B.conj_maps()))
         orbits.append(orbit)
         for phi in orbit:
             if index.get(class_of_hom(A, B, phi)) != t:
@@ -158,8 +160,9 @@ def _composition_checked(A: FiniteGroup, B: FiniteGroup, C: FiniteGroup) -> bool
     # conjugates it by fb(b), so this already reaches the full product's set.
     table = _arrows(A, C)[2]
     for fa in _arrows(A, B)[0]:
+        after_fa = gather(fa)
         for orbit_b in _arrows(B, C)[1]:
-            got = {table.get(tuple(map(fb.__getitem__, fa))) for fb in orbit_b}
+            got = set(map(table.get, map(after_fa, orbit_b)))
             if None in got:
                 raise InternalCheckError("a composite lies in no class of the category")
             if len(got) != 1:
@@ -293,7 +296,7 @@ def nerve_chain_complex(
             for i in range(1, p):
                 x, y, z = objs[i - 1 : i + 2]
                 a, b = homs[(x, y)][arrows[i - 1]], homs[(y, z)][arrows[i]]
-                t = cat.arrow_index(x, z, tuple(map(b.rep.__getitem__, a.rep)))
+                t = cat.arrow_index(x, z, gather(a.rep)(b.rep))
                 if not homs[(x, z)][t].is_identity():
                     face = (objs[:i] + objs[i + 1 :], arrows[: i - 1] + (t,) + arrows[i + 1 :])
                     faces.append(((-1) ** i, face))

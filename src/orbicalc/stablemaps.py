@@ -48,6 +48,7 @@ from .groups import (
     FiniteGroup,
     are_isomorphic,
     cached,
+    gather,
     normalizer,
     subgroup_as_group,
     subgroup_classes,
@@ -104,11 +105,13 @@ class _Subgroup(NamedTuple):
 @cached("stablemaps_subgroups")
 def _subgroups(G: FiniteGroup) -> list[_Subgroup]:
     out = []
-    for sc in subgroup_classes(G):
+    subs = subgroup_classes(G)  # capped, so the conjugation maps are small
+    cms = G.conj_maps()
+    for sc in subs:
         K, emb = subgroup_as_group(G, sc.representative)
         pos = {g: i for i, g in enumerate(emb)}
-        autos = sorted({tuple(pos[G.conj(n, g)] for g in emb)
-                        for n in normalizer(G, sc.representative)})
+        at_emb = gather(emb)
+        autos = sorted({gather(at_emb(cms[n]))(pos) for n in normalizer(G, sc.representative)})
         t = real_irreps(K).trivial_bit
         bits0 = {fr.bits: flip_trivial_bit(K, fr.bits) for fr in framings(K) if fr.bits[t] == 0}
         bit_moves = []
@@ -135,8 +138,8 @@ def _generator_classes(sub: _Subgroup, H: FiniteGroup, variant: str) -> list[Fra
     classes = rep_hom_classes(K, H) if variant == "rep" else hom_classes(K, H)
     g_reps = [c.representative for c in classes]  # ascending
     index = {g: i for i, g in enumerate(g_reps)}
-    g_moves = [[index[class_of_hom(K, H, tuple(g[k] for k in a_inv))] for g in g_reps]
-               for a_inv in sub.auto_invs]
+    g_moves = [[index[class_of_hom(K, H, pre(g))] for g in g_reps]
+               for pre in map(gather, sub.auto_invs)]
     out = []
     for i, g in enumerate(g_reps):
         moves = []  # the stabilizer's moves on the framings, identities left out
@@ -249,23 +252,14 @@ def cross_check_abstract_enumeration(
         else:
             g_classes = [c.representative for c in hom_classes(K, H)]
         autos = _automorphisms(K)
-        n = K.order
 
         fixed_sum = 0
         for a in autos:
-            a_inv = _inverse(a)
-            fix_f = sum(
-                1
-                for f in f_classes
-                if class_of_hom(K, G, tuple(f[a_inv[k]] for k in range(n))) == f
-            )
+            pre = gather(_inverse(a))
+            fix_f = sum(1 for f in f_classes if class_of_hom(K, G, pre(f)) == f)
             if fix_f == 0:
                 continue
-            fix_g = sum(
-                1
-                for g in g_classes
-                if class_of_hom(K, H, tuple(g[a_inv[k]] for k in range(n))) == g
-            )
+            fix_g = sum(1 for g in g_classes if class_of_hom(K, H, pre(g)) == g)
             if fix_g == 0:
                 continue
             bit_perm = framing_bit_permutation(K, K, a)

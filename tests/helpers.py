@@ -19,7 +19,10 @@ was before eigenvectors were back-substituted on the Hessenberg form;
 the fixed-precision section keeps the deciding half of the matrix backend
 as it ran on numpy float arrays, before one class on lists of rows served
 both modes; the homomorphisms section keeps the hom classes as
-they were before orbits were taken under Inn(H) on generator images.
+they were before orbits were taken under Inn(H) on generator images, and
+`conjugate_hom`, which conjugates a hom one image at a time, as every
+orbit member was built before an orbit became one gather over the
+conjugation maps.
 """
 
 from __future__ import annotations
@@ -730,7 +733,7 @@ class _ReferenceQuotientCategory:
     def __init__(self, max_order):
         from orbicalc.corpus import groups_of_order_at_most
         from orbicalc.groups import are_isomorphic
-        from orbicalc.homs import class_of_hom, conjugate_hom, rep_hom_classes
+        from orbicalc.homs import class_of_hom, rep_hom_classes
         from orbicalc.rstar import Arrow
 
         candidates = sorted(groups_of_order_at_most(max_order), key=lambda g: (g.order, g.name))
@@ -827,11 +830,17 @@ def is_real(v):
 # -- homomorphisms ----------------------------------------------------------------
 
 
+def conjugate_hom(H, phi, h):
+    """h phi h^-1, one image at a time."""
+    cm = H.conj_maps()[h]
+    return tuple(cm[x] for x in phi)
+
+
 def reference_hom_classes(G, H):
     """Conjugation orbits of Hom(G, H), each full image tuple conjugated by
     every element of H."""
     from orbicalc.errors import InternalCheckError
-    from orbicalc.homs import HomClass, conjugate_hom, enumerate_homs
+    from orbicalc.homs import HomClass, enumerate_homs
 
     homs = enumerate_homs(G, H)
     remaining = set(homs)

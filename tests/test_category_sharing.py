@@ -6,7 +6,8 @@ one build computing everything anew returns."""
 from collections import Counter
 
 from orbicalc import rstar
-from orbicalc.homs import class_of_hom, conjugate_hom
+from orbicalc.groups import gather
+from orbicalc.homs import class_of_hom
 
 from .helpers import reference_quotient_category
 
@@ -29,7 +30,7 @@ def test_every_n_after_n12_equals_the_per_build_reference():
 
 
 def _counting(monkeypatch):
-    """Count rstar's conjugate_hom and class_of_hom calls."""
+    """Count rstar's gather and class_of_hom calls."""
     calls = Counter()
 
     def wrap(name, f):
@@ -38,9 +39,15 @@ def _counting(monkeypatch):
             return f(*args)
         monkeypatch.setattr(rstar, name, counted)
 
-    wrap("conjugate_hom", conjugate_hom)
+    wrap("gather", gather)
     wrap("class_of_hom", class_of_hom)
     return calls
+
+
+def _gathers(cat, pairs, triples):
+    """One gather per class of each pair, its orbit, and one per arrow of
+    the first leg of each triple, composed with each orbit of the second."""
+    return sum(len(cat.homs[p]) for p in pairs) + sum(len(cat.homs[(i, j)]) for i, j, _ in triples)
 
 
 def _checked_triples(cat):
@@ -85,12 +92,10 @@ def _count_table_lookups(cat):
 def test_each_orbit_and_triple_is_checked_once(fresh_groups, monkeypatch):
     calls = _counting(monkeypatch)
     cat8 = rstar.build_quotient_category(8)
-    # Each orbit member is classified once, and conjugated once per element.
+    # Each orbit member is classified once, and each orbit built once.
     members = sum(map(len, cat8._classes.values()))
     assert calls["class_of_hom"] == members
-    assert calls["conjugate_hom"] == sum(
-        len(arrows) * cat8.objects[j].order for (i, j), arrows in cat8.homs.items()
-    )
+    assert calls["gather"] == _gathers(cat8, cat8.homs, _composable(cat8))
     assert _checked_triples(cat8) == _composable(cat8)
     for A in cat8.objects:  # a triple with an empty leg is never recorded
         for B in cat8.objects:
@@ -117,6 +122,7 @@ def test_each_orbit_and_triple_is_checked_once(fresh_groups, monkeypatch):
     assert new and all(max(cat12.objects[o].order for o in t) > 8 for t in new)
     # Only the pairs that involve a new object are built.
     assert calls["class_of_hom"] == sum(map(len, cat12._classes.values())) - members
+    assert calls["gather"] == _gathers(cat12, cat12.homs.keys() - cat8.homs.keys(), new)
 
     calls.clear()
     for n in range(1, 13):

@@ -9,11 +9,13 @@ from orbicalc.groups import (
     are_isomorphic,
     centralizer,
     conjugacy_classes,
+    gather,
     generating_set,
     group_from_generators,
     group_from_json,
     is_homomorphism,
     normal_subgroups,
+    normalizer,
     quotient_group,
     subgroup_as_group,
     subgroup_classes,
@@ -414,3 +416,36 @@ def test_memo_keys_hash_a_group_table_once(monkeypatch):
     # The key still compares tables: an equal table built apart is the same key.
     assert c4().table_key() == B.table_key() != v4().table_key()
     assert hash(c4().table_key()) == hash(B.table_key())
+
+
+@pytest.mark.parametrize("idx", [(), (2,), (0, 2), (3, 1, 3, 0)], ids=len)
+def test_gather_is_a_tuple_of_the_entries_read(idx):
+    p = (10, 11, 12, 13)
+    for source in (p, dict(enumerate(p)), list(p)):
+        got = gather(idx)(source)
+        assert type(got) is tuple
+        assert got == tuple(source[i] for i in idx)
+    assert gather(range(len(idx)))(idx) == tuple(idx)
+
+
+def test_homs_from_the_trivial_group_gather_no_index_and_one():
+    from orbicalc.homs import HomClass, enumerate_homs, hom_classes
+
+    T = trivial_group()
+    assert generating_set(T) == ()
+    for H in (trivial_group(), s3(), c4()):
+        assert enumerate_homs(T, H) == [(H.identity,)]
+        assert hom_classes(T, H) == [HomClass((H.identity,), True, 1, H.order)]
+    # One generator: every generator image is a 1-tuple.
+    assert [c.orbit_size for c in hom_classes(c4(), s3())] == [1, 3]
+
+
+def test_subgroup_classes_count_conjugates_and_normalizers_by_conjugation():
+    from orbicalc.corpus import groups_of_order_at_most
+
+    for G in [s3(), c4(), v4()] + groups_of_order_at_most(24):
+        for sc in subgroup_classes(G):
+            H = frozenset(sc.representative)
+            orbit = {frozenset(G.conj(g, x) for x in H) for g in range(G.order)}
+            assert sc.conjugates_count == len(orbit), G
+            assert sc.normalizer_order == len(normalizer(G, H)), G

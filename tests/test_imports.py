@@ -1,7 +1,8 @@
 """Every module of the package uses each name it imports; none imports
 numpy or `dataclasses` at all, function bodies included; only `_linalg`
 imports `fractions`, and no module imports `_linalg`, when it is imported;
-only `stablemaps` imports `gc`, and only `map_group` uses it.
+only `stablemaps` imports `gc`, and only `map_group` uses it; no module
+composes maps as `tuple(map(p.__getitem__, ...))`, which `groups.gather` does.
 
 An import inside a function must be read in that function (nested
 functions included); an import at module level must be read somewhere in
@@ -221,3 +222,34 @@ def test_the_check_sees_a_stray_collector_pause():
         "    gc.freeze()\n"
     )
     assert gc_mentions(tree) == [(3, "map_group"), (5, "other")]
+
+
+def getitem_compositions(tree):
+    """The line of every `tuple(map(<x>.__getitem__, ...))`."""
+    return [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id == "tuple" and len(node.args) == 1
+        and isinstance(node.args[0], ast.Call)
+        and isinstance(node.args[0].func, ast.Name) and node.args[0].func.id == "map"
+        and node.args[0].args and isinstance(node.args[0].args[0], ast.Attribute)
+        and node.args[0].args[0].attr == "__getitem__"
+    ]
+
+
+# Maps stored as image tuples are composed by one kernel, `groups.gather`.
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_composes_by_mapping_getitem(path):
+    assert not getitem_compositions(ast.parse(path.read_text(encoding="utf-8")))
+
+
+def test_the_check_sees_a_getitem_composition():
+    tree = ast.parse(
+        "a = tuple(map(b.__getitem__, c))\n"
+        "d = tuple(map(e.rep.__getitem__, f.rep))\n"
+        "g = sorted(range(3), key=h.__getitem__)\n"
+        "i = list(map(j.__getitem__, k))\n"
+        "def f():\n"
+        "    return tuple(map(b.__getitem__, c))\n"
+    )
+    assert getitem_compositions(tree) == [1, 2, 6]
