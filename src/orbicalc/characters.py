@@ -19,10 +19,19 @@ from the second orthogonality relation.  The character values are lifted
 to exact cyclotomic integers through the eigenvalues of rho(z): Newton's
 identities turn the power sums chi(z^j), j <= deg chi, into rho(z)'s
 characteristic polynomial mod p, whose roots are found among the o-th
-roots of unity, o the order of z.  Both orthogonality relations are then
-re-verified for every pair with exact integer arithmetic, folding only
-the nonzero multiplicities; nothing in the public output depends on the
-internal prime.
+roots of unity, o the order of z.  Nothing in the public output depends
+on the internal prime.
+
+Both orthogonality relations are then proved exactly for every pair,
+modulo a second prime q = 1 mod e above B M_e: B = |G| (A^2 + 1), A the
+largest sum of |multiplicities| in one entry, M_e the largest |coefficient|
+of a reduced power of zeta.  A relation's value minus its constant c,
+|c| <= |G|, sums at most |G| A^2 powers of zeta, so mod Phi_e it is a D of
+degree < phi(e) with |coefficients| <= B M_e < q.  If D vanishes at the
+phi(e) distinct roots w^k of Phi_e mod q (w of order e, k a unit), D is 0
+mod q, so 0.  When zeta -> zeta^k permutes the rows for every unit k, a
+row sum at w^k is another row sum at w and a column sum is fixed, so w
+alone stands for every root; otherwise every w^k is checked.
 
 Everything runs on lists of Python ints (`_modlinalg`, `cyclotomic`).
 
@@ -38,30 +47,21 @@ read (`CharacterTable.indicators`, which `frobenius_schur` reads).
 from __future__ import annotations
 
 from functools import cached_property
-from math import isqrt
-from operator import mul, sub
+from math import gcd, isqrt
+from operator import mul
 from typing import Sequence
 
 from ._modlinalg import eigenspaces_mod
-from .cyclotomic import CycInt, cyclotomic_polynomial, power_sum, reduce_blocks
+from .cyclotomic import CycInt, _reduced_powers, cyclotomic_polynomial, power_sum, reduce_blocks
 from .errors import InternalCheckError
-from .groups import FiniteGroup, _right_generators, cached, class_index_map, conjugacy_classes
+from .groups import FiniteGroup, _right_generators, cached, class_index_map, conjugacy_classes, gather
 
 
 def _find_prime(e: int, bound: int) -> int:
-    """Smallest prime p = 1 mod e with p > bound."""
-
-    def is_prime(n):
-        if n < 2:
-            return False
-        for q in range(2, isqrt(n) + 1):
-            if n % q == 0:
-                return False
-        return True
-
-    p = bound + 1
-    while (p - 1) % e != 0 or not is_prime(p):
-        p += 1
+    """Smallest prime p = 1 mod e with p > bound, trying only p = 1 mod e."""
+    p = bound + 1 + -bound % e
+    while p < 2 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
+        p += e
     return p
 
 
@@ -77,7 +77,7 @@ def _primitive_root(p: int) -> int:
         q += 1
     if m > 1:
         factors.append(m)
-    for w in range(2, p):
+    for w in range(1, p):
         if all(pow(w, (p - 1) // f, p) != 1 for f in factors):
             return w
     raise InternalCheckError("no primitive root found")
@@ -175,7 +175,7 @@ class CharacterTable:
                 seq.append(class_of[x])
                 x = T[x][z]
             powers.append(seq)
-        zeta = 1 if e == 1 else pow(_primitive_root(p), (p - 1) // e, p)
+        zeta = pow(_primitive_root(p), (p - 1) // e, p)
         roots = [pow(zeta, k, p) for k in range(e)]
         log = {w: k for k, w in enumerate(roots)}
         mults = [
@@ -198,23 +198,49 @@ class CharacterTable:
     # -- verification ------------------------------------------------------
 
     def _verify(self) -> None:
+        """Both orthogonality relations, exactly: sum_i |C_i| chi_s(i)
+        conj(chi_t(i)) = delta_st |G| for every ordered pair, then
+        sum_u chi_u(s) conj(chi_u(t)) = delta_st |G| / |C_s| for s <= t.
+        Each holds exactly if it holds mod q at every root w^k of Phi_e:
+        the remainder mod Phi_e of value minus constant has |coefficients|
+        <= B M_e < q, and vanishing at phi(e) roots makes it 0 mod q.
+        When the twists zeta -> zeta^k permute the rows of `_mults`, w
+        stands for every root; otherwise every w^k is checked."""
         n, r, e = self.group.order, self.num_classes, self.exponent
         if len(self.values) != r:
             raise InternalCheckError("character count differs from class count")
         if sum(d * d for d in self.degrees) != n:
             raise InternalCheckError("sum of squared degrees is not |G|")
-        # Each relation for every pair s <= t, reduced mod Phi_e in one batch:
-        # sum_i |C_i| chi_s(i) conj(chi_t(i)) = delta_st |G| and
-        # sum_u chi_u(s) conj(chi_u(t)) = delta_st |G| / |C_s|.
-        acc = reduce_blocks(e, orthogonality_fold(self._mults, self.class_sizes, e))
-        deg = len(cyclotomic_polynomial(e)) - 1
-        pairs = [(s, t) for s in range(r) for t in range(s, r)]
+        W = self._mults
+        entries = {x for row in W for x in row}
+        A = max(sum(abs(m) for _, m in x) for x in entries)
+        q = _find_prime(e, n * (A * A + 1) * max(max(map(abs, v)) for v in _reduced_powers(e)))
+        w = pow(_primitive_root(q), (q - 1) // e, q)
+        units = [k for k in range(e) if gcd(k, e) == 1]
+        roots, reached, rows = [w], {1 % e}, sorted(map(tuple, W))
+        for k in units:  # a greedy generating set: each k outside the subgroup so far
+            if k in reached:
+                continue
+            twist = {x: tuple(sorted((a * k % e, m) for a, m in x)) for x in entries}
+            if sorted(gather(row)(twist) for row in W) != rows:
+                roots = [pow(w, k, q) for k in units]
+                break
+            cyclic = {pow(k, j, e) for j in range(e)}
+            reached = {h * g % e for h in reached for g in cyclic}
         centralizers = [n // c for c in self.class_sizes]
-        for word, offset, diagonal in (("row", 0, [n] * r), ("column", e, centralizers)):
-            for q, (s, t) in enumerate(pairs):
-                start = 2 * e * q + offset
-                if acc[start : start + deg] != [diagonal[s] if s == t else 0] + [0] * (deg - 1):
-                    raise InternalCheckError(f"{word} orthogonality fails exactly")
+        for word, diagonal in (("row", [n] * r), ("column", centralizers)):
+            for root in roots:
+                value, conj = _values_at(entries, root, e, q)
+                X = [list(map(value.__getitem__, row)) for row in W]
+                Y = [list(map(conj.__getitem__, row)) for row in W]
+                if word == "row":
+                    X = [list(map(mul, self.class_sizes, x)) for x in X]
+                else:
+                    X, Y = list(zip(*X)), list(zip(*Y))
+                for s, x in enumerate(X):
+                    lo = 0 if word == "row" else s
+                    if _dots(x, Y[lo:], q) != [0] * (s - lo) + [diagonal[s]] + [0] * (r - 1 - s):
+                        raise InternalCheckError(f"{word} orthogonality fails exactly")
 
     # -- queries -----------------------------------------------------------
 
@@ -327,44 +353,17 @@ def eigenvalue_multiplicities(
     return tuple(sorted(found.items()))
 
 
-def orthogonality_fold(
-    W: list[list[tuple[tuple[int, int], ...]]], sizes: tuple[int, ...], e: int
-) -> list[int]:
-    """Both orthogonality sums of every pair s <= t, in one flat list with
-    2e slots per pair, pairs in row-major order: slots 0..e-1 hold
-    sum_i |C_i| chi_s(i) conj(chi_t(i)) and slots e..2e-1 hold
-    sum_u chi_u(s) conj(chi_u(t)), as coefficients of 1, zeta, ...,
-    zeta^(e-1).  The pairs t < s would be their complex conjugates.
+def _values_at(entries, root: int, e: int, q: int) -> tuple[dict, dict]:
+    """Each entry's sum m zeta^a, and its conjugate's sum m zeta^-a, at
+    zeta = root of order e mod q: (entry -> value, entry -> conjugate)."""
+    powers = [pow(root, a, q) for a in range(e)]
+    return ({x: sum(m * powers[a] for a, m in x) % q for x in entries},
+            {x: sum(m * powers[-a] for a, m in x) % q for x in entries})
 
-    W[t][i] lists the (k, m) with zeta^k an eigenvalue of rho_t(z_i) of
-    multiplicity m.  A row of W is folded in layers: layer l holds each
-    entry's l-th pair, or (0, 0) past its end, so a linear character is
-    one layer, and two layers fold in one pass over their entries.
-    """
 
-    def layers(row, weights):
-        return [
-            ([x[l][0] if l < len(x) else 0 for x in row],
-             list(map(mul, weights, [x[l][1] if l < len(x) else 0 for x in row])))
-            for l in range(max(map(len, row)))
-        ]
-
-    def fold(xs, ys):
-        slots = [0] * e  # indexed by a - b in (-e, e), which wraps mod e
-        for a, m in xs:
-            for b, n in ys:
-                for k, c in zip(map(sub, a, b), map(mul, m, n)):
-                    slots[k] += c
-        return slots
-
-    ones = [1] * len(W)
-    rows, weighted = [layers(row, ones) for row in W], [layers(row, sizes) for row in W]
-    columns = [layers(col, ones) for col in zip(*W)]
-    acc: list[int] = []
-    for s in range(len(W)):
-        for t in range(s, len(W)):
-            acc += fold(weighted[s], rows[t]) + fold(columns[s], columns[t])
-    return acc
+def _dots(x: Sequence[int], ys: Sequence[Sequence[int]], q: int) -> list[int]:
+    """sum_i x_i y_i mod q for every y in ys: one pair's sum each."""
+    return [sum(map(mul, x, y)) % q for y in ys]
 
 
 @cached("character_table")

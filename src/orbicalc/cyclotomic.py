@@ -7,9 +7,10 @@ floating point anywhere in this module.
 
 A vector is reduced mod Phi_n by the rows of reduced powers zeta^k,
 k = 0..n-1 (exponents fold mod n): `CycInt` for one vector and
-`power_sum` for a sum of powers of zeta.  The character table's batches
-go through `reduce_blocks`, one synthetic division by Phi_n over whole
-exponent columns.  Everything runs on Python integers.
+`power_sum` for a sum of powers of zeta.  `reduce_blocks`, one synthetic
+division by Phi_n over whole exponent columns, now serves only the
+character table's indicators (its orthogonality check runs mod a prime).
+Everything runs on Python integers.
 """
 
 from __future__ import annotations

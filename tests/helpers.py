@@ -16,6 +16,9 @@ elimination that ran on whatever the unit pivots left, before the sparse
 elimination took every pivot; the character-table section keeps the
 whole table as it ran on numpy arrays, with the eigenspace split as it
 was before eigenvectors were back-substituted on the Hessenberg form;
+the exact-fold section keeps the table's self-check as it ran before
+the orthogonality relations were proved mod a prime at roots of unity:
+every pair's sums folded over Z and reduced mod Phi_e in one batch;
 the fixed-precision section keeps the deciding half of the matrix backend
 as it ran on numpy float arrays, before one class on lists of rows served
 both modes; the homomorphisms section keeps the hom classes as
@@ -28,6 +31,7 @@ conjugation maps.
 from __future__ import annotations
 
 from itertools import compress, product
+from operator import mul, sub
 
 import numpy as np
 
@@ -478,6 +482,65 @@ def reference_table(G):
     assert not sums[:, 1:].any() and not (sums[:, 0] % n).any()
     indicators = tuple(int(nu) // n for nu in sums[:, 0])
     return tuple(degrees[t] for t in order), [values[t] for t in order], indicators, mults
+
+
+# -- character tables: the exact fold ------------------------------------------------
+
+
+def orthogonality_fold(W, sizes, e):
+    """Both orthogonality sums of every pair s <= t, in one flat list with
+    2e slots per pair, pairs in row-major order: slots 0..e-1 hold
+    sum_i |C_i| chi_s(i) conj(chi_t(i)) and slots e..2e-1 hold
+    sum_u chi_u(s) conj(chi_u(t)), as coefficients of 1, zeta, ...,
+    zeta^(e-1).  The pairs t < s would be their complex conjugates.
+
+    W[t][i] lists the (k, m) with zeta^k an eigenvalue of rho_t(z_i) of
+    multiplicity m.  A row of W is folded in layers: layer l holds each
+    entry's l-th pair, or (0, 0) past its end, so a linear character is
+    one layer, and two layers fold in one pass over their entries.
+    """
+
+    def layers(row, weights):
+        return [
+            ([x[l][0] if l < len(x) else 0 for x in row],
+             list(map(mul, weights, [x[l][1] if l < len(x) else 0 for x in row])))
+            for l in range(max(map(len, row)))
+        ]
+
+    def fold(xs, ys):
+        slots = [0] * e  # indexed by a - b in (-e, e), which wraps mod e
+        for a, m in xs:
+            for b, n in ys:
+                for k, c in zip(map(sub, a, b), map(mul, m, n)):
+                    slots[k] += c
+        return slots
+
+    ones = [1] * len(W)
+    rows, weighted = [layers(row, ones) for row in W], [layers(row, sizes) for row in W]
+    columns = [layers(col, ones) for col in zip(*W)]
+    acc = []
+    for s in range(len(W)):
+        for t in range(s, len(W)):
+            acc += fold(weighted[s], rows[t]) + fold(columns[s], columns[t])
+    return acc
+
+
+def fold_verdict(ct):
+    """The relation ("row" or "column") the fold and one batch reduction
+    mod Phi_e find broken in ct's multiplicities, rows first, or None."""
+    from orbicalc.cyclotomic import cyclotomic_polynomial, reduce_blocks
+
+    n, r, e = ct.group.order, ct.num_classes, ct.exponent
+    acc = reduce_blocks(e, orthogonality_fold(ct._mults, ct.class_sizes, e))
+    deg = len(cyclotomic_polynomial(e)) - 1
+    pairs = [(s, t) for s in range(r) for t in range(s, r)]
+    centralizers = [n // c for c in ct.class_sizes]
+    for word, offset, diagonal in (("row", 0, [n] * r), ("column", e, centralizers)):
+        for q, (s, t) in enumerate(pairs):
+            start = 2 * e * q + offset
+            if acc[start : start + deg] != [diagonal[s] if s == t else 0] + [0] * (deg - 1):
+                return word
+    return None
 
 
 # -- fixed-precision matrices on numpy arrays -----------------------------------------

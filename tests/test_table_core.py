@@ -16,14 +16,13 @@ from orbicalc.characters import (
     character_table,
     eigenvalue_multiplicities,
     frobenius_schur,
-    orthogonality_fold,
 )
 from orbicalc.corpus import corpus_group, corpus_names
 from orbicalc.cyclotomic import CycInt, cyclotomic_polynomial, reduce_blocks
 from orbicalc.errors import InternalCheckError
 from orbicalc.groups import group_from_generators, trivial_group
 
-from .helpers import np_charpoly_mod, np_orthogonality_fold, reference_table
+from .helpers import np_charpoly_mod, np_orthogonality_fold, orthogonality_fold, reference_table
 from .test_table_bytes import BUILT
 
 PRIMES = (2, 3, 13, 61, 181)
@@ -204,23 +203,28 @@ def test_verify_rejects_every_single_shifted_eigenvalue(name):
 
 @pytest.mark.parametrize("name", ["c2", "s3", "v4"])
 def test_verify_checks_each_relation_on_its_own(monkeypatch, name):
-    """One unit added to either sum of any pair is caught, and named by
-    the relation it broke."""
-    fold = characters.orthogonality_fold
+    """One unit added to the sum of any one pair, in either relation, is
+    caught, and named by the relation it broke: the rows run first, one
+    call per row s over every t, then the columns, one call per class s
+    over every t >= s."""
+    dots = characters._dots
     ct = CharacterTable(corpus_group(name))
-    r, e = ct.num_classes, ct.exponent
-    pairs = r * (r + 1) // 2
-    for offset, word in ((0, "row"), (e, "column")):
-        for q in range(pairs):
+    r = ct.num_classes
+    words = ["row"] * (r * r) + ["column"] * (r * (r + 1) // 2)
+    for target, word in enumerate(words):
+        done = [0]  # the pair sums returned so far
 
-            def corrupted(W, sizes, e, slot=2 * e * q + offset):
-                acc = fold(W, sizes, e)
-                acc[slot] += 1
-                return acc
+        def corrupted(x, ys, q, target=target):
+            out = dots(x, ys, q)
+            if 0 <= target - done[0] < len(out):
+                out[target - done[0]] += 1
+            done[0] += len(out)
+            return out
 
-            monkeypatch.setattr(characters, "orthogonality_fold", corrupted)
-            with pytest.raises(InternalCheckError, match=word + " orthogonality"):
-                ct._verify()
+        monkeypatch.setattr(characters, "_dots", corrupted)
+        with pytest.raises(InternalCheckError, match=word + " orthogonality"):
+            ct._verify()
+    assert done[0] == len(words)  # the last target was the last sum
     monkeypatch.undo()
     ct._verify()
 
