@@ -661,12 +661,13 @@ def are_isomorphic(G: FiniteGroup, H: FiniteGroup) -> Optional[tuple[int, ...]]:
 
 
 def is_homomorphism(G: FiniteGroup, H: FiniteGroup, phi: Sequence[int]) -> bool:
-    t, s = G.table, H.table
-    return all(
-        phi[t[a][b]] == s[phi[a]][phi[b]]
-        for a in range(G.order)
-        for b in range(G.order)
-    )
+    """phi, an image array of length |G| into H, is a homomorphism exactly
+    when `extend_hom` extends its images of generating_set(G) back to phi."""
+    if len(phi) != G.order or not set(phi) <= set(range(H.order)):
+        return False
+    gens = generating_set(G)
+    ext = extend_hom(G, H, gens, [phi[g] for g in gens])
+    return ext is not None and all(ext[a] == b for a, b in enumerate(phi))
 
 
 # -- JSON I/O -------------------------------------------------------------------

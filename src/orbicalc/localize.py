@@ -10,6 +10,13 @@ Hom-sets of the localized category are computed as equivalence classes of
 spans (Z -w-> X in W, Z -f-> Y), glued under precomposition over X; for a
 right multiplicative system the index category of W-arrows into X is
 filtered, making these classes the expected filtered colimit.
+
+A category indexes its arrows once, when it is validated, by source, by
+target and by (source, target); every search below reads that index.  The
+Ore square over a cospan (u: C0 -> D, w: B -> D) needs f: A -> B and w': A
+-> C0 in W with f then w = w' then u.  Both composites are named arrows
+A -> D, and equal arrows share their source, so a square exists exactly
+when {f then w : f into B} meets {w' then u : w' in W into C0}.
 """
 
 from __future__ import annotations
@@ -46,6 +53,8 @@ class FiniteCategory:
         name: Optional[str] = None,
     ):
         self.objects = list(objects)
+        if len(set(self.objects)) != len(self.objects):
+            raise ValidationError("duplicate object names")
         self.arrows = {a.name: a for a in arrows}
         if len(self.arrows) != len(arrows):
             raise ValidationError("duplicate arrow names")
@@ -56,15 +65,13 @@ class FiniteCategory:
     # -- structure ----------------------------------------------------------
 
     def arrows_from(self, x: str) -> list[ArrowData]:
-        return [a for a in self.arrows.values() if a.src == x]
+        return list(self._from.get(x, ()))
 
     def arrows_into(self, x: str) -> list[ArrowData]:
-        return [a for a in self.arrows.values() if a.dst == x]
+        return list(self._into.get(x, ()))
 
     def hom(self, x: str, y: str) -> list[str]:
-        return sorted(
-            a.name for a in self.arrows.values() if a.src == x and a.dst == y
-        )
+        return list(self._hom.get((x, y), ()))
 
     def compose(self, a: str, b: str) -> str:
         """a then b."""
@@ -85,16 +92,27 @@ class FiniteCategory:
         return None
 
     def _validate(self) -> None:
+        # The index: arrows by source and by target in input order, and the
+        # names of each hom-set sorted.
+        self._from = {x: [] for x in self.objects}
+        self._into = {x: [] for x in self.objects}
+        self._hom: dict[tuple[str, str], list[str]] = {}
         for a in self.arrows.values():
-            if a.src not in self.objects or a.dst not in self.objects:
+            if a.src not in self._from or a.dst not in self._into:
                 raise ValidationError(f"arrow {a.name} has unknown endpoints")
+            self._from[a.src].append(a)
+            self._into[a.dst].append(a)
+            self._hom.setdefault((a.src, a.dst), []).append(a.name)
+        for names in self._hom.values():
+            names.sort()
         # Totality and typing of composition.
+        for a, b in self.compose_table:
+            if a not in self.arrows or b not in self.arrows:
+                raise ValidationError(f"composite of unknown arrows {a!r} then {b!r}")
+            if self.arrows[a].dst != self.arrows[b].src:
+                raise ValidationError("composite of non-composable arrows")
         for a in self.arrows.values():
-            for b in self.arrows.values():
-                if a.dst != b.src:
-                    if (a.name, b.name) in self.compose_table:
-                        raise ValidationError("composite of non-composable arrows")
-                    continue
+            for b in self._from[a.dst]:
                 c = self.compose_table.get((a.name, b.name))
                 if c is None:
                     raise ValidationError(f"missing composite {b.name} . {a.name}")
@@ -104,24 +122,18 @@ class FiniteCategory:
         # Identities: for each object, an arrow neutral on both sides.
         self._identities = {}
         for x in self.objects:
-            ident = None
-            for cand in self.hom(x, x):
-                left = all(
-                    self.compose(cand, a.name) == a.name for a in self.arrows_from(x)
-                )
-                right = all(
-                    self.compose(a.name, cand) == a.name for a in self.arrows_into(x)
-                )
-                if left and right:
-                    ident = cand
-                    break
+            ident = next((
+                cand for cand in self.hom(x, x)
+                if all(self.compose(cand, a.name) == a.name for a in self._from[x])
+                and all(self.compose(a.name, cand) == a.name for a in self._into[x])
+            ), None)
             if ident is None:
                 raise ValidationError(f"object {x} has no identity arrow")
             self._identities[x] = ident
         # Associativity.
         for a in self.arrows.values():
-            for b in self.arrows_from(a.dst):
-                for c in self.arrows_from(b.dst):
+            for b in self._from[a.dst]:
+                for c in self._from[b.dst]:
                     lhs = self.compose(self.compose(a.name, b.name), c.name)
                     rhs = self.compose(a.name, self.compose(b.name, c.name))
                     if lhs != rhs:
@@ -161,7 +173,10 @@ def category_from_json(data: dict | str | Path) -> tuple[FiniteCategory, set[str
         if not (_is_string_list(entry) and len(entry) == 3):
             raise ValidationError(f"compose entry {entry!r} is not [first, then, composite]")
     arrows = [ArrowData(a["name"], a["src"], a["dst"]) for a in data["arrows"]]
-    compose = {(a, b): c for a, b, c in entries}
+    compose = {}
+    for a, b, c in entries:
+        if compose.setdefault((a, b), c) != c:
+            raise ValidationError(f"compose entries disagree on {a} then {b}")
     cat = FiniteCategory(data["objects"], arrows, compose, name=data.get("name"))
     return cat, set(data.get("W", []))
 
@@ -183,65 +198,42 @@ def check_right_multiplicative(C: FiniteCategory, W: Iterable[str]) -> RMSVerdic
     unknown = W - set(C.arrows)
     if unknown:
         raise ValidationError(f"W contains unknown arrows: {sorted(unknown)}")
-    failures = []
-
     W_sorted = sorted(W)
-    for x in C.objects:
-        if C.identity(x) not in W:
-            failures.append({"axiom": "identities", "object": x})
-    for a in W_sorted:
-        for b in W_sorted:
-            if C.arrows[a].dst == C.arrows[b].src:
-                if C.compose(a, b) not in W:
-                    failures.append(
-                        {"axiom": "closure", "first": a, "then": b,
-                         "composite": C.compose(a, b)}
-                    )
+    failures = [{"axiom": "identities", "object": x} for x in C.objects if C.identity(x) not in W]
+    failures += [
+        {"axiom": "closure", "first": a, "then": b, "composite": C.compose(a, b)}
+        for a in W_sorted
+        for b in W_sorted
+        if C.arrows[a].dst == C.arrows[b].src and C.compose(a, b) not in W
+    ]
 
-    # Right Ore: for u: C0 -> D and w: B -> D in W, find A, f: A -> B and
-    # w': A -> C0 in W with w . f = u . w'.
+    # W-arrows into each object, sorted by name: the order failures name them in.
+    w_into = {x: sorted(a.name for a in C.arrows_into(x) if a.name in W) for x in C.objects}
+
+    # Right Ore: for u: C0 -> D and w: B -> D in W, find f: A -> B and
+    # w': A -> C0 in W with f then w = w' then u (the module docstring says
+    # why one intersection decides it).
+    completions = {
+        w: {C.compose(f.name, w) for f in C.arrows_into(C.arrows[w].src)}
+        for w in W_sorted
+    }
     for u in C.arrows.values():
-        for w_name in W_sorted:
-            w = C.arrows[w_name]
-            if w.dst != u.dst:
-                continue
-            found = False
-            for a_obj in C.objects:
-                for f in C.hom(a_obj, w.src):
-                    for wp in C.hom(a_obj, u.src):
-                        if wp not in W:
-                            continue
-                        if C.compose(f, w_name) == C.compose(wp, u.name):
-                            found = True
-                            break
-                    if found:
-                        break
-                if found:
-                    break
-            if not found:
-                failures.append(
-                    {"axiom": "ore", "cospan": {"map": u.name, "w": w_name}}
-                )
+        lifted = {C.compose(wp, u.name) for wp in w_into[u.src]}
+        for w in w_into[u.dst]:
+            if lifted.isdisjoint(completions[w]):
+                failures.append({"axiom": "ore", "cospan": {"map": u.name, "w": w}})
 
-    # Right cancellability: w . f = w . g with w in W forces f w' = g w'
-    # for some w' in W.
+    # Right cancellability: f then w = g then w with w in W forces
+    # w' then f = w' then g for some w' in W.
     for w_name in W_sorted:
         w = C.arrows[w_name]
         for x in C.objects:
             homs = C.hom(x, w.src)
             for i, f in enumerate(homs):
                 for g in homs[i + 1 :]:
-                    if C.compose(f, w_name) != C.compose(g, w_name):
-                        continue
-                    found = False
-                    for a_obj in C.objects:
-                        for wp in C.hom(a_obj, x):
-                            if wp in W and C.compose(wp, f) == C.compose(wp, g):
-                                found = True
-                                break
-                        if found:
-                            break
-                    if not found:
+                    if C.compose(f, w_name) == C.compose(g, w_name) and not any(
+                        C.compose(wp, f) == C.compose(wp, g) for wp in w_into[x]
+                    ):
                         failures.append(
                             {"axiom": "cancellability",
                              "parallel": [f, g], "w": w_name}
@@ -284,8 +276,8 @@ def _localize_hom(C: FiniteCategory, W: set[str], x: str, y: str, verdict) -> Lo
         )
     spans = [
         Span(w.name, f)
-        for w in C.arrows.values()
-        if w.dst == x and w.name in W
+        for w in C.arrows_into(x)
+        if w.name in W
         for f in C.hom(w.src, y)
     ]
     parent = {s: s for s in spans}
@@ -299,28 +291,21 @@ def _localize_hom(C: FiniteCategory, W: set[str], x: str, y: str, verdict) -> Lo
     def union(a: Span, b: Span) -> None:
         ra, rb = find(a), find(b)
         if ra != rb:
-            parent[max(ra, rb, key=lambda s: (s.w, s.f))] = min(
-                ra, rb, key=lambda s: (s.w, s.f)
-            )
+            parent[max(ra, rb)] = min(ra, rb)
 
-    # Glue (w', f') with (w' . z, f' . z) for every refining arrow z.
+    # Glue (w', f') with (z then w', z then f') for every refining arrow z.
+    # A Span is the tuple (w, f), so tuples order spans by w, then f.
     for sp in spans:
-        zsrc = C.arrows[sp.w].src
-        for z in C.arrows.values():
-            if z.dst != zsrc:
-                continue
+        for z in C.arrows_into(C.arrows[sp.w].src):
             w2 = C.compose(z.name, sp.w)
-            if w2 not in W:
-                continue
-            union(sp, Span(w2, C.compose(z.name, sp.f)))
+            if w2 in W:
+                union(sp, Span(w2, C.compose(z.name, sp.f)))
 
     groups: dict[Span, list[Span]] = {}
     for s in spans:
         groups.setdefault(find(s), []).append(s)
-    classes = sorted(
-        (sorted(v, key=lambda s: (s.w, s.f)) for v in groups.values()),
-        key=lambda cls: (cls[0].w, cls[0].f),
-    )
+    # Classes are disjoint, so their first spans order them.
+    classes = sorted(map(sorted, groups.values()))
     return LocalizedHom(source=x, target=y, classes=classes)
 
 
@@ -359,31 +344,19 @@ def _functors(C: FiniteCategory, T: FiniteCategory):
     arrows = sorted(C.arrows.values(), key=lambda a: a.name)
     for obj_images in product(T.objects, repeat=len(objs)):
         omap = dict(zip(objs, obj_images))
-        choices = []
-        feasible = True
-        for a in arrows:
-            cand = T.hom(omap[a.src], omap[a.dst])
-            if a.name == C.identity(a.src):
-                cand = [T.identity(omap[a.src])]
-            if not cand:
-                feasible = False
-                break
-            choices.append(cand)
-        if not feasible:
-            continue
+        # An arrow with no candidate image leaves the product empty.
+        choices = [
+            [T.identity(omap[a.src])] if a.name == C.identity(a.src)
+            else T.hom(omap[a.src], omap[a.dst])
+            for a in arrows
+        ]
         for arrow_images in product(*choices):
             amap = {a.name: img for a, img in zip(arrows, arrow_images)}
-            ok = True
-            for a in arrows:
-                for b in arrows:
-                    if a.dst != b.src:
-                        continue
-                    if amap[C.compose(a.name, b.name)] != T.compose(amap[a.name], amap[b.name]):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
+            if all(
+                amap[C.compose(a.name, b.name)] == T.compose(amap[a.name], amap[b.name])
+                for a in arrows
+                for b in C.arrows_from(a.dst)
+            ):
                 yield omap, amap
 
 

@@ -149,7 +149,7 @@ def restriction_multiplicities(
     m_sigma = <chi_rho . phi, chi_sigma>_K / dim End(sigma); every entry
     must come out a nonnegative integer, and the dimensions must add up.
     """
-    if len(phi) != K.order or not is_homomorphism(K, G, phi):
+    if not is_homomorphism(K, G, phi):
         raise ValidationError("phi is not a homomorphism K -> G")
     RG, RK = real_irreps(G), real_irreps(K)
     rho = RG.entries[rho_index]

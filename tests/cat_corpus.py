@@ -45,6 +45,38 @@ def cyclic_monoid(n: int) -> FiniteCategory:
     )
 
 
+def right_zero_monoid(n: int) -> FiniteCategory:
+    """An identity and n - 1 right zeros z: a then z = z for every a."""
+    elems = ["id"] + [f"z{i}" for i in range(1, n)]
+    return monoid_category(f"rz{n}", elems, lambda a, b: a if b == "id" else b)
+
+
+def transformations(degree: int, gens) -> set[tuple[int, ...]]:
+    """The maps of range(degree) to itself that gens (tuples of images)
+    generate, the identity included."""
+    out, frontier = {tuple(range(degree))}, [tuple(range(degree))]
+    for a in frontier:
+        for g in gens:
+            b = tuple(g[i] for i in a)
+            if b not in out:
+                out.add(b)
+                frontier.append(b)
+    return out
+
+
+def transformation_monoid(maps) -> FiniteCategory:
+    """A composition-closed set of maps as a monoid: "a then b" is i -> b[a[i]]."""
+
+    def nm(a):
+        return "t" + "".join(map(str, a))
+
+    by_name = {nm(a): a for a in maps}
+    return monoid_category(
+        f"T{len(by_name)}", sorted(by_name),
+        lambda a, b: nm(tuple(by_name[b][i] for i in by_name[a])),
+    )
+
+
 def parallel_pair() -> FiniteCategory:
     return FiniteCategory(
         ["x", "y"],

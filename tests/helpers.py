@@ -25,7 +25,11 @@ both modes; the homomorphisms section keeps the hom classes as
 they were before orbits were taken under Inn(H) on generator images, and
 `conjugate_hom`, which conjugates a hom one image at a time, as every
 orbit member was built before an orbit became one gather over the
-conjugation maps.
+conjugation maps, and the homomorphism test on all |G|^2 products of
+pairs, before `extend_hom` checked a map from its generator images; the
+localization section keeps the right
+multiplicative system checker as it searched before a category indexed
+its arrows, every Ore square by a scan over pairs of arrows.
 """
 
 from __future__ import annotations
@@ -899,6 +903,16 @@ def conjugate_hom(H, phi, h):
     return tuple(cm[x] for x in phi)
 
 
+def reference_is_homomorphism(G, H, phi):
+    """phi(ab) = phi(a) phi(b) on all |G|^2 pairs, for an image array of length |G|."""
+    t, s = G.table, H.table
+    return len(phi) == G.order and all(
+        phi[t[a][b]] == s[phi[a]][phi[b]]
+        for a in range(G.order)
+        for b in range(G.order)
+    )
+
+
 def reference_hom_classes(G, H):
     """Conjugation orbits of Hom(G, H), each full image tuple conjugated by
     every element of H."""
@@ -950,6 +964,74 @@ def localization_map(C, W, x, y):
             if sp.w == id_x:
                 idx[sp.f] = i
     return idx
+
+
+def reference_rms_failures(C, W):
+    """The failures of `check_right_multiplicative`, as its loops found them
+    before arrows were indexed: each Ore cospan searches every pair (f, w')
+    over every object, and each cancellability witness every object's
+    arrows into x."""
+    W = set(W)
+    failures = []
+
+    W_sorted = sorted(W)
+    for x in C.objects:
+        if C.identity(x) not in W:
+            failures.append({"axiom": "identities", "object": x})
+    for a in W_sorted:
+        for b in W_sorted:
+            if C.arrows[a].dst == C.arrows[b].src:
+                if C.compose(a, b) not in W:
+                    failures.append(
+                        {"axiom": "closure", "first": a, "then": b,
+                         "composite": C.compose(a, b)}
+                    )
+
+    for u in C.arrows.values():
+        for w_name in W_sorted:
+            w = C.arrows[w_name]
+            if w.dst != u.dst:
+                continue
+            found = False
+            for a_obj in C.objects:
+                for f in C.hom(a_obj, w.src):
+                    for wp in C.hom(a_obj, u.src):
+                        if wp not in W:
+                            continue
+                        if C.compose(f, w_name) == C.compose(wp, u.name):
+                            found = True
+                            break
+                    if found:
+                        break
+                if found:
+                    break
+            if not found:
+                failures.append(
+                    {"axiom": "ore", "cospan": {"map": u.name, "w": w_name}}
+                )
+
+    for w_name in W_sorted:
+        w = C.arrows[w_name]
+        for x in C.objects:
+            homs = C.hom(x, w.src)
+            for i, f in enumerate(homs):
+                for g in homs[i + 1 :]:
+                    if C.compose(f, w_name) != C.compose(g, w_name):
+                        continue
+                    found = False
+                    for a_obj in C.objects:
+                        for wp in C.hom(a_obj, x):
+                            if wp in W and C.compose(wp, f) == C.compose(wp, g):
+                                found = True
+                                break
+                        if found:
+                            break
+                    if not found:
+                        failures.append(
+                            {"axiom": "cancellability",
+                             "parallel": [f, g], "w": w_name}
+                        )
+    return failures
 
 
 def verify_filtered(C, W, x):

@@ -130,6 +130,13 @@ def test_transport_identity():
         assert transport_framing(fr, G, tuple(range(G.order))) == fr
 
 
+def test_transport_along_a_map_of_the_wrong_length_is_refused():
+    from orbicalc.errors import ValidationError
+
+    with pytest.raises(ValidationError, match="not an isomorphism"):
+        transport_framing(framings(corpus_group("c3"))[0], corpus_group("c2"), (0, 1))
+
+
 def test_transport_c3_inversion():
     G = corpus_group("c3")
     inv = tuple(G.inv(g) for g in range(G.order))

@@ -254,6 +254,24 @@ def test_malformed_category_exits_1(tmp_path):
     f.write_text(json.dumps(data))
     _structured_error(run_cli("localize", str(f), "--from", "a", "--to", "b",
                               expect=1))
+    # An object named twice, a composite of an unknown arrow, and two
+    # entries that give one pair different composites (the last of which
+    # would make the idempotent e invertible).
+    idempotent = {
+        "objects": ["a"],
+        "arrows": [{"name": n, "src": "a", "dst": "a"} for n in ("ia", "e")],
+        "compose": [["ia", "ia", "ia"], ["ia", "e", "e"], ["e", "ia", "e"],
+                    ["e", "e", "e"], ["e", "e", "ia"]],
+    }
+    duplicate, unknown = _two_object_category(), _two_object_category()
+    duplicate["objects"].append("a")
+    unknown["compose"].append(["zz", "ia", "ia"])
+    for data, word in ((duplicate, "duplicate object"), (unknown, "unknown arrows"),
+                       (idempotent, "disagree")):
+        f.write_text(json.dumps(data))
+        err = _structured_error(run_cli("localize", str(f), "--from", "a",
+                                        "--to", "b", expect=1))
+        assert word in err["message"]
     f.write_text("{not json")
     _structured_error(run_cli("localize", str(f), "--from", "a", "--to", "b",
                               expect=1))

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from orbicalc import homs
@@ -19,7 +21,12 @@ from orbicalc.homs import (
     pi1,
     rep_hom_classes,
 )
-from .helpers import brute_force_homs, compose_hom_classes, reference_hom_classes
+from .helpers import (
+    brute_force_homs,
+    compose_hom_classes,
+    reference_hom_classes,
+    reference_is_homomorphism,
+)
 
 
 def test_hom_from_trivial_group():
@@ -27,6 +34,40 @@ def test_hom_from_trivial_group():
     for name in ("c2", "s3", "q8"):
         H = corpus_group(name)
         assert enumerate_homs(T, H) == [(H.identity,)]
+
+
+def test_is_homomorphism_agrees_with_the_product_oracle():
+    groups = groups_of_order_at_most(8)
+    rng = random.Random(8)
+    verdicts = {True: 0, False: 0}
+    for G in groups:
+        for H in groups:
+            homs_GH = enumerate_homs(G, H)
+            maps = list(homs_GH)
+            maps += [tuple(rng.randrange(H.order) for _ in range(G.order)) for _ in range(6)]
+            # phi(e) != e: a hom with the identity's image moved, and a constant map.
+            for h in range(H.order):
+                if h != H.identity:
+                    phi = list(rng.choice(homs_GH))
+                    phi[G.identity] = h
+                    maps += [tuple(phi), (h,) * G.order]
+            # The wrong length: one image too many or too few.
+            maps += [phi + (H.identity,) for phi in homs_GH[:3]]
+            maps += [phi[:-1] for phi in homs_GH[:3]]
+            for phi in maps:
+                verdict = is_homomorphism(G, H, phi)
+                assert verdict == reference_is_homomorphism(G, H, phi), (G.name, H.name, phi)
+                verdicts[verdict] += 1
+            assert all(is_homomorphism(G, H, phi) for phi in homs_GH)
+    assert min(verdicts.values()) > 1000
+
+
+def test_is_homomorphism_refuses_a_map_of_the_wrong_length_or_range():
+    c2 = corpus_group("c2")
+    assert is_homomorphism(c2, c2, (0, 1))
+    assert not is_homomorphism(c2, c2, (0, 1, 5))
+    assert not is_homomorphism(c2, c2, (0,))
+    assert not is_homomorphism(c2, c2, (0, 5))
 
 
 def test_hom_c2_s3_count():

@@ -2,7 +2,9 @@
 numpy or `dataclasses` at all, function bodies included; only `_linalg`
 imports `fractions`, and no module imports `_linalg`, when it is imported;
 only `stablemaps` imports `gc`, and only `map_group` uses it; no module
-composes maps as `tuple(map(p.__getitem__, ...))`, which `groups.gather` does.
+composes maps as `tuple(map(p.__getitem__, ...))`, which `groups.gather` does;
+and outside `FiniteCategory._validate`, which indexes a category's arrows,
+`localize` selects no arrows by their endpoints in `.arrows.values()`.
 
 An import inside a function must be read in that function (nested
 functions included); an import at module level must be read somewhere in
@@ -253,3 +255,59 @@ def test_the_check_sees_a_getitem_composition():
         "    return tuple(map(b.__getitem__, c))\n"
     )
     assert getitem_compositions(tree) == [1, 2, 6]
+
+
+def endpoint_scans(tree):
+    """(line, function) for every test of `.src` or `.dst` that filters an
+    iteration over `<x>.arrows.values()`: a comprehension's condition, or
+    an `if` in the body of a `for` loop."""
+    def over_arrows(node):
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "values" and isinstance(node.func.value, ast.Attribute)
+                and node.func.value.attr == "arrows")
+
+    def reads_endpoint(nodes):
+        return any(isinstance(n, ast.Attribute) and n.attr in ("src", "dst")
+                   for node in nodes for n in ast.walk(node))
+
+    out = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else scope
+            if isinstance(child, ast.comprehension) and over_arrows(child.iter):
+                if reads_endpoint(child.ifs):
+                    out.append((child.iter.lineno, scope))
+            elif isinstance(child, ast.For) and over_arrows(child.iter):
+                tests = [n.test for s in child.body for n in ast.walk(s) if isinstance(n, ast.If)]
+                if reads_endpoint(tests):
+                    out.append((child.lineno, scope))
+            visit(child, inner)
+
+    visit(tree, None)
+    return out
+
+
+# A category indexes its arrows by source, by target and by both once, when
+# it is validated; every other search in `localize` reads that index.
+def test_only_validation_selects_arrows_by_endpoint():
+    tree = ast.parse((PACKAGE / "localize.py").read_text(encoding="utf-8"))
+    assert {scope for _, scope in endpoint_scans(tree)} <= {"_validate"}
+
+
+def test_the_check_sees_an_endpoint_scan():
+    tree = ast.parse(
+        "def a(C, x):\n"
+        "    return [f for f in C.arrows.values() if f.dst == x]\n"
+        "def b(C, x):\n"
+        "    for f in C.arrows.values():\n"
+        "        if f.src != x:\n"
+        "            continue\n"
+        "def c(self):\n"
+        "    return sorted(g.name for g in self.arrows.values() if g.src == g.dst)\n"
+        "def d(C, x):\n"
+        "    return [f for f in C.arrows_into(x) if f.src == x]\n"
+        "def e(C):\n"
+        "    return [f.src for f in C.arrows.values()]\n"
+    )
+    assert endpoint_scans(tree) == [(2, "a"), (4, "b"), (8, "c")]

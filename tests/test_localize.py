@@ -1,4 +1,8 @@
+import random
+
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from orbicalc.errors import ValidationError
 from orbicalc.localize import (
@@ -12,13 +16,16 @@ from orbicalc.localize import (
 from .cat_corpus import (
     chain_category,
     ore_counterexample,
+    right_zero_monoid,
     single_inversion,
     synthetic_corpus,
+    transformation_monoid,
+    transformations,
     walking_iso,
     cyclic_monoid,
     idempotent_monoid,
 )
-from .helpers import localization_map, verify_filtered
+from .helpers import localization_map, reference_rms_failures, verify_filtered
 
 
 def identities_of(C):
@@ -173,3 +180,79 @@ def test_inverse_is_two_sided_or_none():
     assert [Z.inverse(a) for a in ("g0", "g1", "g2")] == ["g0", "g2", "g1"]
     E = idempotent_monoid()
     assert E.inverse("id") == "id" and E.inverse("e") is None
+
+
+def test_duplicate_object_names_are_refused():
+    with pytest.raises(ValidationError, match="duplicate object names"):
+        FiniteCategory(["a", "a"], [ArrowData("ia", "a", "a")], {("ia", "ia"): "ia"})
+
+
+def test_a_composite_of_unknown_arrows_is_refused():
+    compose = {("ia", "ia"): "ia", ("zz", "ia"): "ia"}
+    with pytest.raises(ValidationError, match="unknown arrows 'zz' then 'ia'"):
+        FiniteCategory(["a"], [ArrowData("ia", "a", "a")], compose)
+
+
+def test_disagreeing_compose_entries_are_refused():
+    E = idempotent_monoid()
+    data = {
+        "objects": ["*"],
+        "arrows": [{"name": a, "src": "*", "dst": "*"} for a in ("id", "e")],
+        "compose": [[a, b, c] for (a, b), c in E.compose_table.items()],
+    }
+    category_from_json(dict(data, compose=data["compose"] + [["e", "e", "e"]]))
+    with pytest.raises(ValidationError, match="disagree on e then e"):
+        category_from_json(dict(data, compose=data["compose"] + [["e", "e", "id"]]))
+
+
+def test_the_index_answers_as_a_scan_over_the_arrows():
+    for C in synthetic_corpus() + [ore_counterexample()[0], right_zero_monoid(5)]:
+        arrows = list(C.arrows.values())
+        for x in C.objects + ["nowhere"]:
+            scan = [
+                [a for a in arrows if a.src == x],
+                [a for a in arrows if a.dst == x],
+            ] + [sorted(a.name for a in arrows if (a.src, a.dst) == (x, y)) for y in C.objects]
+            # Twice: each call returns a new list, so clearing one changes nothing.
+            for _ in range(2):
+                got = [C.arrows_from(x), C.arrows_into(x)] + [C.hom(x, y) for y in C.objects]
+                assert got == scan, (C.name, x)
+                for lst in got:
+                    lst.clear()
+
+
+def _assert_failures_as_the_oracle(C, W):
+    assert check_right_multiplicative(C, W).failures == reference_rms_failures(C, W), (
+        C.name, sorted(W))
+
+
+def test_the_checker_agrees_with_the_loop_oracle_on_the_corpus():
+    for i, C in enumerate(synthetic_corpus()):
+        names = sorted(C.arrows)
+        _assert_failures_as_the_oracle(C, identities_of(C))
+        _assert_failures_as_the_oracle(C, set(names))
+        rng = random.Random(i)
+        for _ in range(6):
+            _assert_failures_as_the_oracle(C, set(rng.sample(names, rng.randint(0, len(names)))))
+    _assert_failures_as_the_oracle(*ore_counterexample())
+
+
+@pytest.mark.parametrize("n", [10, 13, 16, 20])
+def test_the_checker_agrees_with_the_loop_oracle_on_monoids(n):
+    rng = random.Random(n)
+    for C in (cyclic_monoid(n), right_zero_monoid(n)):
+        names = sorted(C.arrows)
+        for W in (set(names), identities_of(C), set(rng.sample(names, n // 2))):
+            _assert_failures_as_the_oracle(C, W)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_the_checker_agrees_with_the_loop_oracle_on_transformation_monoids(data):
+    degree = data.draw(st.integers(1, 4))
+    point_map = st.tuples(*[st.integers(0, degree - 1)] * degree)
+    maps = transformations(degree, data.draw(st.lists(point_map, min_size=1, max_size=3)))
+    assume(len(maps) <= 40)  # the oracle's cancellability search grows as n^4
+    C = transformation_monoid(maps)
+    W = data.draw(st.sets(st.sampled_from(sorted(C.arrows))))
+    _assert_failures_as_the_oracle(C, W)
