@@ -33,12 +33,17 @@ mod q, so 0.  When zeta -> zeta^k permutes the rows for every unit k, a
 row sum at w^k is another row sum at w and a column sum is fixed, so w
 alone stands for every root; otherwise every w^k is checked.
 
-Everything runs on lists of Python ints (`_modlinalg`, `cyclotomic`).
+The table follows the Galois action: the eigenvalues are solved for at
+one class per rational class and twisted along the power maps to the
+others, and each distinct entry gets one exact value.  The certificate's
+dot products run on packed residues, one column of the array in one int,
+so one row of sums is a multiply-add per column.  Everything runs on
+Python ints (`_modlinalg`, `cyclotomic`).
 
 The table owns the arithmetic on its characters: `inner_with` is the one
-inner product of class functions, indicators fold the multiplicities at
-the square classes in one batch reduction mod Phi_e, and a conjugate
-character is found as a row read at the inverse classes.
+inner product of class functions, the indicators are proved integers mod
+the certificate's prime, and a conjugate character is found as a row read
+at the inverse classes.
 
 What is cached: through `groups.cached`, one table per group
 ("character_table"); on the table, its indicators, computed on first
@@ -52,7 +57,7 @@ from operator import mul
 from typing import Sequence
 
 from ._modlinalg import eigenspaces_mod
-from .cyclotomic import CycInt, _reduced_powers, cyclotomic_polynomial, power_sum, reduce_blocks
+from .cyclotomic import CycInt, _reduced_powers, power_sum
 from .errors import InternalCheckError
 from .groups import FiniteGroup, _right_generators, cached, class_index_map, conjugacy_classes, gather
 
@@ -167,35 +172,70 @@ class CharacterTable:
             chi_mod.append([d * x * y % p for x, y in zip(omega, sizes_inv)])
 
         # The eigenvalues of rho_t(z_i), from the values of chi_t at the
-        # powers of z_i: seq[j] is the class of z_i^j, j < the order of z_i.
-        powers = []
-        for z in reps:
-            seq, x = [self.identity_class], z
-            while x != G.identity:
-                seq.append(class_of[x])
-                x = T[x][z]
-            powers.append(seq)
+        # powers of z_i: powers[i][j] is the class of z_i^j, j < the order
+        # of z_i, for the least class i of each rational class.  A class j
+        # of it holds z_i^k, k prime to that order, so rho_t(z_j) has the
+        # eigenvalues of rho_t(z_i) to the k: rational[j] = (i, k), and the
+        # entry of i is twisted by zeta^a -> zeta^(a k).
+        powers, rational = {}, [None] * r
+        for i, z in enumerate(reps):
+            if rational[i] is None:
+                seq, x = [self.identity_class], z
+                while x != G.identity:
+                    seq.append(class_of[x])
+                    x = T[x][z]
+                powers[i] = seq
+                for k, j in enumerate(seq):
+                    if rational[j] is None and gcd(k, len(seq)) == 1:
+                        rational[j] = (i, k)
         zeta = pow(_primitive_root(p), (p - 1) // e, p)
         roots = [pow(zeta, k, p) for k in range(e)]
         log = {w: k for k, w in enumerate(roots)}
-        mults = [
-            [eigenvalue_multiplicities([cm[seq[j % len(seq)]] for j in range(1, d + 1)],
-                                       e // len(seq), roots, log, p) for seq in powers]
-            for d, cm in zip(degrees, chi_mod)
-        ]
+        mults = []
+        for d, cm in zip(degrees, chi_mod):
+            row: list = []
+            for j, (i, k) in enumerate(rational):
+                if i == j:
+                    seq = powers[j]
+                    row.append(eigenvalue_multiplicities(
+                        [cm[seq[m % len(seq)]] for m in range(1, d + 1)], e // len(seq), roots, log, p))
+                else:
+                    row.append(tuple(sorted((a * k % e, m) for a, m in row[i])))
+            mults.append(row)
 
-        # Exact values and deterministic ordering.
-        values = [[power_sum(e, terms) for terms in row] for row in mults]
-        order = sorted(
-            range(len(values)),
-            key=lambda t: (degrees[t], [v.sort_key() for v in values[t]]),
-        )
+        # Exact values, one per distinct entry, and deterministic ordering.
+        value_of = {x: power_sum(e, x) for x in {x for row in mults for x in row}}
+        values = [list(map(value_of.__getitem__, row)) for row in mults]
+        order = sorted(range(len(values)), key=lambda t: (degrees[t], [v.sort_key() for v in values[t]]))
         self.degrees = tuple(degrees[t] for t in order)
         self.values = [values[t] for t in order]
         self._mults = [mults[t] for t in order]
         self._inv_class = inv_class
 
     # -- verification ------------------------------------------------------
+
+    def _certificate(self) -> tuple[set, int, list[int], list[int]]:
+        """The distinct entries of `_mults`; the prime q = 1 mod e above
+        B M_e, B = |G| (A^2 + 1); the roots of Phi_e mod q to check at: w of
+        order e alone when the twists zeta -> zeta^k of a generating set of
+        units k permute the rows, else every w^k; and that generating set."""
+        n, e, W = self.group.order, self.exponent, self._mults
+        entries = {x for row in W for x in row}
+        A = max(sum(abs(m) for _, m in x) for x in entries)
+        q = _find_prime(e, n * (A * A + 1) * max(max(map(abs, v)) for v in _reduced_powers(e)))
+        w = pow(_primitive_root(q), (q - 1) // e, q)
+        units = [k for k in range(e) if gcd(k, e) == 1]
+        gens, reached, rows = [], {1 % e}, sorted(map(tuple, W))
+        for k in units:  # a greedy generating set: each k outside the subgroup so far
+            if k in reached:
+                continue
+            twist = {x: tuple(sorted((a * k % e, m) for a, m in x)) for x in entries}
+            if sorted(gather(row)(twist) for row in W) != rows:
+                return entries, q, [pow(w, k, q) for k in units], []
+            gens.append(k)
+            cyclic = {pow(k, j, e) for j in range(e)}
+            reached = {h * g % e for h in reached for g in cyclic}
+        return entries, q, [w], gens
 
     def _verify(self) -> None:
         """Both orthogonality relations, exactly: sum_i |C_i| chi_s(i)
@@ -205,47 +245,33 @@ class CharacterTable:
         the remainder mod Phi_e of value minus constant has |coefficients|
         <= B M_e < q, and vanishing at phi(e) roots makes it 0 mod q.
         When the twists zeta -> zeta^k permute the rows of `_mults`, w
-        stands for every root; otherwise every w^k is checked."""
-        n, r, e = self.group.order, self.num_classes, self.exponent
+        stands for every root; otherwise every w^k is checked.  The sums
+        of one s are read off one packed product (`_packed_dots`)."""
+        n, r = self.group.order, self.num_classes
         if len(self.values) != r:
             raise InternalCheckError("character count differs from class count")
         if sum(d * d for d in self.degrees) != n:
             raise InternalCheckError("sum of squared degrees is not |G|")
         W = self._mults
-        entries = {x for row in W for x in row}
-        A = max(sum(abs(m) for _, m in x) for x in entries)
-        q = _find_prime(e, n * (A * A + 1) * max(max(map(abs, v)) for v in _reduced_powers(e)))
-        w = pow(_primitive_root(q), (q - 1) // e, q)
-        units = [k for k in range(e) if gcd(k, e) == 1]
-        roots, reached, rows = [w], {1 % e}, sorted(map(tuple, W))
-        for k in units:  # a greedy generating set: each k outside the subgroup so far
-            if k in reached:
-                continue
-            twist = {x: tuple(sorted((a * k % e, m) for a, m in x)) for x in entries}
-            if sorted(gather(row)(twist) for row in W) != rows:
-                roots = [pow(w, k, q) for k in units]
-                break
-            cyclic = {pow(k, j, e) for j in range(e)}
-            reached = {h * g % e for h in reached for g in cyclic}
+        entries, q, roots, _ = self._certificate()
         centralizers = [n // c for c in self.class_sizes]
         for word, diagonal in (("row", [n] * r), ("column", centralizers)):
             for root in roots:
-                value, conj = _values_at(entries, root, e, q)
+                value, conj = _values_at(entries, root, self.exponent, q)
                 X = [list(map(value.__getitem__, row)) for row in W]
                 Y = [list(map(conj.__getitem__, row)) for row in W]
                 if word == "row":
-                    X = [list(map(mul, self.class_sizes, x)) for x in X]
+                    X = [[c * x % q for c, x in zip(self.class_sizes, row)] for row in X]
                 else:
                     X, Y = list(zip(*X)), list(zip(*Y))
+                packed, width = _pack(Y, q)
                 for s, x in enumerate(X):
                     lo = 0 if word == "row" else s
-                    if _dots(x, Y[lo:], q) != [0] * (s - lo) + [diagonal[s]] + [0] * (r - 1 - s):
+                    expected = [0] * (s - lo) + [diagonal[s]] + [0] * (r - 1 - s)
+                    if _packed_dots(x, packed, width, lo, q) != expected:
                         raise InternalCheckError(f"{word} orthogonality fails exactly")
 
     # -- queries -----------------------------------------------------------
-
-    def value(self, t: int, i: int) -> CycInt:
-        return self.values[t][i]
 
     def inner(self, s: int, t: int) -> int:
         """Exact inner product of rows s and t."""
@@ -262,23 +288,32 @@ class CharacterTable:
 
     @cached_property
     def indicators(self) -> tuple[int, ...]:
-        """Every character's Frobenius-Schur indicator, computed on first
-        read: the eigenvalue multiplicities at the square classes, weighted
-        by class size, are summed and reduced mod Phi_e in one batch."""
-        G, r, e = self.group, self.num_classes, self.exponent
+        """Every character's Frobenius-Schur indicator S_t / |G|, computed
+        on first read, S_t = sum_i |C_i| chi_t(z_i^2), and proved to be an
+        integer mod the certificate's prime q.
+
+        S_t sums at most |G| A powers of zeta, so its coefficients mod Phi_e
+        are at most |G| A M_e < q / 2, and an integer S_t has |S_t| <= |G| A
+        < q / 2: it is c_t, the residue of S_t(w) mod q nearest 0.  Then
+        S_t - c_t has |coefficients| < q, so it is 0 iff it vanishes at
+        every root w^k of Phi_e mod q.  Where the twist by each generator g
+        maps every row t to a row pi(t), S_t(w^(gk)) = S_pi(t)(w^k), so
+        S_t(w^g) = c_t for every t and g gives S_t(w^k) = c_t for every k:
+        the roots checked are w and each w^g, or every w^k otherwise."""
+        G, n, e, W = self.group, self.group.order, self.exponent, self._mults
         class_of = class_index_map(G)
-        squares = [class_of[G.table[c[0]][c[0]]] for c in self.classes]
-        flat = [0] * (r * e)
-        for t, row in enumerate(self._mults):
-            for size, i in zip(self.class_sizes, squares):
-                for a, m in row[i]:
-                    flat[t * e + a] += size * m
-        reduce_blocks(e, flat)
-        deg = len(cyclotomic_polynomial(e)) - 1
-        sums = [flat[t * e : t * e + deg] for t in range(r)]
-        if any(any(s[1:]) or s[0] % G.order for s in sums):
+        squares = gather([class_of[G.table[c[0]][c[0]]] for c in self.classes])
+        _, q, roots, gens = self._certificate()
+        at_squares = {x for row in W for x in squares(row)}
+        sums = []
+        for root in roots + [pow(roots[0], g, q) for g in gens]:
+            value = _values_at(at_squares, root, e, q)[0]
+            sums.append([sum(map(mul, self.class_sizes, map(value.__getitem__, squares(row)))) % q
+                         for row in W])
+        c = [v - q if 2 * v > q else v for v in sums[0]]
+        if any(S != sums[0] for S in sums) or any(x % n for x in c):
             raise InternalCheckError("Frobenius-Schur indicator is not an integer")
-        indicators = tuple(s[0] // G.order for s in sums)
+        indicators = tuple(x // n for x in c)
         for nu in indicators:
             if nu not in (-1, 0, 1):
                 raise InternalCheckError(f"Frobenius-Schur indicator out of range: {nu}")
@@ -361,9 +396,20 @@ def _values_at(entries, root: int, e: int, q: int) -> tuple[dict, dict]:
             {x: sum(m * powers[-a] for a, m in x) % q for x in entries})
 
 
-def _dots(x: Sequence[int], ys: Sequence[Sequence[int]], q: int) -> list[int]:
-    """sum_i x_i y_i mod q for every y in ys: one pair's sum each."""
-    return [sum(map(mul, x, y)) % q for y in ys]
+def _pack(ys: Sequence[Sequence[int]], q: int) -> tuple[list[int], int]:
+    """Column i of the square array ys of residues mod q as one int, ys[t][i]
+    in slot t, and the slot width in bytes, which holds a sum of len(ys)
+    products of two residues: no slot carries into the next."""
+    width = ((len(ys) * (q - 1) ** 2).bit_length() + 7) // 8
+    return [int.from_bytes(b"".join(y.to_bytes(width, "little") for y in col), "little")
+            for col in zip(*ys)], width
+
+
+def _packed_dots(x: Sequence[int], packed: Sequence[int], width: int, lo: int, q: int) -> list[int]:
+    """sum_i x_i ys[t][i] mod q for every slot t >= lo of the columns of ys
+    packed by `_pack`: one multiply-add per column, one read per slot."""
+    raw = sum(map(mul, x, packed)).to_bytes(len(x) * width, "little")[lo * width :]
+    return [int.from_bytes(raw[k : k + width], "little") % q for k in range(0, len(raw), width)]
 
 
 @cached("character_table")

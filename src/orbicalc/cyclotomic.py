@@ -7,16 +7,17 @@ floating point anywhere in this module.
 
 A vector is reduced mod Phi_n by the rows of reduced powers zeta^k,
 k = 0..n-1 (exponents fold mod n): `CycInt` for one vector and
-`power_sum` for a sum of powers of zeta.  `reduce_blocks`, one synthetic
-division by Phi_n over whole exponent columns, now serves only the
-character table's indicators (its orthogonality check runs mod a prime).
+`power_sum` for a sum of powers of zeta, which the character table calls
+once per distinct eigenvalue multiplicity entry.  Sums, differences and
+integer multiples map an `operator` function over the coordinates.
 Everything runs on Python integers.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import sub
+from itertools import repeat
+from operator import add, mul, neg, sub
 from typing import Iterable, Sequence
 
 
@@ -74,25 +75,6 @@ def power_sum(order: int, terms: Sequence[tuple[int, int]]) -> "CycInt":
     return CycInt(order, tuple(out), _reduced=True)
 
 
-def reduce_blocks(order: int, flat: list[int]) -> list[int]:
-    """Reduce mod Phi_order, in place, every block of `order` coefficients
-    over 1, zeta, ..., zeta^(order-1) in a flat list, and return the list.
-    One synthetic division serves every block: each exponent column from
-    the top down is folded into the columns below it.  The first
-    phi(order) slots of each block then hold its reduced coordinates, as
-    `CycInt` stores them."""
-    phi = cyclotomic_polynomial(order)
-    deg = len(phi) - 1
-    for a in range(order - 1, deg - 1, -1):
-        top = flat[a::order]
-        multiples = {f: top if f == 1 else [f * c for c in top] for f in set(phi[:-1]) if f}
-        # zeta^a = -zeta^(a - deg) (phi_0 + phi_1 zeta + ... + phi_(deg-1) zeta^(deg-1)).
-        for b, f in enumerate(phi[:-1], a - deg):
-            if f:
-                flat[b::order] = map(sub, flat[b::order], multiples[f])
-    return flat
-
-
 class CycInt:
     """A cyclotomic integer in Z[zeta_order], stored in reduced form."""
 
@@ -107,48 +89,33 @@ class CycInt:
 
     @staticmethod
     def from_int(order: int, value: int) -> "CycInt":
-        deg = len(cyclotomic_polynomial(order)) - 1
-        coeffs = (value,) + (0,) * (deg - 1)
-        return CycInt(order, coeffs, _reduced=True)
+        return CycInt(order, (value,) + (0,) * (len(cyclotomic_polynomial(order)) - 2), _reduced=True)
 
     def _check(self, other: "CycInt") -> None:
         if self.order != other.order:
-            raise ValueError(
-                f"cyclotomic orders differ: {self.order} vs {other.order}"
-            )
+            raise ValueError(f"cyclotomic orders differ: {self.order} vs {other.order}")
 
     def __add__(self, other: "CycInt") -> "CycInt":
         self._check(other)
-        return CycInt(
-            self.order,
-            tuple(a + b for a, b in zip(self.coeffs, other.coeffs)),
-            _reduced=True,
-        )
+        return CycInt(self.order, tuple(map(add, self.coeffs, other.coeffs)), _reduced=True)
 
     def __sub__(self, other: "CycInt") -> "CycInt":
         self._check(other)
-        return CycInt(
-            self.order,
-            tuple(a - b for a, b in zip(self.coeffs, other.coeffs)),
-            _reduced=True,
-        )
+        return CycInt(self.order, tuple(map(sub, self.coeffs, other.coeffs)), _reduced=True)
 
     def __neg__(self) -> "CycInt":
-        return CycInt(self.order, tuple(-a for a in self.coeffs), _reduced=True)
+        return CycInt(self.order, tuple(map(neg, self.coeffs)), _reduced=True)
 
     def __mul__(self, other) -> "CycInt":
         if isinstance(other, int):
-            return CycInt(
-                self.order, tuple(a * other for a in self.coeffs), _reduced=True
-            )
+            return CycInt(self.order, tuple(map(mul, self.coeffs, repeat(other))), _reduced=True)
         self._check(other)
         a, b = self.coeffs, other.coeffs
         prod = [0] * (len(a) + len(b) - 1)
         for i, ai in enumerate(a):
-            if ai == 0:
-                continue
-            for j, bj in enumerate(b):
-                prod[i + j] += ai * bj
+            if ai:
+                for j, bj in enumerate(b):
+                    prod[i + j] += ai * bj
         return CycInt(self.order, tuple(prod))
 
     __rmul__ = __mul__
@@ -159,11 +126,7 @@ class CycInt:
 
     def galois(self, j: int) -> "CycInt":
         """Galois twist zeta -> zeta^j (j coprime to order for a field map)."""
-        raw = [0] * self.order
-        # Expand the reduced form zeta^k -> zeta^(jk mod order).
-        for k, c in enumerate(self.coeffs):
-            raw[(j * k) % self.order] += c
-        return CycInt(self.order, tuple(raw))
+        return power_sum(self.order, [(j * k % self.order, c) for k, c in enumerate(self.coeffs) if c])
 
     def lift(self, new_order: int) -> "CycInt":
         """Reinterpret in Z[zeta_new_order] where order divides new_order."""
@@ -172,10 +135,7 @@ class CycInt:
         if new_order % self.order != 0:
             raise ValueError("can only lift to a multiple of the current order")
         step = new_order // self.order
-        raw = [0] * new_order
-        for k, c in enumerate(self.coeffs):
-            raw[k * step] += c
-        return CycInt(new_order, tuple(raw))
+        return power_sum(new_order, [(k * step, c) for k, c in enumerate(self.coeffs) if c])
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
@@ -189,13 +149,9 @@ class CycInt:
         return self.coeffs[0]
 
     def divide_exact(self, d: int) -> "CycInt":
-        out = []
-        for c in self.coeffs:
-            q, r = divmod(c, d)
-            if r != 0:
-                raise ValueError(f"{self} is not divisible by {d}")
-            out.append(q)
-        return CycInt(self.order, tuple(out), _reduced=True)
+        if any(c % d for c in self.coeffs):
+            raise ValueError(f"{self} is not divisible by {d}")
+        return CycInt(self.order, tuple(c // d for c in self.coeffs), _reduced=True)
 
     def sort_key(self) -> tuple:
         return self.coeffs
@@ -205,9 +161,7 @@ class CycInt:
             return self.is_integer() and self.coeffs[0] == other
         if not isinstance(other, CycInt):
             return NotImplemented
-        if self.order != other.order:
-            return False
-        return self.coeffs == other.coeffs
+        return self.order == other.order and self.coeffs == other.coeffs
 
     def __hash__(self) -> int:
         return hash((self.order, self.coeffs))

@@ -174,26 +174,32 @@ class FiniteGroup:
         multiplication, so checking g over a generating set proves it for
         every element.  Each generator costs one gather per row: row x g
         of the table against row x read at the entries of row g.
+
+        A group's columns are permutations, so they are scanned only before
+        a table is refused, to name its first bad row or column.
         """
         T, n, e = self.table, self.order, self.identity
-        # Entries are 0..n-1, so n distinct values make a permutation.  No
-        # transpose: zip(*T) holds n iterators at once, which from n = 700 on
-        # starts a garbage collection that ages this group, and an aged group
-        # outlives its last reference once its cached character table, which
-        # points back at it, makes a cycle.
-        cols = [len(set(map(itemgetter(c), T))) != n for c in range(n)]
-        for g, (bad_row, bad_col) in enumerate(zip(bad_rows, cols)):
-            if bad_row or bad_col:
-                kind = "row" if bad_row else "column"
-                raise ValidationError(f"{kind} {g} is not a permutation")
+
+        def latin() -> None:
+            # Entries are 0..n-1, so n distinct values make a permutation.
+            cols = [len(set(col)) != n for col in zip(*T)]
+            for g, (bad_row, bad_col) in enumerate(zip(bad_rows, cols)):
+                if bad_row or bad_col:
+                    kind = "row" if bad_row else "column"
+                    raise ValidationError(f"{kind} {g} is not a permutation")
+
+        if any(bad_rows):
+            latin()
         for g, h in enumerate(self.inverses()):
             if T[h][g] != e:
+                latin()
                 raise ValidationError(f"element {g} has no two-sided inverse")
         for g in _right_generators(T, e):
             times_g = gather(T[g])
             for x, row in enumerate(T):
                 xg_y, x_gy = T[row[g]], times_g(row)
                 if xg_y != x_gy:
+                    latin()
                     c = next(c for c, (a, b) in enumerate(zip(xg_y, x_gy)) if a != b)
                     raise ValidationError(f"associativity fails at {(x, g, c)}")
 

@@ -23,7 +23,7 @@ from .characters import character_table, frobenius_schur
 from .cyclotomic import CycInt
 from .errors import InternalCheckError, ValidationError
 from .groups import (
-    FiniteGroup, cached, class_index_map, conjugacy_classes, generating_set, is_homomorphism
+    FiniteGroup, cached, class_index_map, conjugacy_classes, gather, generating_set, is_homomorphism
 )
 
 END_DIM = {"R": 1, "C": 2, "H": 4}
@@ -56,7 +56,7 @@ class RealIrrepTable:
         self.complex_table = character_table(group)
         ct = self.complex_table
         consumed = [False] * ct.num_classes
-        raw = []
+        raw, sums = [], {}  # sums: each distinct pair of values, summed once
         for t in range(ct.num_classes):
             if consumed[t]:
                 continue
@@ -67,22 +67,15 @@ class RealIrrepTable:
                 raw.append((d, "R", (t,), tuple(ct.values[t])))
             elif nu == -1:
                 consumed[t] = True
-                raw.append(
-                    (2 * d, "H", (t,), tuple(2 * v for v in ct.values[t]))
-                )
+                raw.append((2 * d, "H", (t,), tuple(2 * v for v in ct.values[t])))
             else:
                 s = ct.conjugate_partner(t)
                 if s == t or consumed[s]:
-                    raise InternalCheckError(
-                        "indicator-0 character without a free conjugate partner"
-                    )
+                    raise InternalCheckError("indicator-0 character without a free conjugate partner")
                 consumed[t] = consumed[s] = True
-                pair = tuple(sorted((t, s)))
-                char = tuple(
-                    ct.values[t][i] + ct.values[s][i]
-                    for i in range(ct.num_classes)
-                )
-                raw.append((2 * d, "C", pair, char))
+                pairs = list(zip(ct.values[t], ct.values[s]))
+                sums.update((pair, pair[0] + pair[1]) for pair in set(pairs) - sums.keys())
+                raw.append((2 * d, "C", tuple(sorted((t, s))), gather(pairs)(sums)))
         raw.sort(key=lambda r: (r[0], [v.sort_key() for v in r[3]]))
         self.entries = tuple(
             RealIrrep(i, d, typ, cons, char)

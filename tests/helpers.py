@@ -7,9 +7,10 @@ different routes to the same answer.  The later sections build test
 inputs on top of the library: roots of unity, composite hom classes,
 localization maps and the filteredness check.  The group-core section
 keeps the subgroup closure and the hom search as they were before both
-became one closure by right multiplication; the stable-maps section keeps
-the map group as it was built before the basis was read off the framings
-with trivial bit 0; the quotient-category section keeps the category as
+became one closure by right multiplication, and the table validation as
+it scanned every column before a passing table's columns were proved;
+the stable-maps section keeps the map group as it was built before the
+basis was read off the framings with trivial bit 0; the quotient-category section keeps the category as
 each build made it before the pair data and the composition checks were
 shared across builds; the Smith normal form section keeps the dense
 elimination that ran on whatever the unit pivots left, before the sparse
@@ -18,7 +19,10 @@ whole table as it ran on numpy arrays, with the eigenspace split as it
 was before eigenvectors were back-substituted on the Hessenberg form;
 the exact-fold section keeps the table's self-check as it ran before
 the orthogonality relations were proved mod a prime at roots of unity:
-every pair's sums folded over Z and reduced mod Phi_e in one batch;
+every pair's sums folded over Z and reduced mod Phi_e in one batch
+(`reduce_blocks`), which also computed the Frobenius-Schur indicators
+until they were proved mod the same prime, and the dot products mod that
+prime one product at a time, before each column was packed into one int;
 the fixed-precision section keeps the deciding half of the matrix backend
 as it ran on numpy float arrays, before one class on lists of rows served
 both modes; the homomorphisms section keeps the hom classes as
@@ -149,6 +153,35 @@ def relabelled(G, perm):
     return FiniteGroup(
         [[perm[G.table[inv[a]][inv[b]]] for b in range(G.order)] for a in range(G.order)]
     )
+
+
+def reference_validate(G, bad_rows):
+    """`FiniteGroup._validate` as it ran before a passing table's columns
+    were proved rather than scanned: every column's entries counted first,
+    then the first bad row or column named, then the two-sided inverses,
+    then Light's test.  Patched in as the method, it gives the old order's
+    messages."""
+    from operator import itemgetter
+
+    from orbicalc.errors import ValidationError
+    from orbicalc.groups import _right_generators, gather
+
+    T, n, e = G.table, G.order, G.identity
+    cols = [len(set(map(itemgetter(c), T))) != n for c in range(n)]
+    for g, (bad_row, bad_col) in enumerate(zip(bad_rows, cols)):
+        if bad_row or bad_col:
+            kind = "row" if bad_row else "column"
+            raise ValidationError(f"{kind} {g} is not a permutation")
+    for g, h in enumerate(G.inverses()):
+        if T[h][g] != e:
+            raise ValidationError(f"element {g} has no two-sided inverse")
+    for g in _right_generators(T, e):
+        times_g = gather(T[g])
+        for x, row in enumerate(T):
+            xg_y, x_gy = T[row[g]], times_g(row)
+            if xg_y != x_gy:
+                c = next(c for c, (a, b) in enumerate(zip(xg_y, x_gy)) if a != b)
+                raise ValidationError(f"associativity fails at {(x, g, c)}")
 
 
 def sparse_columns(A, cols):
@@ -529,10 +562,62 @@ def orthogonality_fold(W, sizes, e):
     return acc
 
 
+def reduce_blocks(order, flat):
+    """Reduce mod Phi_order, in place, every block of `order` coefficients
+    over 1, zeta, ..., zeta^(order-1) in a flat list, and return the list.
+    One synthetic division serves every block: each exponent column from
+    the top down is folded into the columns below it.  The first
+    phi(order) slots of each block then hold its reduced coordinates, as
+    `CycInt` stores them."""
+    from orbicalc.cyclotomic import cyclotomic_polynomial
+
+    phi = cyclotomic_polynomial(order)
+    deg = len(phi) - 1
+    for a in range(order - 1, deg - 1, -1):
+        top = flat[a::order]
+        multiples = {f: top if f == 1 else [f * c for c in top] for f in set(phi[:-1]) if f}
+        # zeta^a = -zeta^(a - deg) (phi_0 + phi_1 zeta + ... + phi_(deg-1) zeta^(deg-1)).
+        for b, f in enumerate(phi[:-1], a - deg):
+            if f:
+                flat[b::order] = map(sub, flat[b::order], multiples[f])
+    return flat
+
+
+def reference_dots(x, ys, q):
+    """sum_i x_i y_i mod q for every y in ys: one pair's sum each, one
+    product at a time."""
+    return [sum(map(mul, x, y)) % q for y in ys]
+
+
+def reference_indicators(ct):
+    """ct's Frobenius-Schur indicators as they were computed before they
+    were proved mod a prime: the multiplicities at the square classes,
+    weighted by class size, summed over Z and reduced mod Phi_e in one
+    batch; None when a sum is no multiple of |G| in Z, or out of range."""
+    from orbicalc.cyclotomic import cyclotomic_polynomial
+    from orbicalc.groups import class_index_map
+
+    G, r, e = ct.group, ct.num_classes, ct.exponent
+    class_of = class_index_map(G)
+    squares = [class_of[G.table[c[0]][c[0]]] for c in ct.classes]
+    flat = [0] * (r * e)
+    for t, row in enumerate(ct._mults):
+        for size, i in zip(ct.class_sizes, squares):
+            for a, m in row[i]:
+                flat[t * e + a] += size * m
+    reduce_blocks(e, flat)
+    deg = len(cyclotomic_polynomial(e)) - 1
+    sums = [flat[t * e : t * e + deg] for t in range(r)]
+    if any(any(s[1:]) or s[0] % G.order for s in sums):
+        return None
+    indicators = tuple(s[0] // G.order for s in sums)
+    return indicators if all(nu in (-1, 0, 1) for nu in indicators) else None
+
+
 def fold_verdict(ct):
     """The relation ("row" or "column") the fold and one batch reduction
     mod Phi_e find broken in ct's multiplicities, rows first, or None."""
-    from orbicalc.cyclotomic import cyclotomic_polynomial, reduce_blocks
+    from orbicalc.cyclotomic import cyclotomic_polynomial
 
     n, r, e = ct.group.order, ct.num_classes, ct.exponent
     acc = reduce_blocks(e, orthogonality_fold(ct._mults, ct.class_sizes, e))

@@ -3,8 +3,11 @@ numpy or `dataclasses` at all, function bodies included; only `_linalg`
 imports `fractions`, and no module imports `_linalg`, when it is imported;
 only `stablemaps` imports `gc`, and only `map_group` uses it; no module
 composes maps as `tuple(map(p.__getitem__, ...))`, which `groups.gather` does;
-and outside `FiniteCategory._validate`, which indexes a category's arrows,
-`localize` selects no arrows by their endpoints in `.arrows.values()`.
+outside `FiniteCategory._validate`, which indexes a category's arrows,
+`localize` selects no arrows by their endpoints in `.arrows.values()`; no
+module defines the character table's replaced kernels, `reduce_blocks`
+and `_dots`; and a cold table call loads no module beyond the ones a bare
+interpreter has, the command line's and `gc`.
 
 An import inside a function must be read in that function (nested
 functions included); an import at module level must be read somewhere in
@@ -13,9 +16,14 @@ function reads the same name.
 """
 
 import ast
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+
+from .test_cli import loaded_modules
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "orbicalc"
 MODULES = sorted(PACKAGE.glob("*.py"))
@@ -311,3 +319,32 @@ def test_the_check_sees_an_endpoint_scan():
         "    return [f.src for f in C.arrows.values()]\n"
     )
     assert endpoint_scans(tree) == [(2, "a"), (4, "b"), (8, "c")]
+
+
+# The batched reduction mod Phi_e and the one-product-at-a-time dots are
+# oracles in tests/helpers.py: the indicators and the certificate run on
+# packed residues mod a prime.
+def test_no_module_defines_the_replaced_table_kernels():
+    defined = {
+        (path.name, node.name) for path in MODULES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name in ("reduce_blocks", "_dots")
+    }
+    assert not defined
+
+
+# Beyond what the interpreter has loaded before the first line runs, a
+# cold call that builds a character table loads the package, the command
+# line's own modules and `gc`, where `map_group` pauses the collector.
+CLI_MODULES = {"__future__", "_locale", "argparse", "gettext", "importlib.machinery", "locale", "runpy"}
+
+
+@pytest.mark.parametrize("argv", [["irreps", "c5"], ["stable-maps", "c2", "s3"]])
+def test_a_cold_table_call_loads_no_other_module(tmp_path, argv):
+    bare = subprocess.run(
+        [sys.executable, "-c", "import json, sys; print(json.dumps(sorted(sys.modules)))"],
+        capture_output=True, text=True, check=True,
+    )
+    extra = loaded_modules(tmp_path, *argv) - set(json.loads(bare.stdout))
+    assert {m for m in extra if m.split(".")[0] != "orbicalc"} <= CLI_MODULES | {"gc"}

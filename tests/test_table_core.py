@@ -1,13 +1,17 @@
 """The character table's core: characteristic polynomials mod p, the
-exact orthogonality fold, the batched cyclotomic reduction, the self-checks
-of the table, each made to fire, the whole table against the numpy
-pipeline it replaced, and a group of order 660."""
+exact orthogonality fold, the batched cyclotomic reduction, the packed dot
+products of the certificate, the self-checks of the table, each made to
+fire, the indicators against the batched reduction they replaced, the
+whole table against the numpy pipeline it replaced, and a group of order
+660."""
 
 import random
-from itertools import permutations
+from itertools import permutations, product
+from math import gcd
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from orbicalc import characters
 from orbicalc._modlinalg import hessenberg_charpoly, hessenberg_mod, nullspace_mod, roots_mod
@@ -18,11 +22,20 @@ from orbicalc.characters import (
     frobenius_schur,
 )
 from orbicalc.corpus import corpus_group, corpus_names
-from orbicalc.cyclotomic import CycInt, cyclotomic_polynomial, reduce_blocks
+from orbicalc.cyclotomic import CycInt, cyclotomic_polynomial
 from orbicalc.errors import InternalCheckError
-from orbicalc.groups import group_from_generators, trivial_group
+from orbicalc.groups import class_index_map, group_from_generators, trivial_group
 
-from .helpers import np_charpoly_mod, np_orthogonality_fold, orthogonality_fold, reference_table
+from .helpers import (
+    np_charpoly_mod,
+    np_orthogonality_fold,
+    orthogonality_fold,
+    reduce_blocks,
+    reference_dots,
+    reference_indicators,
+    reference_table,
+)
+from .test_random_groups import generators_and_relabelling
 from .test_table_bytes import BUILT
 
 PRIMES = (2, 3, 13, 61, 181)
@@ -205,28 +218,159 @@ def test_verify_rejects_every_single_shifted_eigenvalue(name):
 def test_verify_checks_each_relation_on_its_own(monkeypatch, name):
     """One unit added to the sum of any one pair, in either relation, is
     caught, and named by the relation it broke: the rows run first, one
-    call per row s over every t, then the columns, one call per class s
-    over every t >= s."""
-    dots = characters._dots
+    packed product per row s over every t, then the columns, one per class
+    s over every t >= s."""
+    dots = characters._packed_dots
     ct = CharacterTable(corpus_group(name))
     r = ct.num_classes
     words = ["row"] * (r * r) + ["column"] * (r * (r + 1) // 2)
     for target, word in enumerate(words):
         done = [0]  # the pair sums returned so far
 
-        def corrupted(x, ys, q, target=target):
-            out = dots(x, ys, q)
+        def corrupted(x, packed, width, lo, q, target=target):
+            out = dots(x, packed, width, lo, q)
             if 0 <= target - done[0] < len(out):
                 out[target - done[0]] += 1
             done[0] += len(out)
             return out
 
-        monkeypatch.setattr(characters, "_dots", corrupted)
+        monkeypatch.setattr(characters, "_packed_dots", corrupted)
         with pytest.raises(InternalCheckError, match=word + " orthogonality"):
             ct._verify()
     assert done[0] == len(words)  # the last target was the last sum
     monkeypatch.undo()
     ct._verify()
+
+
+def _packed_equals_reference(X, Y, q):
+    packed, width = characters._pack(Y, q)
+    for s, x in enumerate(X):
+        for lo in (0, s):
+            assert characters._packed_dots(x, packed, width, lo, q) == reference_dots(x, Y[lo:], q)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 7, 16, 40])
+@pytest.mark.parametrize("q", [2, 3, 13, 1031, 65537, 2**31 - 1, 2**61 - 1])
+def test_packed_dots_equal_one_product_at_a_time(r, q):
+    """Every slot of every packed product, from every first slot, is the dot
+    product mod q, on random residues and on the worst case, every residue
+    q - 1, whose sums fill their slots to the top."""
+    rng = random.Random(r * q)
+    X = [[rng.randrange(q) for _ in range(r)] for _ in range(r)]
+    Y = [[rng.randrange(q) for _ in range(r)] for _ in range(r)]
+    _packed_equals_reference(X, Y, q)
+    full = [[q - 1] * r for _ in range(r)]
+    _packed_equals_reference(full, full, q)
+
+
+def _twisted_classes(ct):
+    """The classes whose entries the table reads off a lesser class of the
+    same rational class: C_j holds z_i^k, i < j, k prime to the order of z_i."""
+    G, class_of = ct.group, class_index_map(ct.group)
+    out = set()
+    for i, c in enumerate(ct.classes):
+        z = x = c[0]
+        o = G.element_order(z)
+        for k in range(1, o):  # x = z^k
+            if class_of[x] > i and gcd(k, o) == 1:
+                out.add(class_of[x])
+            x = G.table[x][z]
+    return out
+
+
+@pytest.mark.parametrize("name", ["c5", "c7", "c3xc6", "dic5", "f21"])
+def test_verify_rejects_every_single_shifted_eigenvalue_in_a_twisted_entry(name):
+    """A twisted entry is read off its class's power map, past the checks of
+    the eigenvalue solve; the certificate still covers it: one eigenvalue
+    moved in any one of them is caught."""
+    ct = CharacterTable(corpus_group(name))
+    good, e = ct._mults, ct.exponent
+    twisted = _twisted_classes(ct)
+    assert twisted
+    for t, j in product(range(ct.num_classes), sorted(twisted)):
+        counts = dict(good[t][j])
+        a = max(counts)
+        counts[a] -= 1
+        counts[(a + 1) % e] = counts.get((a + 1) % e, 0) + 1
+        ct._mults = [list(row) for row in good]
+        ct._mults[t][j] = tuple(sorted((k, m) for k, m in counts.items() if m))
+        with pytest.raises(InternalCheckError, match="orthogonality"):
+            ct._verify()
+    ct._mults = good
+    ct._verify()
+
+
+def _indicators(ct):
+    ct.__dict__.pop("indicators", None)  # read afresh from the current multiplicities
+    return ct.indicators
+
+
+@pytest.mark.parametrize("name", [n for n in corpus_names() if corpus_group(n).exponent() >= 3])
+def test_one_more_eigenvalue_at_a_square_class_is_no_integer(name):
+    """zeta, added to any entry at a square class, adds N zeta (N > 0 the
+    elements whose square lies there) to S_t, which for e >= 3 is no
+    integer: the indicators refuse it, with the message the batched
+    reduction gave, and so does that reduction."""
+    ct = CharacterTable(corpus_group(name))
+    class_of = class_index_map(ct.group)
+    squares = {class_of[ct.group.table[c[0]][c[0]]] for c in ct.classes}
+    good = ct._mults
+    for t, j in product(range(ct.num_classes), sorted(squares)):
+        counts = dict(good[t][j])
+        counts[1] = counts.get(1, 0) + 1
+        ct._mults = [list(row) for row in good]
+        ct._mults[t][j] = tuple(sorted(counts.items()))
+        assert reference_indicators(ct) is None
+        with pytest.raises(InternalCheckError, match="^Frobenius-Schur indicator is not an integer$"):
+            _indicators(ct)
+    ct._mults = good
+    assert _indicators(ct) == reference_indicators(ct)
+
+
+def test_a_galois_stable_corruption_is_caught_along_the_twists():
+    """C3's complex pair, each given m more copies at the identity of its
+    own value zeta^a at a generator, stays Galois stable, so the indicators
+    are read at w and at w^2 only, and S_t becomes m zeta^a.  For an m where
+    m w and m w^2 are both congruent to multiples of 3 near 0, every S_t(w)
+    would pass as a multiple of |G|; S_t(w^2) differs from S_t(w), and the
+    message is the integrality check's."""
+    ct = CharacterTable(corpus_group("c3"))
+    good, ident = ct._mults, ct.identity_class
+    pair = [t for t in range(3) if good[t][1] != ((0, 1),)]
+    for m in range(1, 500):
+        ct._mults = [list(row) for row in good]
+        for t in pair:
+            ((a, _),) = good[t][1]
+            ct._mults[t][ident] = ((0, 1), (a, m))
+        _, q, (w,), gens = ct._certificate()
+        near = [m * w**a % q for a in (1, 2)]
+        if gens == [2] and all((v if 2 * v < q else v - q) % 3 == 0 for v in near):
+            break
+    else:
+        pytest.fail("no m found")
+    assert reference_indicators(ct) is None
+    with pytest.raises(InternalCheckError, match="^Frobenius-Schur indicator is not an integer$"):
+        _indicators(ct)
+
+
+def _built_and_corpus():
+    yield from map(corpus_group, corpus_names())
+    yield from (group_from_generators(*BUILT[name], name=name) for name in BUILT)
+
+
+def test_indicators_equal_the_batched_reduction_on_the_corpus():
+    for G in _built_and_corpus():
+        ct = character_table(G)
+        assert ct.indicators == reference_indicators(ct) is not None, G.name
+        assert [frobenius_schur(ct, t) for t in range(ct.num_classes)] == list(ct.indicators)
+
+
+@settings(max_examples=30, deadline=None)
+@given(generators_and_relabelling())
+def test_indicators_equal_the_batched_reduction_on_random_groups(case):
+    degree, gens, _ = case
+    ct = character_table(group_from_generators(degree, gens))
+    assert [frobenius_schur(ct, t) for t in range(ct.num_classes)] == list(reference_indicators(ct))
 
 
 # C2 x S5 on 2 + 5 points: a swap of the first two, then S5 on the rest.
