@@ -71,10 +71,6 @@ class Fixed:
     def trace(self, A):
         return sum((A[i][i] for i in range(len(A))), self.scalar(0))
 
-    def block_diag(self, A, B):
-        zero = self.scalar(0)
-        return [list(r) + [zero] * len(B) for r in A] + [[zero] * len(A) + list(r) for r in B]
-
     def close(self, A, B) -> bool:
         return self.is_zero([[a - b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)], A, B)
 

@@ -6,7 +6,8 @@ base group; coarsely stable ones have a free integer trivial part and
 nonnegative coordinates elsewhere.  A framing is a mod-2 bit per R-type
 irrep; the canonical involution flips the bit at the trivial coordinate
 (appending a trivial line and acting on it by -1 moves exactly the
-trivial-isotypic coordinate of the framing torsor).
+trivial-isotypic coordinate of the framing torsor).  The three records
+share one frozen base, `_Frozen`, which works on their `__slots__`.
 """
 
 from __future__ import annotations
@@ -19,7 +20,33 @@ from .groups import FiniteGroup, class_index_map, conjugacy_classes, is_homomorp
 from .realreps import real_irreps, restriction_matrix
 
 
-class StableBundle:
+class _Frozen:
+    """A record frozen on its `__slots__`: compared, hashed and shown by them."""
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class StableBundle(_Frozen):
     """Integer coordinates over the real irrep table of the base; immutable."""
 
     __slots__ = ("base", "coords")
@@ -27,20 +54,7 @@ class StableBundle:
     def __init__(self, base: FiniteGroup, coords: tuple[int, ...]):
         if len(coords) != len(real_irreps(base)):
             raise ValidationError("coordinate length must match the irrep table")
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "coords", coords)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __eq__(self, other):
-        return type(other) is StableBundle and (self.base, self.coords) == (other.base, other.coords)
-
-    def __hash__(self):
-        return hash((self.base, self.coords))
-
-    def __repr__(self) -> str:
-        return f"StableBundle(base={self.base!r}, coords={self.coords!r})"
+        super().__init__(base, coords)
 
     def virtual_rank(self) -> int:
         R = real_irreps(self.base)
@@ -55,7 +69,7 @@ class StableBundle:
         return StableBundle(self.base, tuple(-a for a in self.coords))
 
 
-class CoarseStableBundle:
+class CoarseStableBundle(_Frozen):
     """A free trivial part and nonnegative coordinates, indexed by the
     nontrivial irreps in table order; immutable."""
 
@@ -66,22 +80,7 @@ class CoarseStableBundle:
             raise ValidationError("need one coordinate per nontrivial irrep")
         if any(c < 0 for c in coords):
             raise ValidationError("coarsely stable coordinates must be nonnegative")
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "trivial_part", trivial_part)
-        object.__setattr__(self, "coords", coords)
-
-    __setattr__ = StableBundle.__setattr__
-
-    def __eq__(self, other):
-        return type(other) is CoarseStableBundle and (self.base, self.trivial_part, self.coords) == (
-            other.base, other.trivial_part, other.coords)
-
-    def __hash__(self):
-        return hash((self.base, self.trivial_part, self.coords))
-
-    def __repr__(self) -> str:
-        return (f"CoarseStableBundle(base={self.base!r}, trivial_part={self.trivial_part!r}, "
-                f"coords={self.coords!r})")
+        super().__init__(base, trivial_part, coords)
 
     def nontrivial_indices(self) -> tuple[int, ...]:
         R = real_irreps(self.base)
@@ -135,7 +134,7 @@ def restrict_bundle(b: StableBundle, K: FiniteGroup, phi: Sequence[int]) -> Stab
     return out
 
 
-class Framing:
+class Framing(_Frozen):
     """A stable framing: one bit per R-type irrep of the base; immutable."""
 
     __slots__ = ("base", "bits")
@@ -145,19 +144,7 @@ class Framing:
             raise ValidationError("need one bit per R-type irrep")
         if any(b not in (0, 1) for b in bits):
             raise ValidationError("framing bits live in Z/2")
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "bits", bits)
-
-    __setattr__ = StableBundle.__setattr__
-
-    def __eq__(self, other):
-        return type(other) is Framing and (self.base, self.bits) == (other.base, other.bits)
-
-    def __hash__(self):
-        return hash((self.base, self.bits))
-
-    def __repr__(self) -> str:
-        return f"Framing(base={self.base!r}, bits={self.bits!r})"
+        super().__init__(base, bits)
 
 
 def framings(K: FiniteGroup) -> list[Framing]:

@@ -200,7 +200,7 @@ class CharacterTable:
                     row.append(eigenvalue_multiplicities(
                         [cm[seq[m % len(seq)]] for m in range(1, d + 1)], e // len(seq), roots, log, p))
                 else:
-                    row.append(tuple(sorted((a * k % e, m) for a, m in row[i])))
+                    row.append(_twist(row[i], k, e))
             mults.append(row)
 
         # Exact values, one per distinct entry, and deterministic ordering.
@@ -229,7 +229,7 @@ class CharacterTable:
         for k in units:  # a greedy generating set: each k outside the subgroup so far
             if k in reached:
                 continue
-            twist = {x: tuple(sorted((a * k % e, m) for a, m in x)) for x in entries}
+            twist = {x: _twist(x, k, e) for x in entries}
             if sorted(gather(row)(twist) for row in W) != rows:
                 return entries, q, [pow(w, k, q) for k in units], []
             gens.append(k)
@@ -253,7 +253,8 @@ class CharacterTable:
         if sum(d * d for d in self.degrees) != n:
             raise InternalCheckError("sum of squared degrees is not |G|")
         W = self._mults
-        entries, q, roots, _ = self._certificate()
+        self._verified = W, self._certificate()  # `indicators` reuses it while `_mults` is W
+        entries, q, roots, _ = self._verified[1]
         centralizers = [n // c for c in self.class_sizes]
         for word, diagonal in (("row", [n] * r), ("column", centralizers)):
             for root in roots:
@@ -303,7 +304,7 @@ class CharacterTable:
         G, n, e, W = self.group, self.group.order, self.exponent, self._mults
         class_of = class_index_map(G)
         squares = gather([class_of[G.table[c[0]][c[0]]] for c in self.classes])
-        _, q, roots, gens = self._certificate()
+        _, q, roots, gens = self._verified[1] if self._verified[0] is W else self._certificate()
         at_squares = {x for row in W for x in squares(row)}
         sums = []
         for root in roots + [pow(roots[0], g, q) for g in gens]:
@@ -386,6 +387,11 @@ def eigenvalue_multiplicities(
         raise InternalCheckError("eigenvalue multiplicity out of range")
     found[k] = found.get(k, 0) + 1
     return tuple(sorted(found.items()))
+
+
+def _twist(x: tuple[tuple[int, int], ...], k: int, e: int) -> tuple[tuple[int, int], ...]:
+    """An entry's (a, multiplicity) pairs under the twist zeta -> zeta^k."""
+    return tuple(sorted((a * k % e, m) for a, m in x))
 
 
 def _values_at(entries, root: int, e: int, q: int) -> tuple[dict, dict]:

@@ -123,6 +123,9 @@ class FiniteGroup:
     ):
         self.table = tuple(tuple(row) for row in table)
         self.order = len(self.table)
+        if labels is not None and not (isinstance(labels, (list, tuple)) and len(labels) == self.order
+                                       and all(isinstance(x, str) for x in labels)):
+            raise ValidationError("'labels' must be a list of one string per element")
         self.name = name
         self.labels = tuple(labels) if labels is not None else None
         self._cache: dict = {}
@@ -277,13 +280,14 @@ def _closure(
     return reached
 
 
-def _right_generators(table: Sequence[Sequence[int]], e: int) -> list[int]:
-    """A generating set chosen greedily: take the least element not yet
-    reached from the identity by right multiplication with the chosen
-    ones, until every element is reached."""
+def _right_generators(table: Sequence[Sequence[int]], e: int,
+                      candidates: Optional[Iterable[int]] = None) -> list[int]:
+    """A generating set chosen greedily: take the first candidate (by
+    default the least element) not yet reached from the identity by right
+    multiplication with the chosen ones, until every element is reached."""
     gens: list[int] = []
     reached = {e}
-    for g in range(len(table)):
+    for g in range(len(table)) if candidates is None else candidates:
         if g not in reached:
             gens.append(g)
             reached = _closure(table, gens, reached)
@@ -579,14 +583,8 @@ def _quotient(G: FiniteGroup, Ns: frozenset[int]) -> tuple[FiniteGroup, tuple[in
 def generating_set(G: FiniteGroup) -> tuple[int, ...]:
     """Greedy generating set: repeatedly add the largest-order element
     outside the current closure (ties broken by index)."""
-    gens: list[int] = []
-    closure = {G.identity}
     by_order = sorted(range(G.order), key=lambda a: (-G.element_order(a), a))
-    for a in by_order:
-        if a not in closure:
-            gens.append(a)
-            closure = _closure(G.table, gens, closure)
-    return tuple(gens)
+    return tuple(_right_generators(G.table, G.identity, by_order))
 
 
 @cached("fingerprint")
@@ -692,12 +690,6 @@ def group_from_json(data: dict | str | Path, name: Optional[str] = None) -> Fini
         table, labels = data["table"], data.get("labels")
         if not isinstance(table, list) or not all(isinstance(r, list) for r in table):
             raise ValidationError("'table' must be a list of rows")
-        if labels is not None and (
-            not isinstance(labels, list)
-            or len(labels) != len(table)
-            or not all(isinstance(x, str) for x in labels)
-        ):
-            raise ValidationError("'labels' must be a list of one string per element")
         return FiniteGroup(table, labels=labels, name=name)
     if "degree" in data and "generators" in data:
         return group_from_generators(data["degree"], data["generators"], name=name)

@@ -235,39 +235,6 @@ class MatrixRep:
         return self.kernel_elements() == (self.group.identity,)
 
 
-def _permutation_matrices(perms: Sequence[Sequence[int]]) -> list[list[list[int]]]:
-    """Per permutation p, the 0/1 matrix sending basis vector x to p[x]."""
-    return [[[int(p[x] == y) for x in range(len(p))] for y in range(len(p))] for p in perms]
-
-
-def regular_rep(G: FiniteGroup) -> MatrixRep:
-    """Left regular representation by permutation matrices (exact)."""
-    return MatrixRep(G, _permutation_matrices(G.table), exact=True, validate=False)
-
-
-def permutation_rep(G: FiniteGroup, perms: Sequence[Sequence[int]]) -> MatrixRep:
-    """Representation from an action: perms[g] is the permutation of g."""
-    return MatrixRep(G, _permutation_matrices(perms), exact=True)
-
-
-def one_dim_rep(G: FiniteGroup, values: Sequence) -> MatrixRep:
-    from fractions import Fraction
-
-    return MatrixRep(G, [[[Fraction(v)]] for v in values], exact=True)
-
-
-def direct_sum(a: MatrixRep, b: MatrixRep) -> MatrixRep:
-    """Block sum; exact only when both summands are."""
-    if a.group is not b.group:
-        raise ValidationError("direct sum needs representations of one group")
-    from ._linalg import EXACT, Fixed
-
-    tolerance = max(a.tolerance, b.tolerance)
-    la = EXACT if a.exact and b.exact else Fixed(tolerance)
-    mats = [la.block_diag(la.matrix(x), la.matrix(y)) for x, y in zip(a.matrices, b.matrices)]
-    return MatrixRep(a.group, mats, exact=la is EXACT, tolerance=tolerance, validate=False)
-
-
 # -- isotypic decomposition ------------------------------------------------------
 
 

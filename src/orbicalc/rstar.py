@@ -10,12 +10,12 @@ section 4.1), so composing classes is one lookup.  Every composite of
 maps stored as image tuples, orbit members included, is one
 `groups.gather`, run in C.  This pair data is built once per process,
 cached on the source group and shared by every category; building it
-checks that class_of_hom names each orbit member's own arrow.  The first
-category holding a triple A -> B -> C with arrows on both legs checks
-that composition there is representative-independent (the composite of
-every member of both orbits of every pair of classes lies in one class).
-So each check runs once per pair or triple, before any category
-containing it is returned.
+checks that class_of_hom names each orbit member's own arrow.  A category
+keeps the arrows and class tables; the first holding a triple A -> B -> C
+with arrows on both legs reads the orbits to check that composition there
+is representative-independent (the composite of every member of both
+orbits of every pair of classes lies in one class).  So each check runs
+once per pair or triple, before any category containing it is returned.
 A cell of dimension p is a chain of p composable arrows, carrying its
 source group as the isotropy label.  The census stores each cell once, as
 integers (object indices, arrow indices); the nerve's boundaries are
@@ -85,11 +85,10 @@ class QuotientCategory:
         self.objects = objects
         self.object_names = [G.name for G in objects]
         self.homs: dict[tuple[int, int], list[Arrow]] = {}
-        self._orbits: dict[tuple[int, int], list[frozenset[tuple[int, ...]]]] = {}
         self._classes: dict[tuple[int, int], dict[tuple[int, ...], int]] = {}
         for i, A in enumerate(objects):
             for j, B in enumerate(objects):
-                reps, self._orbits[(i, j)], self._classes[(i, j)] = _arrows(A, B)
+                reps, _, self._classes[(i, j)] = _arrows(A, B)
                 self.homs[(i, j)] = [Arrow(i, j, rep) for rep in reps]
         self._verify()
 
@@ -115,7 +114,7 @@ class QuotientCategory:
         for (i, j), arrows in self.homs.items():
             for k, C in enumerate(objects):
                 if arrows and self.homs[(j, k)]:
-                    _check_composition(objects[i], objects[j], C)
+                    _composition_checked(objects[i], objects[j], C)
         trivial = self.object_names.index("c1")
         for j in range(len(objects)):
             if len(self.homs[(trivial, j)]) != 1:
@@ -146,15 +145,9 @@ def _arrows(A: FiniteGroup, B: FiniteGroup) -> tuple[list, list, dict]:
     return reps, orbits, table
 
 
-def _check_composition(A: FiniteGroup, B: FiniteGroup, C: FiniteGroup) -> None:
-    """Check that composing classes A -> B -> C is well defined, once per
-    triple with arrows on both legs, and record the triple on A."""
-    if _arrows(A, B)[1] and _arrows(B, C)[1]:
-        _composition_checked(A, B, C)
-
-
 @cached("composition_checked")
 def _composition_checked(A: FiniteGroup, B: FiniteGroup, C: FiniteGroup) -> bool:
+    """Check once that composing classes A -> B -> C is well defined."""
     # A representative of each class A -> B against each whole orbit B -> C:
     # conjugating fb by c conjugates fb o fa by c, conjugating fa by b
     # conjugates it by fb(b), so this already reaches the full product's set.

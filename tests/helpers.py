@@ -5,7 +5,9 @@ The oracles recompute expected values from first principles, without
 touching the library's own algorithms, so tests compare two genuinely
 different routes to the same answer.  The later sections build test
 inputs on top of the library: roots of unity, composite hom classes,
-localization maps and the filteredness check.  The group-core section
+localization maps, the filteredness check, and matrix representations
+(regular, permutation, one-dimensional and block sums), which only tests
+build.  The group-core section
 keeps the subgroup closure and the hom search as they were before both
 became one closure by right multiplication, and the table validation as
 it scanned every column before a passing table's columns were proved;
@@ -1167,3 +1169,51 @@ def verify_filtered(C, W, x):
                     if not ok:
                         return False
     return True
+
+
+# -- matrix representations ---------------------------------------------------------
+
+
+def _permutation_matrices(perms):
+    """Per permutation p, the 0/1 matrix sending basis vector x to p[x]."""
+    return [[[int(p[x] == y) for x in range(len(p))] for y in range(len(p))] for p in perms]
+
+
+def regular_rep(G):
+    """Left regular representation by permutation matrices (exact)."""
+    from orbicalc.realreps import MatrixRep
+
+    return MatrixRep(G, _permutation_matrices(G.table), exact=True, validate=False)
+
+
+def permutation_rep(G, perms):
+    """Representation from an action: perms[g] is the permutation of g."""
+    from orbicalc.realreps import MatrixRep
+
+    return MatrixRep(G, _permutation_matrices(perms), exact=True)
+
+
+def one_dim_rep(G, values):
+    from fractions import Fraction
+
+    from orbicalc.realreps import MatrixRep
+
+    return MatrixRep(G, [[[Fraction(v)]] for v in values], exact=True)
+
+
+def direct_sum(a, b):
+    """Block sum; exact only when both summands are."""
+    from orbicalc._linalg import EXACT, Fixed
+    from orbicalc.errors import ValidationError
+    from orbicalc.realreps import MatrixRep
+
+    if a.group is not b.group:
+        raise ValidationError("direct sum needs representations of one group")
+    tolerance = max(a.tolerance, b.tolerance)
+    la = EXACT if a.exact and b.exact else Fixed(tolerance)
+    zero = la.scalar(0)
+    mats = []
+    for x, y in zip(a.matrices, b.matrices):
+        A, B = la.matrix(x), la.matrix(y)
+        mats.append([r + [zero] * len(B) for r in A] + [[zero] * len(A) + r for r in B])
+    return MatrixRep(a.group, mats, exact=la is EXACT, tolerance=tolerance, validate=False)

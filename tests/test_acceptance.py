@@ -19,14 +19,14 @@ from orbicalc.characters import character_table, frobenius_schur
 from orbicalc.corpus import corpus_group, corpus_names, groups_of_order_at_most
 from orbicalc.homs import enumerate_homs, hom_classes, rep_hom_classes
 from orbicalc.localize import check_right_multiplicative, localize_hom, verify_universal_property
-from orbicalc.realreps import one_dim_rep, real_irreps, regular_rep
+from orbicalc.realreps import real_irreps
 from orbicalc.rstar import build_quotient_category, nerve_chain_complex
 from orbicalc.snf import homology
 from orbicalc.stablemaps import cross_check_abstract_enumeration, map_group
 from orbicalc.transversality import LinearChart, derived_class_detector, fixed_subspace, isotypic_surjectivity
 
 from .cat_corpus import ore_counterexample, single_inversion, synthetic_corpus
-from .helpers import brute_force_homs, complex_from_simplices
+from .helpers import brute_force_homs, complex_from_simplices, one_dim_rep, regular_rep
 from .test_snf import RP2_TRIANGLES
 
 
@@ -259,7 +259,7 @@ def test_criterion_8_transversality_and_detector():
         verdict = derived_class_detector(c2, one_dim_rep(c2, [1, -1]))
         assert verdict.certified and verdict.degree == -1
         # Exact-mode Schur vanishing: cross-isotype blocks identically zero.
-        from orbicalc.realreps import direct_sum
+        from .helpers import direct_sum
 
         V = direct_sum(one_dim_rep(c2, [1, 1]), one_dim_rep(c2, [1, -1]))
         chart = LinearChart(c2, V, V, [[1, 0], [0, 1]])

@@ -89,11 +89,12 @@ def test_compose_is_class_of_hom_of_the_composite():
 def test_orbits_are_the_conjugation_orbits():
     cat = rstar.build_quotient_category(6)
     for (i, j), arrows in cat.homs.items():
-        B = cat.objects[j]
-        for a, orbit in zip(arrows, cat._orbits[(i, j)]):
+        A, B = cat.objects[i], cat.objects[j]
+        orbits = rstar._arrows(A, B)[1]
+        for a, orbit in zip(arrows, orbits):
             assert a.rep in orbit
             assert len(orbit) * len(centralizer(B, a.rep).representative) == B.order
-        assert len(cat._classes[(i, j)]) == sum(map(len, cat._orbits[(i, j)]))
+        assert len(cat._classes[(i, j)]) == sum(map(len, orbits))
 
 
 def test_centralizer_order_matches_the_centralizer_subgroup():

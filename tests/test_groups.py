@@ -155,6 +155,22 @@ def test_rejects_non_associative_table():
         FiniteGroup(table)
 
 
+@pytest.mark.parametrize("table, labels", [
+    ([[0, 1], [1, 0]], ["e"]),
+    ([[0, 1], [1, 0]], [1, 2]),
+    ([[0, 1], [1, 0]], "ea"),
+    ([[0, 1], [1, 2]], ["e"]),  # before the entries are read
+    ([], ["e"]),  # before the table is found empty
+], ids=["short", "not-strings", "one-string", "bad-entry", "empty"])
+def test_the_constructor_checks_its_labels(table, labels):
+    with pytest.raises(ValidationError) as err:
+        FiniteGroup(table, labels=labels)
+    assert str(err.value) == "'labels' must be a list of one string per element"
+    with pytest.raises(ValidationError) as err:
+        group_from_json({"table": table, "labels": labels})
+    assert str(err.value) == "'labels' must be a list of one string per element"
+
+
 def first_light_failure(t):
     """The first (x, g, c) with (x g) c != x (g c): g over Light's generators
     in order, then (x, c) in row-major order; None when there is none."""

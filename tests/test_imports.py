@@ -6,8 +6,10 @@ composes maps as `tuple(map(p.__getitem__, ...))`, which `groups.gather` does;
 outside `FiniteCategory._validate`, which indexes a category's arrows,
 `localize` selects no arrows by their endpoints in `.arrows.values()`; no
 module defines the character table's replaced kernels, `reduce_blocks`
-and `_dots`; and a cold table call loads no module beyond the ones a bare
-interpreter has, the command line's and `gc`.
+and `_dots`; every module-level function outside the exported names and
+the command handlers has a caller in the package; and a cold table call
+loads no module beyond the ones a bare interpreter has, the command line's
+and `gc`.
 
 An import inside a function must be read in that function (nested
 functions included); an import at module level must be read somewhere in
@@ -332,6 +334,63 @@ def test_no_module_defines_the_replaced_table_kernels():
         and node.name in ("reduce_blocks", "_dots")
     }
     assert not defined
+
+
+def uncalled_functions(trees, exported):
+    """(module, name) for every module-level function that no code outside
+    its own body names, by a name or an attribute, among `trees` (module ->
+    tree); exported names, dunders and the handlers `_command` registers
+    are left out."""
+    named = [
+        (module, node.lineno, node.id if isinstance(node, ast.Name) else node.attr)
+        for module, tree in trees.items() for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) or isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    ]
+
+    def handler(f):
+        return any(isinstance(d, ast.Call) and getattr(d.func, "id", None) == "_command"
+                   for d in f.decorator_list)
+
+    def called(module, f):
+        return any(name == f.name and not (m == module and f.lineno <= line <= f.end_lineno)
+                   for m, line, name in named)
+
+    return [
+        (module, f.name) for module, tree in trees.items() for f in tree.body
+        if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef)) and f.name not in exported
+        and not f.name.startswith("__") and not handler(f) and not called(module, f)
+    ]
+
+
+# Code only the tests call lives in tests/helpers.py, not in the package.
+def test_every_function_outside_the_exports_has_a_caller_in_the_package():
+    import orbicalc
+
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in MODULES}
+    assert not uncalled_functions(trees, set(orbicalc.__all__))
+
+
+def test_the_check_sees_a_function_only_tests_call():
+    trees = {
+        "a.py": ast.parse(
+            "def exported(): return helper()\n"
+            "def helper(): return 1\n"
+            "def recursive(n): return recursive(n - 1)\n"
+            "def orphan(): return 2\n"
+            "@_command('x', 'help')\n"
+            "def cmd_x(args, inputs): return {}\n"
+            "@cached('memo')\n"
+            "def memo(G): return G\n"
+            "def __getattr__(name): return name\n"
+            "def by_attribute(): return 3\n"
+            "class A:\n"
+            "    def orphan(self): return 4\n"
+        ),
+        "b.py": ast.parse("from . import a\nx = a.by_attribute()\n"),
+    }
+    assert uncalled_functions(trees, {"exported"}) == [
+        ("a.py", "recursive"), ("a.py", "orphan"), ("a.py", "memo")
+    ]
 
 
 # Beyond what the interpreter has loaded before the first line runs, a

@@ -16,19 +16,15 @@ import pytest
 from orbicalc._linalg import EXACT, Fixed
 from orbicalc.corpus import corpus_group
 from orbicalc.errors import ValidationError
-from orbicalc.realreps import (
-    MatrixRep,
-    direct_sum,
-    isotypic_decomposition,
-    one_dim_rep,
-    real_irreps,
-)
+from orbicalc.realreps import MatrixRep, isotypic_decomposition, real_irreps
 from orbicalc.transversality import (
     LinearChart,
     derived_class_detector,
     fixed_subspace,
     isotypic_surjectivity,
 )
+
+from .helpers import direct_sum, one_dim_rep
 
 # The C3 rotation by 120 degrees, on the corpus labels e, (0 1 2), (0 2 1),
 # rounded so that its entries are off by up to 1e-5 and the averaged

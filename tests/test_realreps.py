@@ -7,16 +7,13 @@ from orbicalc.errors import ValidationError
 from orbicalc.groups import subgroup_as_group, subgroup_classes
 from orbicalc.realreps import (
     MatrixRep,
-    direct_sum,
     isotypic_decomposition,
     min_faithful_tensor_power,
-    one_dim_rep,
     real_irreps,
-    regular_rep,
     restriction_multiplicities,
 )
 
-from .helpers import root_of_unity
+from .helpers import direct_sum, one_dim_rep, regular_rep, root_of_unity
 
 
 def test_character_table_c3_values():

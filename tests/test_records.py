@@ -16,7 +16,7 @@ from orbicalc.errors import ValidationError
 from orbicalc.groups import SubgroupClass
 from orbicalc.homs import HomClass, RepRecoveryReport
 from orbicalc.localize import ArrowData, LocalizedHom, RMSVerdict, Span
-from orbicalc.realreps import IsotypicPiece, RealIrrep, isotypic_decomposition, one_dim_rep
+from orbicalc.realreps import IsotypicPiece, RealIrrep, isotypic_decomposition
 from orbicalc.rstar import Arrow, Cell, CellCensus, build_quotient_category
 from orbicalc.snf import ChainComplex, HomologyDegree
 from orbicalc.stablemaps import CrossCheckReport, MapGenerator, MapGroupPresentation
@@ -27,6 +27,7 @@ from orbicalc.transversality import (
     SurjectivityReport,
 )
 
+from .helpers import one_dim_rep
 from .test_linalg import c3_rotation
 
 C2 = corpus_group("c2")

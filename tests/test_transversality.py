@@ -2,13 +2,7 @@ import pytest
 
 from orbicalc.corpus import corpus_group
 from orbicalc.errors import ValidationError
-from orbicalc.realreps import (
-    MatrixRep,
-    direct_sum,
-    one_dim_rep,
-    real_irreps,
-    regular_rep,
-)
+from orbicalc.realreps import MatrixRep, real_irreps
 from orbicalc.transversality import (
     DetectorVerdict,
     LinearChart,
@@ -16,6 +10,8 @@ from orbicalc.transversality import (
     fixed_subspace,
     isotypic_surjectivity,
 )
+
+from .helpers import direct_sum, one_dim_rep, regular_rep
 
 
 def sign_rep(G):
@@ -47,7 +43,7 @@ def test_fixed_subspace_regular():
 def test_fixed_subspace_permutation_rep():
     # Natural s3 action on 3 points: invariants are the constant vectors.
     G = corpus_group("s3")
-    from orbicalc.realreps import permutation_rep
+    from .helpers import permutation_rep
 
     # The BFS labels of s3 are permutations of 3 points; rebuild them.
     import re
