@@ -21,13 +21,20 @@ from fractions import Fraction
 from .errors import ValidationError
 
 
+def _exact(x) -> Fraction:
+    """x as a Fraction, a float read by its repr (0.6 is 3/5); a non-finite float is refused."""
+    if isinstance(x, float) and not math.isfinite(x):
+        raise ValidationError("an exact matrix entry must be finite")
+    return Fraction(repr(x) if isinstance(x, float) else x)
+
+
 class Fixed:
     """Lists of rows under one declared tolerance (see the module rule);
     tolerance 0 is exact mode."""
 
     def __init__(self, tolerance: float):
         self.tolerance = tolerance
-        self.scalar = float if tolerance else Fraction
+        self.scalar = float if tolerance else _exact
 
     def _bound(self, *operands):
         if not self.tolerance:

@@ -16,7 +16,7 @@ from itertools import product
 from typing import NamedTuple, Sequence
 
 from .errors import InternalCheckError, ValidationError
-from .groups import FiniteGroup, class_index_map, conjugacy_classes, is_homomorphism
+from .groups import FiniteGroup, class_index_map, conjugacy_classes, gather, is_homomorphism
 from .realreps import real_irreps, restriction_matrix
 
 
@@ -170,31 +170,22 @@ def irrep_bijection_along(
     """Match the irrep tables through an isomorphism alpha: K -> K2.
 
     Returns sigma -> sigma' with char(sigma') . alpha = char(sigma); end
-    types and dimensions must match, anything else is a hard failure.
+    types and dimensions must match, anything else is a hard failure.  K2's
+    irreps are pulled back once and keyed by (dimension, end type, character).
     """
     if sorted(alpha) != list(range(K2.order)) or not is_homomorphism(K, K2, alpha):
         raise ValidationError("alpha is not an isomorphism")
-    RK, R2 = real_irreps(K), real_irreps(K2)
+    R2 = real_irreps(K2)
     cls2 = class_index_map(K2)
-    k_classes = conjugacy_classes(K)
-    out = []
-    for sigma in RK.entries:
-        target = None
-        for tau in R2.entries:
-            if tau.real_dim != sigma.real_dim or tau.end_type != sigma.end_type:
-                continue
-            if all(
-                tau.char[cls2[alpha[cls[0]]]] == sigma.char[i]
-                for i, cls in enumerate(k_classes)
-            ):
-                target = tau.index
-                break
-        if target is None:
-            raise InternalCheckError("irrep matching failed along an isomorphism")
-        out.append(target)
+    pull = gather([cls2[alpha[cls[0]]] for cls in conjugacy_classes(K)])
+    pulled = {(tau.real_dim, tau.end_type, pull(tau.char)): tau.index for tau in R2.entries}
+    try:
+        out = tuple(pulled[sigma.real_dim, sigma.end_type, sigma.char] for sigma in real_irreps(K))
+    except KeyError:
+        raise InternalCheckError("irrep matching failed along an isomorphism") from None
     if sorted(out) != list(range(len(R2))):
         raise InternalCheckError("irrep matching is not a bijection")
-    return tuple(out)
+    return out
 
 
 def framing_bit_permutation(
@@ -205,12 +196,10 @@ def framing_bit_permutation(
     R-type irrep at bit position pos of K."""
     bij = irrep_bijection_along(K, K2, alpha)
     dst = {tau: pos for pos, tau in enumerate(real_irreps(K2).r_type_indices())}
-    perm = []
-    for sigma in real_irreps(K).r_type_indices():
-        if bij[sigma] not in dst:
-            raise InternalCheckError("R-type irrep mapped to a non-R-type one")
-        perm.append(dst[bij[sigma]])
-    return tuple(perm)
+    try:
+        return tuple(dst[bij[sigma]] for sigma in real_irreps(K).r_type_indices())
+    except KeyError:
+        raise InternalCheckError("R-type irrep mapped to a non-R-type one") from None
 
 
 def push_bits(perm: Sequence[int], bits: Sequence[int]) -> tuple[int, ...]:

@@ -42,8 +42,9 @@ Python ints (`_modlinalg`, `cyclotomic`).
 
 The table owns the arithmetic on its characters: `inner_with` is the one
 inner product of class functions, the indicators are proved integers mod
-the certificate's prime, and a conjugate character is found as a row read
-at the inverse classes.
+the certificate's prime, and a row is identified by lookup: a conjugate
+character is a row read at the inverse classes and looked up, and a
+class function equal to a row has the inner products `_verify` proved.
 
 What is cached: through `groups.cached`, one table per group
 ("character_table"); on the table, its indicators, computed on first
@@ -321,13 +322,12 @@ class CharacterTable:
         return indicators
 
     def conjugate_partner(self, t: int) -> int:
-        """The row of conj(chi_t) = chi_t o inv, found by reading chi_t at
-        the inverse classes."""
-        target = [self.values[t][j] for j in self._inv_class]
-        for s in range(self.num_classes):
-            if self.values[s] == target:
-                return s
-        raise InternalCheckError("conjugate character missing from the table")
+        """The row of conj(chi_t) = chi_t o inv: chi_t read at the inverse
+        classes, looked up among the rows."""
+        try:
+            return self.values.index([self.values[t][j] for j in self._inv_class])
+        except ValueError:
+            raise InternalCheckError("conjugate character missing from the table") from None
 
     def text_table(self) -> str:
         reps = [c[0] for c in self.classes]

@@ -191,7 +191,7 @@ def cmd_homs(args, inputs) -> dict:
 @_command("bundles", "stable bundle data over one group", _arg("group"))
 def cmd_bundles(args, inputs) -> dict:
     G = _group(args, inputs, "group")
-    from .bundles import StableBundle, aut_group, framings
+    from .bundles import StableBundle, aut_group
     from .realreps import real_irreps
 
     R = real_irreps(G)
@@ -203,7 +203,7 @@ def cmd_bundles(args, inputs) -> dict:
             for e in R.entries
         ],
         "stable_aut_contributors": list(aut_group(zero).contributors),
-        "framing_count": len(framings(G)),
+        "framing_count": 2 ** len(R.r_type_indices()),
     }
 
 
@@ -348,8 +348,6 @@ def cmd_detect(args, inputs) -> dict:
 
         verdict = derived_class_detector(G, list(character_table(G).values[args.char_index]))
     else:
-        from fractions import Fraction
-
         from .realreps import MatrixRep
         from .transversality import derived_class_detector
 
@@ -361,11 +359,8 @@ def cmd_detect(args, inputs) -> dict:
         mode = data.get("mode", "exact")
         if mode not in ("exact", "fixed"):
             raise ValidationError("'mode' must be \"exact\" or \"fixed\"")
-        exact = mode == "exact"
-        mats = data["matrices"]
-        if exact:
-            mats = [[[Fraction(str(x)) for x in row] for row in m] for m in mats]
-        rep = MatrixRep(G, mats, exact=exact, tolerance=data.get("tolerance", 1e-9))
+        rep = MatrixRep(G, data["matrices"], exact=mode == "exact",
+                        tolerance=data.get("tolerance", 1e-9))
         verdict = derived_class_detector(G, rep)
     return {
         "group": G.name,

@@ -10,8 +10,11 @@ What is cached, through `groups.cached`: the real irrep table
 ("real_irreps") and the isotypic projector weights ("projector_weights").
 `min_faithful_tensor_power`'s faithfulness and an exact rep's
 multiplicities are read off its genuine character and that character's
-inner products with the complex table, not recomputed from matrices.
-`_linalg` and `fractions` are imported where a matrix or Fraction is built.
+inner products with the complex table, not recomputed from matrices; a
+row of the table, like a conjugate partner, is looked up, and only another
+character takes the r inner products.  `_linalg` and `fractions` are
+imported where a matrix or Fraction is built; exact mode reads a float by
+its `repr`, so 0.6 is 3/5.
 """
 
 from __future__ import annotations
@@ -82,13 +85,11 @@ class RealIrrepTable:
             for i, (d, typ, cons, char) in enumerate(raw)
         )
         self._verify()
-        one = CycInt.from_int(ct.exponent, 1)
-        trivial = [
-            e.index for e in self.entries if e.real_dim == 1 and all(v == one for v in e.char)
-        ]
-        if not trivial:
-            raise InternalCheckError("trivial representation missing")
-        self.trivial_index = trivial[0]
+        one = (CycInt.from_int(ct.exponent, 1),) * ct.num_classes
+        try:  # a character of 1s has real dimension 1
+            self.trivial_index = [e.char for e in self.entries].index(one)
+        except ValueError:
+            raise InternalCheckError("trivial representation missing") from None
         self._r_type = tuple(e.index for e in self.entries if e.end_type == "R")
         # Position of the trivial irrep's bit in a framing (its indicator is 1).
         self.trivial_bit = self._r_type.index(self.trivial_index)
@@ -368,6 +369,8 @@ def _genuine(G: FiniteGroup, V) -> tuple[list[CycInt], list[int]]:
         if e % v.order:
             raise ValidationError("character value outside the group's cyclotomic field")
         vals.append(v.lift(e))
+    if vals in ct.values:  # a row, whose inner products the table's `_verify` proved
+        return vals, [int(row == vals) for row in ct.values]
     ms = []
     for psi in ct.values:
         try:

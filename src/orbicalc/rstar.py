@@ -258,6 +258,9 @@ def cell_counts(cat: QuotientCategory, max_dim: int, include_isos: bool) -> list
 def cell_census(max_order: int, max_dim: int, include_isos: bool = False,
                 category: Optional[QuotientCategory] = None) -> CellCensus:
     check_max_dim(max_dim)
+    if category is not None and category.max_order != max_order:
+        raise ValidationError(
+            f"the category is built for max order {category.max_order}, not {max_order}")
     cat = category or build_quotient_category(max_order)
     cell_counts(cat, max_dim, include_isos)  # refuses before any cell is built
     # Sorting by name rank, then by arrow index, is Cell.key order, because

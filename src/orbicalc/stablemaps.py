@@ -40,9 +40,10 @@ is process-wide: a thread running at the same time sees it too.
 from __future__ import annotations
 
 import gc
+from itertools import product
 from typing import Iterable, Literal, NamedTuple, Sequence
 
-from .bundles import flip_trivial_bit, framing_bit_permutation, framings, push_bits
+from .bundles import flip_trivial_bit, framing_bit_permutation, push_bits
 from .errors import InternalCheckError, ValidationError
 from .groups import (
     FiniteGroup,
@@ -112,8 +113,8 @@ def _subgroups(G: FiniteGroup) -> list[_Subgroup]:
         pos = {g: i for i, g in enumerate(emb)}
         at_emb = gather(emb)
         autos = sorted({gather(at_emb(cms[n]))(pos) for n in normalizer(G, sc.representative)})
-        t = real_irreps(K).trivial_bit
-        bits0 = {fr.bits: flip_trivial_bit(K, fr.bits) for fr in framings(K) if fr.bits[t] == 0}
+        t, r = real_irreps(K).trivial_bit, len(real_irreps(K).r_type_indices())
+        bits0 = {b: flip_trivial_bit(K, b) for b in product((0, 1), repeat=r) if b[t] == 0}
         bit_moves = []
         for a in autos:
             perm = framing_bit_permutation(K, K, a)

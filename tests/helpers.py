@@ -12,7 +12,9 @@ keeps the subgroup closure and the hom search as they were before both
 became one closure by right multiplication, and the table validation as
 it scanned every column before a passing table's columns were proved;
 the stable-maps section keeps the map group as it was built before the
-basis was read off the framings with trivial bit 0; the quotient-category section keeps the category as
+basis was read off the framings with trivial bit 0, and the irrep
+matching along an isomorphism as the scan over pairs of irreps it was
+before K2's pulled-back characters were looked up in one dict; the quotient-category section keeps the category as
 each build made it before the pair data and the composition checks were
 shared across builds; the Smith normal form section keeps the dense
 elimination that ran on whatever the unit pivots left, before the sparse
@@ -815,6 +817,28 @@ def reference_are_isomorphic(G, H):
 
 
 # -- stable maps by canonicalising every framing and pairing --------------------------
+
+
+def reference_irrep_bijection(K, K2, alpha):
+    """sigma -> sigma' with char(sigma') . alpha = char(sigma), found by
+    scanning every irrep of K2 for each irrep of K; None for an irrep of K
+    with no match."""
+    from orbicalc.groups import class_index_map, conjugacy_classes
+    from orbicalc.realreps import real_irreps
+
+    cls2 = class_index_map(K2)
+    out = []
+    for sigma in real_irreps(K).entries:
+        target = None
+        for tau in real_irreps(K2).entries:
+            if tau.real_dim != sigma.real_dim or tau.end_type != sigma.end_type:
+                continue
+            if all(tau.char[cls2[alpha[cls[0]]]] == sigma.char[i]
+                   for i, cls in enumerate(conjugacy_classes(K))):
+                target = tau.index
+                break
+        out.append(target)
+    return tuple(out)
 
 
 _REFERENCE_MAP_SUBGROUPS = {}  # source group -> its per-subgroup-class data

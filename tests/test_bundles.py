@@ -179,3 +179,57 @@ def test_framing_bit_permutation_refuses_an_r_type_irrep_sent_to_another_type(mo
     monkeypatch.setattr(bundles, "irrep_bijection_along", lambda K, K2, alpha: (1, 0))
     with pytest.raises(InternalCheckError, match="non-R-type"):
         framing_bit_permutation(G, G, tuple(range(G.order)))
+
+
+def test_irrep_matching_equals_the_scan_over_pairs_on_every_automorphism():
+    # The dict lookup against the r x r scan it replaced, on all of Aut(K)
+    # for every corpus group of order <= 12.
+    from .helpers import reference_irrep_bijection
+
+    checked = 0
+    for K in groups_of_order_at_most(12):
+        for a in enumerate_homs(K, K):
+            if len(set(a)) == K.order:
+                assert irrep_bijection_along(K, K, a) == reference_irrep_bijection(K, K, a), K.name
+                checked += 1
+    assert checked == 394
+
+
+def test_irrep_matching_between_relabelled_copies_equals_the_scan():
+    # K2 a relabelled copy of K: the classes and the irrep order differ.
+    from orbicalc.groups import are_isomorphic
+
+    from .helpers import reference_irrep_bijection, relabelled
+
+    for name in ("s3", "q8", "c12", "a4", "dic3"):
+        K = corpus_group(name)
+        K2 = relabelled(K, random.Random(name).sample(range(K.order), K.order))
+        alpha = are_isomorphic(K, K2)
+        assert irrep_bijection_along(K, K2, alpha) == reference_irrep_bijection(K, K2, alpha), name
+
+
+def test_irrep_matching_keeps_both_refusals(monkeypatch):
+    from orbicalc import bundles
+    from orbicalc.errors import InternalCheckError
+    from orbicalc.groups import FiniteGroup
+
+    K = corpus_group("c3")  # two real irreps: the trivial one and one of type C
+    K2 = FiniteGroup(K.table)  # a copy, whose irreps stay as they are
+    R = real_irreps(K)
+
+    class Table:
+        def __init__(self, entries):
+            self.entries = entries
+
+        def __iter__(self):
+            return iter(self.entries)
+
+    # An irrep of K with no partner in K2, then two irreps with one partner.
+    for entries, word in (
+        ([R.entries[0], R.entries[1]._replace(end_type="H")], "irrep matching failed"),
+        ([R.entries[0], R.entries[0]._replace(index=1)], "not a bijection"),
+    ):
+        monkeypatch.setattr(bundles, "real_irreps",
+                            lambda G, e=entries: Table(e) if G is K else real_irreps(G))
+        with pytest.raises(InternalCheckError, match=word):
+            irrep_bijection_along(K, K2, tuple(range(K.order)))

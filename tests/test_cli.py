@@ -845,3 +845,30 @@ def test_package_exports_are_pinned():
     assert not any(isinstance(getattr(orbicalc, n), types.ModuleType) for n in pinned)
     assert pinned <= set(vars(orbicalc))
 
+
+
+def test_the_library_and_the_command_line_read_a_float_alike(tmp_path):
+    # 0.6 is read as 3/5 by both, so the reflection is a representation.
+    from orbicalc.corpus import corpus_group
+    from orbicalc.realreps import MatrixRep
+    from orbicalc.transversality import derived_class_detector
+
+    reflection = [[[1, 0], [0, 1]], [[0.6, 0.8], [0.8, -0.6]]]
+    G = corpus_group("c2")
+    verdict = derived_class_detector(G, MatrixRep(G, reflection, exact=True))
+    f = tmp_path / "reflection.json"
+    f.write_text(json.dumps({"matrices": reflection}))
+    out = json.loads(run_cli("detect", "c2", "--matrix-file", str(f)).stdout)
+    assert out == {"group": "c2", "fixed_dim": verdict.fixed_dim, "degree": verdict.degree,
+                   "verdict": verdict.status}
+    assert (out["fixed_dim"], out["degree"]) == (1, -2)
+
+
+def test_bundles_counts_the_framings_it_does_not_build(tmp_path):
+    # C2^5 on ten points: 32 irreps, all of type R, so 2^32 framings.
+    f = tmp_path / "c2e5.json"
+    gens = [[j ^ 1 if j // 2 == i else j for j in range(10)] for i in range(5)]
+    f.write_text(json.dumps({"name": "c2e5", "degree": 10, "generators": gens}))
+    out = json.loads(run_cli("bundles", str(f)).stdout)
+    assert len(out["real_irreps"]) == 32
+    assert out["framing_count"] == 4294967296

@@ -182,6 +182,12 @@ def test_only_the_backend_imports_fractions_when_imported():
     assert importers == {"_linalg.py"}
 
 
+# Exact mode reads a float by its repr in the backend, for the library
+# and the command line alike: the command line converts no entry itself.
+def test_the_command_line_imports_no_fractions():
+    assert "fractions" not in all_imports(ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8")))
+
+
 def test_the_check_sees_an_eager_backend_import():
     tree = ast.parse(
         "from __future__ import annotations\n"

@@ -190,3 +190,17 @@ def test_matrix_rep_refuses_ragged_matrices():
     for exact in (True, False):
         with pytest.raises(ValidationError):
             MatrixRep(G, [[[1, 0], [0, 1]], [[1, 0], [0]]], exact=exact)
+
+
+def test_exact_mode_reads_a_float_by_its_repr_and_refuses_a_non_finite_one():
+    assert EXACT.matrix([[0.6, 0.1, 2, Fraction(1, 3)]]) == [
+        [Fraction(3, 5), Fraction(1, 10), 2, Fraction(1, 3)]
+    ]
+    reflection = [[[1, 0], [0, 1]], [[0.6, 0.8], [0.8, -0.6]]]
+    rep = MatrixRep(corpus_group("c2"), reflection, exact=True)
+    assert rep.matrices[1] == [[Fraction(3, 5), Fraction(4, 5)], [Fraction(4, 5), Fraction(-3, 5)]]
+    for x in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValidationError, match="finite"):
+            MatrixRep(corpus_group("c1"), [[[x]]], exact=True)
+        with pytest.raises(ValidationError):
+            MatrixRep(corpus_group("c1"), [[[x]]], exact=False)

@@ -419,3 +419,29 @@ def test_an_entry_beyond_the_float_range_is_refused_when_decomposing():
     rep = MatrixRep(G, mats)
     with pytest.raises(ValidationError, match="^a matrix entry is too large for fixed mode$"):
         isotypic_decomposition(rep)
+
+
+def test_a_row_of_the_table_is_looked_up_not_multiplied(monkeypatch):
+    # The detector on an irreducible character reads <chi, 1> off the row's
+    # lookup: no inner product, and the inner products it reports are the
+    # ones the table proved.
+    from orbicalc.characters import CharacterTable
+    from orbicalc.realreps import _genuine
+    from orbicalc.transversality import derived_class_detector
+
+    cases = []
+    for name in ("c12", "s4", "dic5"):
+        G = corpus_group(name)
+        ct, R = character_table(G), real_irreps(G)
+        [trivial] = R.entries[R.trivial_index].constituents
+        products = [[ct.inner_with(chi, psi).as_int() for psi in ct.values] for chi in ct.values]
+        cases.append((G, ct, trivial, products))
+    calls = []
+    monkeypatch.setattr(CharacterTable, "inner_with", lambda self, chi, psi: calls.append(psi))
+    for G, ct, trivial, products in cases:
+        for t, chi in enumerate(ct.values):
+            verdict = derived_class_detector(G, list(chi))
+            assert (verdict.fixed_dim, verdict.degree) == (int(t == trivial), -ct.degrees[t])
+            assert _genuine(G, list(chi))[1] == products[t]
+            assert _genuine(G, [CycInt(v.order, v.coeffs) for v in chi])[1] == products[t]
+    assert calls == []

@@ -161,3 +161,12 @@ def test_euler_cases_with_isos_above_order_6_exceed_the_budget(max_order):
 
     with pytest.raises(ValidationError, match="exceed the budget"):
         cell_counts(build_quotient_category(max_order), 3, True)
+
+
+def test_a_census_refuses_a_category_of_another_max_order():
+    # N=6's category has 8 objects; a census labelled N=3 must not count them.
+    cat = build_quotient_category(6)
+    with pytest.raises(ValidationError, match="max order 6, not 3"):
+        cell_census(3, 2, category=cat)
+    assert cell_census(6, 2, category=cat).counts() == [8, 16, 9]
+    assert cell_census(3, 2).counts() == [3, 2, 0]
