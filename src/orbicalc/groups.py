@@ -13,14 +13,15 @@ The Algebraic Theory of Semigroups I, 1961, section 1.2): checking
 One loop closes element sets, `_closure`: breadth-first search by right
 multiplication with generators (Holt, Eick and O'Brien, Handbook of
 Computational Group Theory, 2005, section 4.1).  It picks Light's
-generators, generating sets and the subgroup lattice.  `extend_hom` walks
-the same Cayley graph carrying images, checking phi(x g) = phi(x) phi(g).
+generators, generating sets and the subgroup lattice.  `_hom_plan` splits
+its Cayley graph once per group into tree edges, along which images are
+set, and check edges, where phi(x g) = phi(x) phi(g) is checked.
 One kernel, `gather`, composes maps stored as image tuples, in C.
 
 Derived data kept on a group goes through one memo, `cached`, in whichever
 module derives it.  This module keeps the table key, inverses,
 conjugation maps, classes, class index map, subgroup classes, quotients,
-generating set and fingerprint; `exponent`, `is_abelian` and
+generating set, fingerprint and hom plan; `exponent`, `is_abelian` and
 `all_subgroups` are recomputed per call, as only a memoised caller (the
 character table, `subgroup_classes`) or one CLI call reads them.
 """
@@ -594,56 +595,62 @@ def _invariant_fingerprint(G: FiniteGroup) -> tuple:
     return (G.order, tuple(orders), tuple(sizes))
 
 
-def extend_hom(
-    G: FiniteGroup, H: FiniteGroup, gens: Sequence[int], images: Sequence[int]
-) -> Optional[dict[int, int]]:
-    """The homomorphism <gens> -> H sending gens[i] to images[i], or None.
+@cached("hom_plan")
+def _hom_plan(G: FiniteGroup) -> list[tuple[tuple, tuple]]:
+    """Per generator i, the Cayley edges (x, j, x gens[j]) that <gens[:i+1]>
+    adds to <gens[:i]>: tree edges, each reaching a new element, and check
+    edges.  Over all levels each edge of G's Cayley graph appears once."""
+    T, gens = G.table, generating_set(G)
+    elements, reached, plan = [G.identity], {G.identity}, []
+    for i in range(len(gens)):
+        tree, checks, old = [], [], len(elements)
+        for k, x in enumerate(elements):  # grows as new elements are reached
+            # An element of <gens[:i]> meets only the new generator.
+            for j in range(i if k < old else 0, i + 1):
+                y = T[x][gens[j]]
+                if y in reached:
+                    checks.append((x, j, y))
+                else:
+                    reached.add(y)
+                    elements.append(y)
+                    tree.append((x, j, y))
+        plan.append((tuple(tree), tuple(checks)))
+    return plan
 
-    phi(x g) = phi(x) phi(g) sets phi from phi(e) = e along the edges of
-    the Cayley graph and is checked on every edge that meets a mapped
-    element; holding on every edge makes phi multiplicative on <gens>."""
-    phi = {G.identity: H.identity}
-    frontier = [G.identity]
-    for x in frontier:
-        row, image_row = G.table[x], H.table[phi[x]]
-        for g, h in zip(gens, images):
-            y, z = row[g], image_row[h]
-            if y not in phi:
-                phi[y] = z
-                frontier.append(y)
-            elif phi[y] != z:
-                return None
-    return phi
+
+def _extend(HT: Sequence[Sequence[int]], level: tuple, images: Sequence[int], phi: list) -> bool:
+    """Set phi(y) = phi(x) images[j] on a level's tree edges; check it on the rest."""
+    tree, checks = level
+    for x, j, y in tree:
+        phi[y] = HT[phi[x]][images[j]]
+    for x, j, y in checks:
+        if HT[phi[x]][images[j]] != phi[y]:
+            return False
+    return True
 
 
-def hom_search(
-    G: FiniteGroup, H: FiniteGroup, candidates: Sequence[Sequence[int]]
-) -> Iterator[dict[int, int]]:
+def hom_search(G: FiniteGroup, H: FiniteGroup,
+               candidates: Sequence[Sequence[int]]) -> Iterator[list[int]]:
     """Every homomorphism G -> H sending generating_set(G)[i] into
-    candidates[i], as a complete map, by backtracking: a prefix of images
-    is kept when `extend_hom` extends it.  Images are tried in the order
-    given."""
-    return _backtrack(G, H, generating_set(G), candidates, (), {G.identity: H.identity})
+    candidates[i], as a complete image list, by backtracking over the
+    levels of `_hom_plan(G)`, trying images in the order given.  An image
+    list starts all e: an entry is read only once a level sets it."""
+    return _backtrack(H.table, _hom_plan(G), candidates, (), [H.identity] * G.order)
 
 
-def _backtrack(
-    G: FiniteGroup,
-    H: FiniteGroup,
-    gens: Sequence[int],
-    candidates: Sequence[Sequence[int]],
-    images: tuple[int, ...],
-    phi: dict[int, int],
-) -> Iterator[dict[int, int]]:
+def _backtrack(HT: Sequence[Sequence[int]], plan: list[tuple[tuple, tuple]],
+               candidates: Sequence[Sequence[int]], images: tuple[int, ...],
+               phi: list[int]) -> Iterator[list[int]]:
     # Module level, not a closure: a recursive closure reaches itself through
     # its own cell, a cycle only the cyclic collector frees.
     i = len(images)
-    if i == len(gens):
+    if i == len(plan):
         yield phi
         return
     for h in candidates[i]:
-        nxt = extend_hom(G, H, gens[: i + 1], images + (h,))
-        if nxt is not None:
-            yield from _backtrack(G, H, gens, candidates, images + (h,), nxt)
+        nxt, more = phi.copy(), images + (h,)
+        if _extend(HT, plan[i], more, nxt):
+            yield from _backtrack(HT, plan, candidates, more, nxt)
 
 
 def are_isomorphic(G: FiniteGroup, H: FiniteGroup) -> Optional[tuple[int, ...]]:
@@ -654,24 +661,22 @@ def are_isomorphic(G: FiniteGroup, H: FiniteGroup) -> Optional[tuple[int, ...]]:
     """
     if _invariant_fingerprint(G) != _invariant_fingerprint(H):
         return None
-    cand = [
-        [h for h in range(H.order) if H.element_order(h) == G.element_order(g)]
-        for g in generating_set(G)
-    ]
+    cand = [[h for h in range(H.order) if H.element_order(h) == G.element_order(g)]
+            for g in generating_set(G)]
     for phi in hom_search(G, H, cand):
-        if len(set(phi.values())) == G.order:
-            return gather(range(G.order))(phi)
+        if len(set(phi)) == G.order:
+            return tuple(phi)
     return None
 
 
 def is_homomorphism(G: FiniteGroup, H: FiniteGroup, phi: Sequence[int]) -> bool:
     """phi, an image array of length |G| into H, is a homomorphism exactly
-    when `extend_hom` extends its images of generating_set(G) back to phi."""
+    when every level of `_hom_plan(G)`, run from phi's images of
+    generating_set(G), passes and sets every entry to phi's own."""
     if len(phi) != G.order or not set(phi) <= set(range(H.order)):
         return False
-    gens = generating_set(G)
-    ext = extend_hom(G, H, gens, [phi[g] for g in gens])
-    return ext is not None and all(ext[a] == b for a, b in enumerate(phi))
+    images, ext = gather(generating_set(G))(phi), [H.identity] * G.order
+    return all(_extend(H.table, level, images, ext) for level in _hom_plan(G)) and ext == list(phi)
 
 
 # -- JSON I/O -------------------------------------------------------------------

@@ -53,7 +53,7 @@ def enumerate_homs(G: FiniteGroup, H: FiniteGroup) -> list[tuple[int, ...]]:
     candidates = [
         [h for h in range(H.order) if k % H.element_order(h) == 0] for k in gen_orders
     ]
-    return sorted(map(gather(range(G.order)), hom_search(G, H, candidates)))
+    return sorted(map(tuple, hom_search(G, H, candidates)))
 
 
 @cached("inner_automorphisms")

@@ -6,21 +6,21 @@ order <= N; an arrow is a conjugacy class of injective homomorphisms.
 Each pair of groups gets its arrows, their conjugation orbits and one
 class table from every orbit member to its arrow (the orbit tables of
 Holt, Eick and O'Brien, Handbook of Computational Group Theory, 2005,
-section 4.1), so composing classes is one lookup.  Every composite of
-maps stored as image tuples, orbit members included, is one
-`groups.gather`, run in C.  This pair data is built once per process,
-cached on the source group and shared by every category; building it
-checks that class_of_hom names each orbit member's own arrow.  A category
-keeps the arrows and class tables; the first holding a triple A -> B -> C
-with arrows on both legs reads the orbits to check that composition there
-is representative-independent (the composite of every member of both
-orbits of every pair of classes lies in one class).  So each check runs
-once per pair or triple, before any category containing it is returned.
-A cell of dimension p is a chain of p composable arrows, carrying its
-source group as the isotropy label.  The census stores each cell once, as
-integers (object indices, arrow indices); the nerve's boundaries are
-written straight from these as sparse columns, each face found by its
-integer chain.
+section 4.1).  Every composite of maps stored as image tuples, orbit
+members included, is one `groups.gather`, run in C.  This pair data is
+built once per process, cached on the source group and shared by every
+category; building it checks that class_of_hom names each orbit member's
+own arrow.  The first category holding a triple A -> B -> C with arrows
+on both legs composes a representative of each class A -> B with every
+member of every orbit B -> C, checks that each pair of classes lands in
+one class, and keeps its index in the triple's composition table.  So
+each check runs once per pair or triple, before any category containing
+it is returned, and composing arrows is one lookup by index.  A cell of
+dimension p is a chain of p composable arrows, carrying its source group
+as the isotropy label.  The census stores each cell once, as integers
+(object indices, arrow indices); the nerve's boundaries are written
+straight from these as sparse columns, each face found by its integer
+chain and an inner face left out when the table gives an identity.
 
 By default the cell census uses non-invertible arrows only (so chains
 strictly increase group order); passing include_isos=True also admits
@@ -90,7 +90,16 @@ class QuotientCategory:
             for j, B in enumerate(objects):
                 reps, _, self._classes[(i, j)] = _arrows(A, B)
                 self.homs[(i, j)] = [Arrow(i, j, rep) for rep in reps]
-        self._verify()
+        # identity[i] indexes object i's identity arrow in homs[(i, i)].
+        self.identity = [self.arrow_index(i, i, tuple(range(G.order))) for i, G in enumerate(objects)]
+        self.composite = {
+            (i, j, k): _composition_checked(objects[i], objects[j], C)
+            for (i, j), arrows in self.homs.items() if arrows
+            for k, C in enumerate(objects) if self.homs[(j, k)]
+        }
+        trivial = self.object_names.index("c1")
+        if any(len(self.homs[(trivial, j)]) != 1 for j in range(len(objects))):
+            raise InternalCheckError("trivial group is not initial")
 
     def arrow_index(self, i: int, j: int, phi: tuple[int, ...]) -> int:
         """The index in homs[(i, j)] of the class that holds the injective hom phi."""
@@ -103,28 +112,12 @@ class QuotientCategory:
         """b after a, for a: X -> Y and b: Y -> Z."""
         if a.dst != b.src:
             raise ValidationError("arrows are not composable")
-        phi = gather(a.rep)(b.rep)
-        return self.homs[(a.src, b.dst)][self.arrow_index(a.src, b.dst, phi)]
-
-    def _verify(self) -> None:
-        # Identities, class-composition well-definedness, associativity.
-        objects = self.objects
-        for i, G in enumerate(objects):
-            self.arrow_index(i, i, tuple(range(G.order)))
-        for (i, j), arrows in self.homs.items():
-            for k, C in enumerate(objects):
-                if arrows and self.homs[(j, k)]:
-                    _composition_checked(objects[i], objects[j], C)
-        trivial = self.object_names.index("c1")
-        for j in range(len(objects)):
-            if len(self.homs[(trivial, j)]) != 1:
-                raise InternalCheckError("trivial group is not initial")
+        s, t = self.arrow_index(a.src, a.dst, a.rep), self.arrow_index(b.src, b.dst, b.rep)
+        return self.homs[(a.src, b.dst)][self.composite[(a.src, a.dst, b.dst)][s][t]]
 
     def nonidentity_arrows(self, include_isos: bool) -> list[Arrow]:
-        return [
-            a for (i, j), arrows in self.homs.items() for a in arrows
-            if not a.is_identity() and (i != j or include_isos)
-        ]
+        return [a for (i, j), arrows in self.homs.items() for t, a in enumerate(arrows)
+                if i != j or include_isos and t != self.identity[i]]
 
 
 @cached("arrow_orbits")
@@ -146,21 +139,24 @@ def _arrows(A: FiniteGroup, B: FiniteGroup) -> tuple[list, list, dict]:
 
 
 @cached("composition_checked")
-def _composition_checked(A: FiniteGroup, B: FiniteGroup, C: FiniteGroup) -> bool:
-    """Check once that composing classes A -> B -> C is well defined."""
+def _composition_checked(A: FiniteGroup, B: FiniteGroup, C: FiniteGroup) -> tuple[tuple[int, ...], ...]:
+    """The composition table of classes A -> B -> C, checked once to be well
+    defined: class t of B -> C after class s of A -> B is class [s][t]."""
     # A representative of each class A -> B against each whole orbit B -> C:
     # conjugating fb by c conjugates fb o fa by c, conjugating fa by b
     # conjugates it by fb(b), so this already reaches the full product's set.
-    table = _arrows(A, C)[2]
+    table, orbits, rows = _arrows(A, C)[2], _arrows(B, C)[1], []
+    members = [fb for orbit in orbits for fb in orbit]
+    owner = [t for t, orbit in enumerate(orbits) for _ in orbit]
     for fa in _arrows(A, B)[0]:
-        after_fa = gather(fa)
-        for orbit_b in _arrows(B, C)[1]:
-            got = set(map(table.get, map(after_fa, orbit_b)))
-            if None in got:
-                raise InternalCheckError("a composite lies in no class of the category")
-            if len(got) != 1:
-                raise InternalCheckError("class composition depends on representatives")
-    return True
+        got = list(map(table.get, map(gather(fa), members)))
+        if None in got:
+            raise InternalCheckError("a composite lies in no class of the category")
+        found = sorted(set(zip(owner, got)))  # one (orbit, class) per orbit
+        if len(found) != len(orbits):
+            raise InternalCheckError("class composition depends on representatives")
+        rows.append(tuple(zip(*found))[1])
+    return tuple(rows)
 
 
 def build_quotient_category(max_order: int) -> QuotientCategory:
@@ -282,7 +278,7 @@ def nerve_chain_complex(
     chain has sign (-1)^i, and an inner face whose composite is an identity
     is degenerate and left out."""
     census = cell_census(cat.max_order, max_dim, include_isos, category=cat)
-    homs = cat.homs
+    composite, identity = cat.composite, cat.identity
     columns: list = [None]
     for p in range(1, len(census.chains)):
         index = {chain: r for r, chain in enumerate(census.chains[p - 1])}
@@ -291,9 +287,8 @@ def nerve_chain_complex(
             faces = [(1, (objs[1:], arrows[1:])), ((-1) ** p, (objs[:-1], arrows[:-1]))]
             for i in range(1, p):
                 x, y, z = objs[i - 1 : i + 2]
-                a, b = homs[(x, y)][arrows[i - 1]], homs[(y, z)][arrows[i]]
-                t = cat.arrow_index(x, z, gather(a.rep)(b.rep))
-                if not homs[(x, z)][t].is_identity():
+                t = composite[(x, y, z)][arrows[i - 1]][arrows[i]]
+                if x != z or t != identity[x]:
                     face = (objs[:i] + objs[i + 1 :], arrows[: i - 1] + (t,) + arrows[i + 1 :])
                     faces.append(((-1) ** i, face))
             col: dict[int, int] = {}

@@ -9,14 +9,19 @@ localization maps, the filteredness check, and matrix representations
 (regular, permutation, one-dimensional and block sums), which only tests
 build.  The group-core section
 keeps the subgroup closure and the hom search as they were before both
-became one closure by right multiplication, and the table validation as
-it scanned every column before a passing table's columns were proved;
+became one closure by right multiplication, the hom search as it ran
+before it walked a per-group plan of the Cayley graph (`extend_hom`
+walked the graph of <gens[:i+1]> from the identity for every candidate
+image), and the table validation as it scanned every column before a
+passing table's columns were proved;
 the stable-maps section keeps the map group as it was built before the
 basis was read off the framings with trivial bit 0, and the irrep
 matching along an isomorphism as the scan over pairs of irreps it was
 before K2's pulled-back characters were looked up in one dict; the quotient-category section keeps the category as
 each build made it before the pair data and the composition checks were
-shared across builds; the Smith normal form section keeps the dense
+shared across builds, and `reference_compose_index`, a composite found
+by its image tuple as before composition was read off the tables the
+composition check fills; the Smith normal form section keeps the dense
 elimination that ran on whatever the unit pivots left, before the sparse
 elimination took every pivot; the character-table section keeps the
 whole table as it ran on numpy arrays, with the eigenspace split as it
@@ -34,7 +39,7 @@ they were before orbits were taken under Inn(H) on generator images, and
 `conjugate_hom`, which conjugates a hom one image at a time, as every
 orbit member was built before an orbit became one gather over the
 conjugation maps, and the homomorphism test on all |G|^2 products of
-pairs, before `extend_hom` checked a map from its generator images; the
+pairs, before a map was checked from its generator images; the
 localization section keeps the right
 multiplicative system checker as it searched before a category indexed
 its arrows, every Ore square by a scan over pairs of arrows.
@@ -794,6 +799,46 @@ def reference_hom_search(G, H, candidates):
     return backtrack(0, {G.identity: H.identity})
 
 
+def extend_hom(G, H, gens, images):
+    """The homomorphism <gens> -> H sending gens[i] to images[i], or None.
+
+    phi(x g) = phi(x) phi(g) sets phi from phi(e) = e along the edges of
+    the Cayley graph and is checked on every edge that meets a mapped
+    element; holding on every edge makes phi multiplicative on <gens>."""
+    phi = {G.identity: H.identity}
+    frontier = [G.identity]
+    for x in frontier:
+        row, image_row = G.table[x], H.table[phi[x]]
+        for g, h in zip(gens, images):
+            y, z = row[g], image_row[h]
+            if y not in phi:
+                phi[y] = z
+                frontier.append(y)
+            elif phi[y] != z:
+                return None
+    return phi
+
+
+def reference_cayley_hom_search(G, H, candidates):
+    """Homomorphisms G -> H as image tuples, in backtracking order over
+    candidates[i] for generating_set(G)[i]: a prefix of images is kept
+    when `extend_hom` extends it, walking the Cayley graph anew."""
+    from orbicalc.groups import generating_set
+
+    gens = generating_set(G)
+
+    def backtrack(images, phi):
+        if len(images) == len(gens):
+            yield tuple(phi[a] for a in range(G.order))
+            return
+        for h in candidates[len(images)]:
+            nxt = extend_hom(G, H, gens[: len(images) + 1], images + (h,))
+            if nxt is not None:
+                yield from backtrack(images + (h,), nxt)
+
+    return backtrack((), {G.identity: H.identity})
+
+
 def reference_hom_candidates(G, H):
     """Images whose order divides the generator's, as `enumerate_homs` takes."""
     return [
@@ -955,6 +1000,14 @@ class _ReferenceQuotientCategory:
     def compose(self, a, b):
         phi = tuple(map(b.rep.__getitem__, a.rep))
         return self.homs[(a.src, b.dst)][self._classes[(a.src, b.dst)][phi]]
+
+
+def reference_compose_index(cat, a, b):
+    """The index in cat.homs[(a.src, b.dst)] of b after a, found by the
+    composite's image tuple in the class table."""
+    from orbicalc.groups import gather
+
+    return cat.arrow_index(a.src, b.dst, gather(a.rep)(b.rep))
 
 
 def reference_quotient_category(max_order):
